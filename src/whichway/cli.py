@@ -27,6 +27,8 @@ from .metrics import (PREDICTABILITY, duality_report, pattern_divergence,
                       predictability, visibility_fringe_local,
                       visibility_global)
 from .mzi import MziConfig, MziMode, asymmetric_duality, mzi_duality
+# fraunhofer_amplitude is not called here but stays bound: perfbench/spans.py
+# wraps the oracle names this module binds.
 from .oracle import (ApertureSet, ConvergenceError, QuadratureSpec,
                      fraunhofer_amplitude, oracle_pattern, two_slit_apertures,
                      washout_pattern)
@@ -386,31 +388,17 @@ def _shape_normalized(pattern: IntensityPattern) -> IntensityPattern:
 
 def _washout_base(cfg: ScenarioConfig, grid: GridSpec
                   ) -> Callable[[float], IntensityPattern]:
-    """Tilt -> pattern generator; a tilt shifts the pattern by D * tilt."""
+    """Tilt -> pattern generator for the first configured model; a tilt t
+    shifts the pattern by D * sin(t), as it does a tilted plane wave's far
+    field.  The oracle washes itself out (:func:`oracle_pattern`)."""
     geom = cfg.geometry
     x = grid.x()
-    shift = geom.screen_distance_m
-    if cfg.oracle_enabled:
-        beam = build_beam(cfg)
-        apertures = build_apertures(cfg)
-
-        def gen(tilt: float) -> IntensityPattern:
-            amp = fraunhofer_amplitude(beam, apertures, geom,
-                                       x - shift * tilt, cfg.quadrature)
-            intensity = np.abs(amp) ** 2
-            peak = float(np.max(intensity))
-            meta = {"model": "oracle", "geometry": geom, "unit_scale": 1.0,
-                    "peak_abs": peak}
-            return IntensityPattern(x, intensity / peak, PEAK_SINGLE_SLIT,
-                                    meta)
-
-        return gen
-
     kind = cfg.models[0]
 
     def gen(tilt: float) -> IntensityPattern:
-        shifted = GridSpec(grid.x_min_m - shift * tilt,
-                           grid.x_max_m - shift * tilt, grid.points)
+        shift = geom.screen_distance_m * math.sin(tilt)
+        shifted = GridSpec(grid.x_min_m - shift, grid.x_max_m - shift,
+                           grid.points)
         base = sample_pattern(kind, geom, shifted, PEAK_SINGLE_SLIT,
                               cfg.alpha, cfg.beta)
         return IntensityPattern(x, base.intensity, PEAK_SINGLE_SLIT,
@@ -445,9 +433,14 @@ def run_scenario(cfg: ScenarioConfig,
                                             cfg.quadrature)
         order.append(("oracle", "oracle"))
     if cfg.washout_theta_rad is not None:
-        base = _washout_base(cfg, grid)
-        patterns["washout"] = washout_pattern(base, cfg.washout_theta_rad,
-                                              cfg.washout_tilts)
+        if cfg.oracle_enabled:
+            patterns["washout"] = oracle_pattern(
+                beam, apertures, geom, grid, cfg.quadrature,
+                cfg.washout_theta_rad, cfg.washout_tilts)
+        else:
+            patterns["washout"] = washout_pattern(
+                _washout_base(cfg, grid), cfg.washout_theta_rad,
+                cfg.washout_tilts)
         order.append(("washout", "washout"))
 
     entries = []
@@ -590,13 +583,10 @@ def sweep_scenario(cfg: ScenarioConfig, parameter: str,
         v_oracle = None
         divergence_sup = None
         if sub.oracle_enabled:
-            if parameter == "theta" and value > 0.0:
-                base = _washout_base(sub, grid)
-                oracle_pat = washout_pattern(base, value, sub.washout_tilts)
-            else:
-                oracle_pat = oracle_pattern(build_beam(sub),
-                                            build_apertures(sub), geom, grid,
-                                            sub.quadrature)
+            theta = value if parameter == "theta" else 0.0
+            oracle_pat = oracle_pattern(build_beam(sub), build_apertures(sub),
+                                        geom, grid, sub.quadrature, theta,
+                                        sub.washout_tilts)
             v_oracle = visibility_fringe_local(oracle_pat, geom)
             if model_pattern is not None:
                 div = pattern_divergence(_shape_normalized(model_pattern),

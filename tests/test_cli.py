@@ -8,7 +8,8 @@ import jsonschema
 import numpy as np
 import pytest
 
-from whichway.analytic import UNIT_INTEGRAL, GridSpec, ModelKind
+from whichway.analytic import (UNIT_INTEGRAL, GridSpec, ModelKind,
+                               sample_pattern)
 from whichway.beam import BesselBeam, GaussianBeam, PlaneWave
 from whichway.cli import (
     EXIT_CONFIG,
@@ -347,6 +348,35 @@ class TestRunScenario:
         assert entries["washout"]["visibility_fringe_local"] < 0.02
         assert report.summary["washout"] == {"theta_rad": 0.025,
                                              "n_tilts": 101}
+
+    def test_model_washout_shifts_by_d_sin_tilt(self):
+        cfg = make_config("washout_theta = 0.3rad\nwashout_tilts = 5\n")
+        washed = run_scenario(cfg).patterns["washout"].intensity
+        grid = shared_grid(cfg)
+        distance = cfg.geometry.screen_distance_m
+
+        def average(shift_of):
+            acc = np.zeros(grid.points)
+            for tilt in np.linspace(-0.3, 0.3, 5):
+                shift = shift_of(float(tilt))
+                acc += sample_pattern(
+                    ModelKind.STANDARD_TWO_SLIT, cfg.geometry,
+                    GridSpec(grid.x_min_m - shift, grid.x_max_m - shift,
+                             grid.points)).intensity
+            return acc / 5
+
+        exact = average(lambda t: distance * math.sin(t))
+        small_angle = average(lambda t: distance * t)
+        assert np.max(np.abs(washed - exact)) < 1e-14
+        assert np.max(np.abs(washed - small_angle)) > 1e-3
+
+    def test_oracle_washout_is_normalized_once(self):
+        cfg = make_config("oracle = true\nwashout_theta = 25mrad\n"
+                          "washout_tilts = 11\n")
+        washed = run_scenario(cfg).patterns["washout"]
+        assert washed.meta["model"] == "washout(oracle)"
+        assert washed.intensity.max() == 1.0
+        assert washed.meta["peak_abs"] > 0.0
 
     def test_runs_are_byte_identical(self, tmp_path):
         text = BASE_CONFIG + FOCUS_A_CONFIG

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from whichway import (ApertureSet, BesselBeam, ConvergenceError,
                       single_slit_aperture, single_slit_intensity,
                       standard_two_slit, two_slit_apertures, washout_pattern,
                       visibility_fringe_local, ModelKind)
+from whichway import oracle as oracle_module
 from whichway.oracle import _amplitude_fixed
 
 REF_GEOM = SlitGeometry(0.63e-6, 2e-6, 12e-6, 0.1)
@@ -174,6 +176,16 @@ class TestFraunhoferAmplitude:
             fraunhofer_amplitude(PlaneWave(), two_slit_apertures(REF_GEOM),
                                  REF_GEOM, float("nan"))
 
+    def test_empty_grid_gives_empty_amplitude(self):
+        amp = fraunhofer_amplitude(PlaneWave(), two_slit_apertures(REF_GEOM),
+                                   REF_GEOM, np.array([]))
+        assert amp.shape == (0,)
+        assert amp.dtype == np.complex128
+        batch = fraunhofer_amplitude(PlaneWave(),
+                                     two_slit_apertures(REF_GEOM), REF_GEOM,
+                                     np.array([]), shifts_m=[0.0, 1e-3])
+        assert batch.shape == (0, 2)
+
     def test_deterministic(self):
         x = np.linspace(-0.01, 0.01, 64)
         first = fraunhofer_amplitude(PlaneWave(), two_slit_apertures(
@@ -181,6 +193,193 @@ class TestFraunhoferAmplitude:
         second = fraunhofer_amplitude(PlaneWave(), two_slit_apertures(
             REF_GEOM), REF_GEOM, x)
         assert np.array_equal(first, second)
+
+
+def per_shift_columns(beam, apertures, x, shifts, quad=None):
+    return np.stack([fraunhofer_amplitude(beam, apertures, REF_GEOM, x - s,
+                                          quad) for s in shifts], axis=1)
+
+
+class TestShiftedColumns:
+    """``shifts_m`` batches one far field at many screen offsets."""
+
+    @pytest.mark.parametrize("beam", [
+        PlaneWave(),
+        GaussianBeam(waist_m=3e-6, center_m=REF_GEOM.slit_a_center_m),
+        BesselBeam(radial_wavenumber_per_m=1.2e6,
+                   center_m=REF_GEOM.slit_a_center_m),
+    ])
+    def test_columns_match_per_shift_calls(self, beam):
+        x = np.linspace(-1.2 * LOBE, 1.2 * LOBE, 513)
+        shifts = REF_GEOM.screen_distance_m * np.sin(
+            np.linspace(-0.025, 0.025, 7))
+        apertures = two_slit_apertures(REF_GEOM, phase_b_rad=0.5 * math.pi)
+        batch = fraunhofer_amplitude(beam, apertures, REF_GEOM, x,
+                                     shifts_m=shifts)
+        expected = per_shift_columns(beam, apertures, x, shifts)
+        assert batch.shape == (x.size, shifts.size)
+        scale = np.max(np.abs(expected))
+        assert np.max(np.abs(batch - expected)) <= 1e-13 * scale
+
+    def test_columns_converge_at_their_own_levels(self, monkeypatch):
+        # near x = 0 the unshifted column converges at 64 nodes; the one
+        # shifted by 0.5 m sees a fast kernel and needs more doublings
+        levels = []
+        fixed = oracle_module._amplitude_fixed
+
+        def spy(beam, apertures, geom, x, n, shifts=None):
+            levels.append((n, shifts.size))
+            return fixed(beam, apertures, geom, x, n, shifts)
+
+        monkeypatch.setattr(oracle_module, "_amplitude_fixed", spy)
+        x = np.linspace(-1e-3, 1e-3, 101)
+        shifts = np.array([0.0, 0.5])
+        apertures = two_slit_apertures(REF_GEOM)
+        batch = fraunhofer_amplitude(PlaneWave(), apertures, REF_GEOM, x,
+                                     shifts_m=shifts)
+        assert levels[:2] == [(32, 2), (64, 2)]
+        assert len(levels) > 2
+        assert all(cols == 1 for _, cols in levels[2:])
+        monkeypatch.undo()
+        expected = per_shift_columns(PlaneWave(), apertures, x, shifts)
+        # the shifted column is a small remainder of a fast oscillation, so
+        # rounding is measured against the batch's largest amplitude
+        scale = np.max(np.abs(expected))
+        assert np.max(np.abs(batch - expected)) <= 1e-13 * scale
+
+    def test_single_shift_is_the_plain_call(self):
+        x = np.linspace(-LOBE, LOBE, 301)
+        apertures = two_slit_apertures(REF_GEOM)
+        plain = fraunhofer_amplitude(PlaneWave(), apertures, REF_GEOM, x)
+        batch = fraunhofer_amplitude(PlaneWave(), apertures, REF_GEOM, x,
+                                     shifts_m=[0.0])
+        assert np.array_equal(batch[:, 0], plain)
+
+    def test_unconverged_column_names_shift_and_x(self):
+        with pytest.raises(ConvergenceError) as excinfo:
+            fraunhofer_amplitude(PlaneWave(), two_slit_apertures(REF_GEOM),
+                                 REF_GEOM, np.array([0.0, 1e-3]),
+                                 shifts_m=[0.0, -100.0, 2e-3])
+        err = excinfo.value
+        assert err.shift_m == -100.0
+        assert err.worst_x_m in (0.0, 1e-3)
+        assert "at shift -100 m" in str(err)
+        assert f"x = {err.worst_x_m:.6g} m" in str(err)
+        assert err.last_estimate.shape == (2,)
+        assert err.previous_estimate.shape == (2,)
+
+    def test_rejects_non_finite_shift(self):
+        with pytest.raises(ValueError):
+            fraunhofer_amplitude(PlaneWave(), two_slit_apertures(REF_GEOM),
+                                 REF_GEOM, np.zeros(3),
+                                 shifts_m=[0.0, float("inf")])
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.floats(min_value=-0.4, max_value=0.4))
+    def test_tilted_plane_wave_is_shifted_by_d_sin(self, tilt):
+        x = np.linspace(-0.03, 0.03, 201)
+        apertures = two_slit_apertures(REF_GEOM)
+        shift = REF_GEOM.screen_distance_m * math.sin(tilt)
+        tilted = fraunhofer_amplitude(PlaneWave(tilt_rad=tilt), apertures,
+                                      REF_GEOM, x)
+        moved = fraunhofer_amplitude(PlaneWave(), apertures, REF_GEOM,
+                                     x - shift)
+        batch = fraunhofer_amplitude(PlaneWave(), apertures, REF_GEOM, x,
+                                     shifts_m=[shift])
+        scale = np.max(np.abs(tilted))
+        assert np.max(np.abs(tilted - moved)) <= 1e-12 * scale
+        assert np.max(np.abs(tilted - batch[:, 0])) <= 1e-12 * scale
+
+    def test_small_angle_shift_misses_a_large_tilt(self):
+        x = np.linspace(-0.03, 0.03, 201)
+        apertures = two_slit_apertures(REF_GEOM)
+        tilted = np.abs(fraunhofer_amplitude(
+            PlaneWave(tilt_rad=0.4), apertures, REF_GEOM, x)) ** 2
+        small_angle = np.abs(fraunhofer_amplitude(
+            PlaneWave(), apertures, REF_GEOM,
+            x - REF_GEOM.screen_distance_m * 0.4)) ** 2
+        assert np.max(np.abs(tilted - small_angle)) > 1e-2 * tilted.max()
+
+
+class TestOracleWashout:
+    def test_matches_tilted_beams_averaged_then_normalized(self):
+        # each member is a genuinely tilted plane wave, so this checks the
+        # D sin(t) shift and the single normalization of the average
+        grid = GridSpec(-0.03, 0.03, 401)
+        apertures = two_slit_apertures(REF_GEOM)
+        theta, n_tilts = 0.4, 9
+        washed = oracle_pattern(PlaneWave(), apertures, REF_GEOM, grid,
+                                theta_rad=theta, n_tilts=n_tilts)
+        acc = np.zeros(grid.points)
+        for tilt in np.linspace(-theta, theta, n_tilts):
+            acc += np.abs(fraunhofer_amplitude(
+                PlaneWave(tilt_rad=float(tilt)), apertures, REF_GEOM,
+                grid.x())) ** 2
+        acc /= n_tilts
+        assert washed.meta["peak_abs"] == pytest.approx(acc.max(),
+                                                        rel=1e-12)
+        assert np.max(np.abs(washed.intensity - acc / acc.max())) < 1e-12
+        assert washed.intensity.max() == 1.0
+
+    def test_zero_spread_is_the_plain_pattern(self):
+        grid = GridSpec(-LOBE, LOBE, 1001)
+        apertures = two_slit_apertures(REF_GEOM)
+        plain = oracle_pattern(PlaneWave(), apertures, REF_GEOM, grid)
+        washed = oracle_pattern(PlaneWave(), apertures, REF_GEOM, grid,
+                                theta_rad=0.0, n_tilts=101)
+        assert np.array_equal(plain.intensity, washed.intensity)
+        assert washed.meta["model"] == "oracle"
+
+    def test_meta_records_spread(self):
+        grid = GridSpec(-LOBE, LOBE, 501)
+        washed = oracle_pattern(PlaneWave(), two_slit_apertures(REF_GEOM),
+                                REF_GEOM, grid, theta_rad=1e-3, n_tilts=11)
+        assert washed.meta["model"] == "washout(oracle)"
+        assert washed.meta["washout_theta_rad"] == 1e-3
+        assert washed.meta["washout_tilts"] == 11
+
+    def test_rejects_bad_arguments(self):
+        grid = GridSpec(-LOBE, LOBE, 101)
+        apertures = two_slit_apertures(REF_GEOM)
+        for theta, n_tilts in ((-1e-3, 11), (1e-3, 10), (1e-3, 0)):
+            with pytest.raises(ValueError):
+                oracle_pattern(PlaneWave(), apertures, REF_GEOM, grid,
+                               theta_rad=theta, n_tilts=n_tilts)
+
+
+class TestOracleMemory:
+    """Peak traced allocation of fine oracle runs stays under a fixed limit:
+    the kernel is built in row blocks and washout tilts in column blocks."""
+
+    LIMIT_BYTES = 20 * 2**20
+
+    @staticmethod
+    def traced_peak(run) -> int:
+        tracemalloc.start()
+        try:
+            run()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_fine_grid_at_512_nodes(self):
+        # one unblocked kernel here would be 20000 x 512 x 16 B = 164 MB
+        x = np.linspace(-0.25 * LOBE, 0.25 * LOBE, 20_000)
+        quad = QuadratureSpec(nodes_per_interval=256, max_refinements=1)
+        peak = self.traced_peak(lambda: fraunhofer_amplitude(
+            PlaneWave(), single_slit_aperture(REF_GEOM, "a"), REF_GEOM, x,
+            quad))
+        assert peak < self.LIMIT_BYTES
+
+    def test_many_tilts_on_a_fine_grid(self):
+        # one unblocked estimate for all tilts would be
+        # 20000 x 101 x 16 B = 32 MB, and refinement holds two of them
+        grid = GridSpec(-0.25 * LOBE, 0.25 * LOBE, 20_000)
+        quad = QuadratureSpec(nodes_per_interval=8, max_refinements=1)
+        peak = self.traced_peak(lambda: oracle_pattern(
+            PlaneWave(), single_slit_aperture(REF_GEOM, "a"), REF_GEOM, grid,
+            quad, theta_rad=1e-3, n_tilts=101))
+        assert peak < self.LIMIT_BYTES
 
 
 class TestOraclePattern:
