@@ -47,22 +47,6 @@ class ModelKind(enum.Enum):
     GENERAL_TWO_SLIT = "general_two_slit"
 
 
-# Conversion from each model's natural intensity unit to the single-slit
-# peak unit.  The fringed one-slit patterns ride on a doubled scale (their
-# fringe average has to carry the same power as the bare envelope), and the
-# both-slits pattern doubles once more.
-_UNIT_SCALE = {
-    ModelKind.SINGLE_SLIT_A: 1.0,
-    ModelKind.EMPTY_WAVE_A: 2.0,
-    ModelKind.EMPTY_WAVE_B: 2.0,
-    ModelKind.EMPTY_WAVE_SUM: 2.0,
-    ModelKind.STANDARD_TWO_SLIT: 4.0,
-    ModelKind.STANDARD_FOCUSED_A: 1.0,
-    ModelKind.PURE_FRINGE: 1.0,
-    ModelKind.GENERAL_TWO_SLIT: 2.0,
-}
-
-
 def _sinc(u):
     """sin(u)/u with a short even series below the cutoff."""
     u = np.asarray(u, dtype=float)
@@ -232,16 +216,20 @@ class IntensityPattern:
         return (self.x_m[-1] - self.x_m[0]) / (self.x_m.size - 1)
 
 
-_MODEL_FUNCS = {
-    ModelKind.SINGLE_SLIT_A: lambda geom, x, a, b: single_slit_intensity(
-        geom, x, center_m=geom.slit_a_center_m),
-    ModelKind.EMPTY_WAVE_A: lambda geom, x, a, b: empty_wave_a(geom, x),
-    ModelKind.EMPTY_WAVE_B: lambda geom, x, a, b: empty_wave_b(geom, x),
-    ModelKind.EMPTY_WAVE_SUM: lambda geom, x, a, b: empty_wave_sum(geom, x),
-    ModelKind.STANDARD_TWO_SLIT: lambda geom, x, a, b: standard_two_slit(geom, x),
-    ModelKind.STANDARD_FOCUSED_A: lambda geom, x, a, b: standard_focused_a(geom, x),
-    ModelKind.PURE_FRINGE: lambda geom, x, a, b: pure_fringe(geom, x),
-    ModelKind.GENERAL_TWO_SLIT: general_two_slit_intensity,
+# kind -> (formula, unit_scale).  The unit scale converts the formula's
+# natural intensity unit to the single-slit peak unit.  The fringed one-slit
+# patterns ride on a doubled scale (their fringe average has to carry the
+# same power as the bare envelope), and the both-slits pattern doubles once
+# more.  Only general_two_slit takes the slit amplitudes alpha and beta.
+_MODELS = {
+    ModelKind.SINGLE_SLIT_A: (standard_focused_a, 1.0),
+    ModelKind.EMPTY_WAVE_A: (empty_wave_a, 2.0),
+    ModelKind.EMPTY_WAVE_B: (empty_wave_b, 2.0),
+    ModelKind.EMPTY_WAVE_SUM: (empty_wave_sum, 2.0),
+    ModelKind.STANDARD_TWO_SLIT: (standard_two_slit, 4.0),
+    ModelKind.STANDARD_FOCUSED_A: (standard_focused_a, 1.0),
+    ModelKind.PURE_FRINGE: (pure_fringe, 1.0),
+    ModelKind.GENERAL_TWO_SLIT: (general_two_slit_intensity, 2.0),
 }
 
 
@@ -257,9 +245,12 @@ def sample_pattern(kind: ModelKind, geom: SlitGeometry,
     if grid is None:
         grid = default_grid(kind, geom)
     x = grid.x()
-    values = np.asarray(_MODEL_FUNCS[kind](geom, x, alpha, beta), dtype=float)
+    formula, unit_scale = _MODELS[kind]
+    amplitudes = {}
+    if kind is ModelKind.GENERAL_TWO_SLIT:
+        amplitudes = {"alpha": alpha, "beta": beta}
+    values = np.asarray(formula(geom, x, **amplitudes), dtype=float)
 
-    unit_scale = _UNIT_SCALE[kind]
     if normalization == UNIT_INTEGRAL:
         total = float(np.trapezoid(values, x))
         if total <= 0.0:
@@ -271,10 +262,8 @@ def sample_pattern(kind: ModelKind, geom: SlitGeometry,
         "model": kind.value,
         "geometry": geom,
         "unit_scale": unit_scale,
+        **amplitudes,
     }
-    if kind is ModelKind.GENERAL_TWO_SLIT:
-        meta["alpha"] = alpha
-        meta["beta"] = beta
     return IntensityPattern(x_m=x, intensity=values,
                             normalization=normalization, meta=meta)
 

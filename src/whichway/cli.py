@@ -11,7 +11,7 @@ import json
 import math
 import re
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 from typing import Callable, Optional, Sequence
 
@@ -49,10 +49,21 @@ _ANGLE_UNITS = {
 
 _VALUE_RE = re.compile(r"^([-+0-9.eE]+)\s*([a-zA-Zµ]*)$")
 
-ALIGNMENTS = ("cover_both", "focus_a", "focus_b")
+# alignment -> (lit slit, (path probability A, path probability B)).  A
+# focused beam is centered on its lit slit; cover_both centers it on the
+# plate and lights both slits.
+_ALIGNMENTS = {
+    "cover_both": (None, (0.5, 0.5)),
+    "focus_a": ("a", (1.0, 0.0)),
+    "focus_b": ("b", (0.0, 1.0)),
+}
+ALIGNMENTS = tuple(_ALIGNMENTS)
 BEAM_KINDS = ("plane", "gaussian", "bessel")
 
 SWEEP_PARAMETERS = ("theta", "spot_width", "d", "s", "D", "wavelength")
+# Swept parameter -> the SlitGeometry field it sets.
+_SWEEP_GEOMETRY = {"wavelength": "wavelength_m", "s": "slit_width_m",
+                   "d": "slit_separation_m", "D": "screen_distance_m"}
 
 # CLI-facing mode names (the enum values are more explicit).
 _MZI_MODE_NAMES = {
@@ -275,11 +286,10 @@ def parse_config(text: str) -> ScenarioConfig:
 
 
 def beam_center(cfg: ScenarioConfig) -> float:
-    if cfg.alignment == "focus_a":
-        return cfg.geometry.slit_a_center_m
-    if cfg.alignment == "focus_b":
-        return cfg.geometry.slit_b_center_m
-    return 0.0
+    lit = _ALIGNMENTS[cfg.alignment][0]
+    if lit is None:
+        return 0.0
+    return getattr(cfg.geometry, f"slit_{lit}_center_m")
 
 
 def build_beam(cfg: ScenarioConfig) -> BeamProfile:
@@ -297,14 +307,12 @@ def build_apertures(cfg: ScenarioConfig) -> ApertureSet:
     """Slit openings; a focused Bessel beam with signed rings carries the
     quarter-period core-to-first-ring offset as an explicit phase on the
     far slit."""
-    phase_a = phase_b = 0.0
-    if cfg.beam_kind == "bessel" and cfg.ring_phase_flips:
-        if cfg.alignment == "focus_a":
-            phase_b = 0.5 * math.pi
-        elif cfg.alignment == "focus_b":
-            phase_a = 0.5 * math.pi
-    return two_slit_apertures(cfg.geometry, phase_a_rad=phase_a,
-                              phase_b_rad=phase_b)
+    lit = _ALIGNMENTS[cfg.alignment][0]
+    signed_rings = cfg.beam_kind == "bessel" and cfg.ring_phase_flips
+    flip = 0.5 * math.pi if signed_rings else 0.0
+    return two_slit_apertures(cfg.geometry,
+                              phase_a_rad=flip if lit == "b" else 0.0,
+                              phase_b_rad=flip if lit == "a" else 0.0)
 
 
 def derived_spot_width(cfg: ScenarioConfig) -> float:
@@ -332,11 +340,7 @@ def shared_grid(cfg: ScenarioConfig) -> GridSpec:
 
 
 def path_probabilities(cfg: ScenarioConfig) -> tuple[float, float]:
-    if cfg.alignment == "focus_a":
-        return 1.0, 0.0
-    if cfg.alignment == "focus_b":
-        return 0.0, 1.0
-    return 0.5, 0.5
+    return _ALIGNMENTS[cfg.alignment][1]
 
 
 @dataclass(frozen=True)
@@ -467,23 +471,11 @@ def run_scenario(cfg: ScenarioConfig,
     summary = {
         "tool": "whichway",
         "tool_version": __version__,
-        "geometry": {
-            "wavelength_m": geom.wavelength_m,
-            "slit_width_m": geom.slit_width_m,
-            "slit_separation_m": geom.slit_separation_m,
-            "screen_distance_m": geom.screen_distance_m,
-        },
+        "geometry": asdict(geom),
         "alignment": cfg.alignment,
         "path_probability_a": p_a,
         "path_probability_b": p_b,
-        "feasibility": {
-            "half_fringe_angle_rad": feas.half_fringe_angle_rad,
-            "focusing_angle_rad": feas.focusing_angle_rad,
-            "collimation_ok": feas.collimation_ok,
-            "spot_fits_slit": feas.spot_fits_slit,
-            "fraunhofer_ok": feas.fraunhofer_ok,
-            "messages": list(feas.messages),
-        },
+        "feasibility": {**asdict(feas), "messages": list(feas.messages)},
         "grid": {
             "x_min_m": grid.x_min_m,
             "x_max_m": grid.x_max_m,
@@ -549,20 +541,15 @@ def sweep_scenario(cfg: ScenarioConfig, parameter: str,
 
     rows = []
     for value in values:
-        sub = cfg
         if parameter == "theta":
             sub = replace(cfg, focusing_angle_rad=value,
                           washout_theta_rad=value)
         elif parameter == "spot_width":
             sub = replace(cfg, spot_width_m=value)
         else:
-            field = {"wavelength": "wavelength_m",
-                     "s": "slit_width_m",
-                     "d": "slit_separation_m",
-                     "D": "screen_distance_m"}[parameter]
             try:
-                geom = SlitGeometry(**{**_geom_kwargs(cfg.geometry),
-                                       field: value})
+                geom = replace(cfg.geometry,
+                               **{_SWEEP_GEOMETRY[parameter]: value})
             except ValueError as exc:
                 raise ConfigError(str(exc), key=parameter) from None
             sub = replace(cfg, geometry=geom)
@@ -605,15 +592,6 @@ def sweep_scenario(cfg: ScenarioConfig, parameter: str,
             "divergence_sup_relative": divergence_sup,
         })
     return rows
-
-
-def _geom_kwargs(geom: SlitGeometry) -> dict:
-    return {
-        "wavelength_m": geom.wavelength_m,
-        "slit_width_m": geom.slit_width_m,
-        "slit_separation_m": geom.slit_separation_m,
-        "screen_distance_m": geom.screen_distance_m,
-    }
 
 
 _SWEEP_COLUMNS = ("parameter", "value", "half_fringe_angle_rad",
@@ -740,12 +718,12 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 def _cmd_check(args: argparse.Namespace) -> int:
     cfg = parse_config(Path(args.config).read_text(encoding="utf-8"))
-    feas = check_feasibility(cfg.geometry, cfg.focusing_angle_rad,
-                             derived_spot_width(cfg))
+    spot_width = derived_spot_width(cfg)
+    feas = check_feasibility(cfg.geometry, cfg.focusing_angle_rad, spot_width)
     print(json.dumps({
         "half_fringe_angle_rad": feas.half_fringe_angle_rad,
         "focusing_angle_rad": feas.focusing_angle_rad,
-        "spot_width_m": derived_spot_width(cfg),
+        "spot_width_m": spot_width,
         "collimation_ok": feas.collimation_ok,
         "spot_fits_slit": feas.spot_fits_slit,
         "fraunhofer_ok": feas.fraunhofer_ok,

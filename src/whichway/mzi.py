@@ -20,12 +20,8 @@ import enum
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .metrics import (DISTINGUISHABILITY, PREDICTABILITY, DualityReport,
                       duality_report)
-
-_PHASE_SWEEP_SAMPLES = 720
 
 _COHERENCE_NOTE = "assumes perfectly coherent, lossless paths"
 
@@ -95,17 +91,16 @@ def detected_fraction(cfg: MziConfig) -> float:
 def mzi_duality(cfg: MziConfig) -> DualityReport:
     """Which-way value, fringe visibility, and their quadrature sum.
 
-    Visibility comes from a 720-sample sweep of the scanned phase (the sweep
-    hits both extremes exactly); the which-way value is the predictability of
-    the detected sub-ensemble, except in Marker mode where the marker makes
-    the path fully distinguishable (kind D).
+    Visibility is the closed-form contrast of :func:`output_intensity` over
+    the scanned phase: 2ab / (a^2 + b^2) where the cross term survives (Open,
+    KnockoutB) and 0 where it does not, whatever the static phase offset.
+    The which-way value is the predictability of the detected sub-ensemble,
+    except in Marker mode where the marker makes the path fully
+    distinguishable (kind D).
     """
     a, b = cfg.amplitude_a, cfg.amplitude_b
-    phases = np.linspace(0.0, 2.0 * math.pi, _PHASE_SWEEP_SAMPLES,
-                         endpoint=False)
-    rates = np.array([output_intensity(cfg, float(p)) for p in phases])
-    hi, lo = float(np.max(rates)), float(np.min(rates))
-    visibility = 0.0 if hi <= 0.0 else (hi - lo) / (hi + lo)
+    fringed = cfg.mode in (MziMode.OPEN, MziMode.KNOCKOUT_B)
+    visibility = _contrast(a, b) if fringed else 0.0
 
     if cfg.mode is MziMode.OPEN:
         kind = PREDICTABILITY
@@ -139,8 +134,12 @@ def asymmetric_duality(amplitude_a: float, amplitude_b: float) -> DualityReport:
         raise ValueError("amplitudes must be finite and >= 0")
     if a == 0.0 and b == 0.0:
         raise ValueError("amplitudes cannot both be zero")
-    norm = a * a + b * b
-    p = abs(a * a - b * b) / norm
-    v = 2.0 * a * b / norm
+    p = abs(a * a - b * b) / (a * a + b * b)
     meta = {"mode": "open", "assumption": _COHERENCE_NOTE}
-    return duality_report(PREDICTABILITY, p, min(v, 1.0), meta=meta)
+    return duality_report(PREDICTABILITY, p, _contrast(a, b), meta=meta)
+
+
+def _contrast(a: float, b: float) -> float:
+    """Fringe visibility 2ab / (a^2 + b^2) of two coherent paths, capped at 1
+    against rounding."""
+    return min(2.0 * a * b / (a * a + b * b), 1.0)

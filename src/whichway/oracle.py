@@ -227,12 +227,13 @@ def fraunhofer_amplitude(beam: BeamProfile, apertures: ApertureSet,
 
 
 def _washout_tilts(theta_rad: float, n_tilts: int) -> np.ndarray:
-    """Tilts uniform in [-theta, theta]; just the untilted one at theta 0."""
+    """Tilts uniform in [-theta, theta]; just the untilted one at theta 0
+    or for a single tilt."""
     if theta_rad < 0.0:
         raise ValueError("theta_rad must be >= 0")
     if n_tilts < 1 or n_tilts % 2 == 0:
         raise ValueError("n_tilts must be a positive odd count")
-    if theta_rad == 0.0:
+    if theta_rad == 0.0 or n_tilts == 1:
         return np.zeros(1)
     return np.linspace(-theta_rad, theta_rad, n_tilts)
 

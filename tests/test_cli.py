@@ -291,6 +291,17 @@ FOCUS_A_CONFIG = ("beam = gaussian\n"
 
 
 class TestRunScenario:
+    def test_summary_key_order(self):
+        summary = run_scenario(make_config("spot_width = 20um\n")).summary
+        assert list(summary["geometry"]) == [
+            "wavelength_m", "slit_width_m", "slit_separation_m",
+            "screen_distance_m"]
+        assert list(summary["feasibility"]) == [
+            "half_fringe_angle_rad", "focusing_angle_rad", "collimation_ok",
+            "spot_fits_slit", "fraunhofer_ok", "messages"]
+        assert isinstance(summary["feasibility"]["messages"], list)
+        assert len(summary["feasibility"]["messages"]) == 1
+
     def test_focused_run_writes_outputs(self, tmp_path):
         cfg = make_config(FOCUS_A_CONFIG)
         report = run_scenario(cfg, out_dir=tmp_path)
@@ -431,6 +442,11 @@ class TestSweepScenario:
     def test_invalid_swept_geometry(self):
         with pytest.raises(ConfigError):
             sweep_scenario(make_config(), "s", [20e-6])
+
+    def test_swept_geometry_error_names_the_parameter(self):
+        with pytest.raises(ConfigError) as excinfo:
+            sweep_scenario(make_config(), "d", [1e-6])
+        assert excinfo.value.key == "d"
 
     def test_empty_values_give_header_only(self):
         assert sweep_scenario(make_config(), "theta", []) == []

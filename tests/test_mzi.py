@@ -23,6 +23,16 @@ PHASES = [0.0, 0.3, math.pi / 2.0, math.pi, 4.0]
 amplitude = st.floats(min_value=1e-3, max_value=0.7)
 
 
+def swept_visibility(cfg: MziConfig, samples: int = 720) -> float:
+    """Numeric reference for the visibility: (max - min) / (max + min) of
+    the port-0 rate over a phase sweep that includes the extremes 0 and pi
+    (the static offset must be 0 for that)."""
+    rates = [output_intensity(cfg, 2.0 * math.pi * k / samples)
+             for k in range(samples)]
+    hi, lo = max(rates), min(rates)
+    return 0.0 if hi <= 0.0 else (hi - lo) / (hi + lo)
+
+
 class TestOutputIntensity:
     def test_open_constructive(self):
         cfg = MziConfig(BALANCED, BALANCED, mode=MziMode.OPEN)
@@ -144,6 +154,29 @@ class TestMziDuality:
                                         mode=MziMode.BLOCKED_B))
         assert shifted.duality_sum == base.duality_sum
         assert shifted.visibility == base.visibility
+
+    @pytest.mark.parametrize("offset", PHASES)
+    def test_open_balanced_saturates_exactly(self, offset):
+        report = mzi_duality(MziConfig(BALANCED, BALANCED,
+                                       relative_phase_rad=offset))
+        assert report.visibility == 1.0
+        assert report.duality_sum == 1.0
+
+    @given(a=amplitude, b=amplitude,
+           offset=st.floats(min_value=-10.0, max_value=10.0),
+           mode=st.sampled_from(MziMode))
+    def test_visibility_ignores_static_phase(self, a, b, offset, mode):
+        base = mzi_duality(MziConfig(a, b, mode=mode))
+        shifted = mzi_duality(MziConfig(a, b, relative_phase_rad=offset,
+                                        mode=mode))
+        assert shifted.visibility == base.visibility
+        assert shifted.duality_sum == base.duality_sum
+
+    @given(a=amplitude, b=amplitude, mode=st.sampled_from(MziMode))
+    def test_closed_form_matches_phase_sweep(self, a, b, mode):
+        cfg = MziConfig(a, b, mode=mode)
+        assert abs(mzi_duality(cfg).visibility
+                   - swept_visibility(cfg)) <= 1e-15
 
     def test_meta_records_mode_and_assumption(self):
         report = mzi_duality(MziConfig(BALANCED, BALANCED, mode=MziMode.OPEN))

@@ -330,6 +330,15 @@ class TestOracleWashout:
         assert np.array_equal(plain.intensity, washed.intensity)
         assert washed.meta["model"] == "oracle"
 
+    def test_one_tilt_is_the_plain_pattern(self):
+        # a single member is the untilted one, not the edge tilt -theta
+        grid = GridSpec(-LOBE, LOBE, 1001)
+        apertures = two_slit_apertures(REF_GEOM)
+        plain = oracle_pattern(PlaneWave(), apertures, REF_GEOM, grid)
+        washed = oracle_pattern(PlaneWave(), apertures, REF_GEOM, grid,
+                                theta_rad=0.025, n_tilts=1)
+        assert np.array_equal(plain.intensity, washed.intensity)
+
     def test_meta_records_spread(self):
         grid = GridSpec(-LOBE, LOBE, 501)
         washed = oracle_pattern(PlaneWave(), two_slit_apertures(REF_GEOM),
@@ -422,6 +431,19 @@ class TestWashout:
         grid = GridSpec(-LOBE, LOBE, 2001)
         base = self.make_base(grid)
         washed = washout_pattern(base, 0.0, 101)
+        assert np.array_equal(washed.intensity, base(0.0).intensity)
+
+    def test_one_tilt_is_the_untilted_member(self):
+        grid = GridSpec(-LOBE, LOBE, 1001)
+        base = self.make_base(grid)
+        tilts = []
+
+        def spy(tilt):
+            tilts.append(tilt)
+            return base(tilt)
+
+        washed = washout_pattern(spy, 0.025, 1)
+        assert tilts == [0.0]
         assert np.array_equal(washed.intensity, base(0.0).intensity)
 
     def test_full_half_fringe_angle_blurs(self):

@@ -1,0 +1,167 @@
+"""Golden output digests: run a fixed matrix of ``whichway`` invocations
+through ``whichway.cli.main`` and print one sha256 per item as JSON.
+
+Run it against two checkouts and diff the two listings to see which outputs
+a change moved:
+
+    PYTHONPATH=src python3 tools/golden_outputs.py > after.json
+    PYTHONPATH=/path/to/other/checkout/src python3 tools/golden_outputs.py \\
+        > before.json
+    diff before.json after.json
+
+An item's digest covers its exit code, stdout, stderr and the name and bytes
+of every file it wrote.  The matrix covers every model, beam, alignment and
+normalization, the model and oracle washouts, every sweep parameter,
+``check``, and each ``mzi`` mode with and without a static phase offset.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import json
+import sys
+import tempfile
+from pathlib import Path
+
+from whichway import cli
+
+PLATE = """\
+wavelength = 632.8nm
+slit_width = 2um
+slit_separation = 12.6um
+screen_distance = 0.1m
+"""
+ALL_MODELS = ("models = single_slit_a, empty_wave_a, empty_wave_b, "
+              "empty_wave_sum, standard_two_slit, standard_focused_a, "
+              "pure_fringe, general_two_slit\n")
+FOCUS_MODELS = "models = empty_wave_a, standard_focused_a\n"
+
+# name -> config lines added to PLATE for ``simulate --out-dir``.
+SIMULATE = {
+    "models_peak": ALL_MODELS + "alpha = 0.8\nbeta = 0.3\n",
+    "models_unit_integral": ALL_MODELS + "normalization = unit_integral\n",
+    "plane_oracle": "oracle = true\n",
+    "plane_tilt_oracle": "oracle = true\ntilt = 2mrad\n",
+    "gaussian_cover_both": "beam = gaussian\nwaist = 20um\noracle = true\n",
+    "gaussian_focus_a": "beam = gaussian\nwaist = 3um\nalignment = focus_a\n"
+                        "oracle = true\n" + FOCUS_MODELS,
+    "gaussian_focus_b": "beam = gaussian\nwaist = 3um\nalignment = focus_b\n"
+                        "oracle = true\nmodels = empty_wave_b\n",
+    "bessel_cover_both_no_flips": "beam = bessel\nradial_wavenumber = 2e5\n"
+                                  "ring_phase_flips = false\noracle = true\n",
+    "bessel_focus_a": "beam = bessel\nradial_wavenumber = 1.2e6\n"
+                      "alignment = focus_a\noracle = true\n" + FOCUS_MODELS,
+    "bessel_focus_b": "beam = bessel\nradial_wavenumber = 3e6\n"
+                      "alignment = focus_b\noracle = true\n"
+                      "models = empty_wave_b\n",
+    # |J0| has kinks inside slit B, so this run exits 2 (no convergence).
+    "bessel_focus_b_no_flips": "beam = bessel\nradial_wavenumber = 3e6\n"
+                               "alignment = focus_b\nring_phase_flips = false\n"
+                               "oracle = true\nmodels = empty_wave_b\n",
+    "model_washout": "models = empty_wave_a, standard_two_slit\n"
+                     "washout_theta = 5mrad\nwashout_tilts = 21\n",
+    "model_washout_unit_integral": "normalization = unit_integral\n"
+                                   "washout_theta = 2mrad\nwashout_tilts = 11\n",
+    "oracle_washout": "oracle = true\nwashout_theta = 5mrad\n",
+    "oracle_washout_focus_a": "beam = gaussian\nwaist = 3um\n"
+                              "alignment = focus_a\noracle = true\n"
+                              + FOCUS_MODELS
+                              + "washout_theta = 1mrad\nwashout_tilts = 31\n",
+    "custom_grid": "grid_min = -2mm\ngrid_max = 3mm\ngrid_points = 1201\n"
+                   "csv_prefix = run\nfocusing_angle = 4mrad\n"
+                   "spot_width = 20um\nmodels = standard_two_slit, pure_fringe\n",
+    "config_error": "alpha = plenty\n",
+}
+
+# name -> (config lines added to PLATE, --param, --values).
+SWEEP = {
+    "theta_oracle": ("oracle = true\nwashout_tilts = 21\n", "theta",
+                     "0,2mrad,10mrad"),
+    "theta_focus_a": ("beam = gaussian\nwaist = 3um\nalignment = focus_a\n"
+                      "oracle = true\nwashout_tilts = 11\n" + FOCUS_MODELS,
+                      "theta", "0,1mrad"),
+    "spot_width": ("", "spot_width", "5um,12.6um,30um"),
+    "d_oracle": ("oracle = true\ngrid_points = 801\n", "d", "8um,12.6um,20um"),
+    "s": ("models = empty_wave_a\n", "s", "1um,2um,4um"),
+    "D": ("", "D", "1cm,0.1m,1m"),
+    "wavelength": ("models = general_two_slit\nalpha = 0.6\n", "wavelength",
+                   "400nm,632.8nm,800nm"),
+    "bad_geometry": ("", "s", "13um"),
+}
+
+# name -> config text for ``check``.
+CHECK = {
+    "plane": PLATE,
+    "gaussian_focus_a": PLATE + "beam = gaussian\nwaist = 3um\n"
+                                "alignment = focus_a\n",
+    "bessel_wide_spread": PLATE + "beam = bessel\nradial_wavenumber = 1e5\n"
+                                  "focusing_angle = 10mrad\n",
+    "near_field": PLATE.replace("0.1m", "1mm"),
+}
+
+MZI_MODES = ("open", "blocked", "marker", "knockout", "asymmetric")
+MZI_AMPLITUDES = {"balanced": [], "unbalanced": ["--a", "0.8", "--b", "0.45"]}
+MZI_OFFSETS = {"": [], "_offset": ["--phase-offset", "0.3"]}
+
+
+def items() -> list[tuple[str, list[str], str | None]]:
+    """(item id, argv, config text) for the whole matrix, in a fixed order.
+
+    ``{config}`` and ``{out}`` in argv stand for the item's config file and
+    its output path."""
+    out = []
+    for name, extra in SIMULATE.items():
+        out.append((f"simulate/{name}",
+                    ["simulate", "--config", "{config}", "--out-dir", "{out}"],
+                    PLATE + extra))
+    for name, (extra, param, values) in SWEEP.items():
+        out.append((f"sweep/{name}",
+                    ["sweep", "--config", "{config}", "--param", param,
+                     "--values", values, "--out", "{out}"],
+                    PLATE + extra))
+    for name, text in CHECK.items():
+        out.append((f"check/{name}", ["check", "--config", "{config}"], text))
+    for mode in MZI_MODES:
+        for amp_name, amps in MZI_AMPLITUDES.items():
+            for off_name, offset in MZI_OFFSETS.items():
+                out.append((f"mzi/{mode}_{amp_name}{off_name}",
+                            ["mzi", "--mode", mode, *amps, *offset], None))
+    return out
+
+
+def digest(argv: list[str], config: str | None) -> str:
+    """sha256 of one item's exit code, stdout, stderr and written files."""
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        cfg_path, out_path = root / "scenario.cfg", root / "out"
+        if config is not None:
+            cfg_path.write_text(config, encoding="utf-8")
+        argv = [a.replace("{config}", str(cfg_path))
+                 .replace("{out}", str(out_path)) for a in argv]
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), \
+                contextlib.redirect_stderr(stderr):
+            code = cli.main(argv)
+        h = hashlib.sha256()
+        for part in (f"exit {code}", stdout.getvalue(), stderr.getvalue()):
+            h.update(part.encode("utf-8") + b"\0")
+        files = [out_path] if out_path.is_file() \
+            else sorted(p for p in out_path.rglob("*") if p.is_file())
+        for path in files:
+            h.update(path.relative_to(root).as_posix().encode("utf-8") + b"\0")
+            h.update(path.read_bytes() + b"\0")
+        return h.hexdigest()
+
+
+def main() -> int:
+    digests = {item_id: digest(argv, config)
+               for item_id, argv, config in items()}
+    json.dump(digests, sys.stdout, indent=2)
+    sys.stdout.write("\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
