@@ -181,6 +181,18 @@ class ScenarioConfig:
                               key="washout_tilts")
         if self.grid_points < 2:
             raise ConfigError("grid_points must be >= 2", key="grid_points")
+        for key, value in (("alpha", self.alpha), ("beta", self.beta)):
+            if not 0.0 <= value < math.inf:
+                raise ConfigError(f"{key} must be finite and >= 0", key=key)
+        total = self.alpha + self.beta  # general_two_slit divides by total^2
+        if not 0.0 < total * total < math.inf:
+            key = "alpha" if self.alpha >= self.beta else "beta"
+            raise ConfigError("(alpha + beta)^2 overflows or is 0", key=key)
+        scales = {"waist": self.waist_m,
+                  "radial_wavenumber": self.radial_wavenumber_per_m}
+        for key, value in scales.items():
+            if value is not None and not 0.0 < value < math.inf:
+                raise ConfigError(f"{key} must be finite and > 0", key=key)
 
 
 def parse_config(text: str) -> ScenarioConfig:
@@ -245,16 +257,16 @@ def parse_config(text: str) -> ScenarioConfig:
         try:
             grid = GridSpec(grid_min, grid_max, grid_points)
         except ValueError as exc:
-            raise ConfigError(str(exc), key="grid_min") from None
+            raise ConfigError(str(exc), key="grid_points" if grid_points < 2
+                              else "grid_min") from None
 
-    try:
-        quadrature = QuadratureSpec(
-            nodes_per_interval=take("oracle_nodes", int, default=32),
-            relative_tolerance=take("oracle_rtol", float, default=1e-12),
-            max_refinements=take("oracle_refinements", int, default=6),
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc), key="oracle_nodes") from None
+    # Each key sets one field; replace() validates it, and take() names it.
+    quadrature = QuadratureSpec()
+    for key, field, parse in (("oracle_nodes", "nodes_per_interval", int),
+                              ("oracle_rtol", "relative_tolerance", float),
+                              ("oracle_refinements", "max_refinements", int)):
+        quadrature = take(key, lambda v: replace(
+            quadrature, **{field: parse(v)}), default=quadrature)
 
     cfg = ScenarioConfig(
         geometry=geometry,
@@ -542,8 +554,7 @@ def sweep_scenario(cfg: ScenarioConfig, parameter: str,
     rows = []
     for value in values:
         if parameter == "theta":
-            sub = replace(cfg, focusing_angle_rad=value,
-                          washout_theta_rad=value)
+            sub = replace(cfg, focusing_angle_rad=value)
         elif parameter == "spot_width":
             sub = replace(cfg, spot_width_m=value)
         else:
@@ -618,7 +629,7 @@ def format_sweep_csv(rows: list[dict]) -> str:
     return "\n".join(out) + "\n"
 
 
-# JSON summary schema, also embedded in the README.
+# JSON summary schema (the README names it).
 SUMMARY_SCHEMA = {
     "type": "object",
     "required": ["tool", "tool_version", "geometry", "alignment",
@@ -734,20 +745,14 @@ def _cmd_check(args: argparse.Namespace) -> int:
 
 
 def _cmd_mzi(args: argparse.Namespace) -> int:
-    if args.a < 0 or args.b < 0:
-        raise ConfigError("amplitudes must be >= 0", key="--a")
+    for key, value in (("--a", args.a), ("--b", args.b)):
+        if value < 0:
+            raise ConfigError("amplitudes must be >= 0", key=key)
     if args.mode == "asymmetric":
         report = asymmetric_duality(args.a, args.b)
-        detected = 1.0
     else:
-        try:
-            cfg = MziConfig(amplitude_a=args.a, amplitude_b=args.b,
-                            relative_phase_rad=args.phase_offset,
-                            mode=_MZI_MODE_NAMES[args.mode])
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from None
+        cfg = MziConfig(args.a, args.b, mode=_MZI_MODE_NAMES[args.mode])
         report = mzi_duality(cfg)
-        detected = report.meta["detected_fraction"]
     print(json.dumps({
         "mode": args.mode,
         "amplitude_a": args.a,
@@ -757,7 +762,7 @@ def _cmd_mzi(args: argparse.Namespace) -> int:
         "visibility": report.visibility,
         "duality_sum": report.duality_sum,
         "inequality_satisfied": report.inequality_satisfied,
-        "detected_fraction": detected,
+        "detected_fraction": report.meta["detected_fraction"],
     }, indent=2))
     return EXIT_OK
 
@@ -799,7 +804,6 @@ def _build_parser() -> argparse.ArgumentParser:
                        choices=list(_MZI_MODE_NAMES) + ["asymmetric"])
     p_mzi.add_argument("--a", type=float, default=math.sqrt(0.5))
     p_mzi.add_argument("--b", type=float, default=math.sqrt(0.5))
-    p_mzi.add_argument("--phase-offset", type=float, default=0.0)
     p_mzi.set_defaults(func=_cmd_mzi)
     return parser
 

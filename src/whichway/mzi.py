@@ -44,12 +44,9 @@ class MziConfig:
 
     def __post_init__(self) -> None:
         a, b = self.amplitude_a, self.amplitude_b
-        if not (math.isfinite(a) and math.isfinite(b) and a >= 0.0 and b >= 0.0):
-            raise ValueError("amplitudes must be finite and >= 0")
+        _check_amplitudes(a, b)
         if a * a + b * b > 1.0 + 1e-12:
             raise ValueError("amplitudes must satisfy a^2 + b^2 <= 1")
-        if a == 0.0 and b == 0.0:
-            raise ValueError("amplitudes cannot both be zero")
         if not math.isfinite(self.relative_phase_rad):
             raise ValueError("relative_phase_rad must be finite")
         if not isinstance(self.mode, MziMode):
@@ -130,13 +127,19 @@ def asymmetric_duality(amplitude_a: float, amplitude_b: float) -> DualityReport:
     P^2 + V^2 = 1 identically.
     """
     a, b = amplitude_a, amplitude_b
+    _check_amplitudes(a, b)
+    p = abs(a * a - b * b) / (a * a + b * b)
+    return duality_report(PREDICTABILITY, p, _contrast(a, b), meta={
+        "mode": "open", "detected_fraction": 1.0,
+        "assumption": _COHERENCE_NOTE})
+
+
+def _check_amplitudes(a: float, b: float) -> None:
+    """Finite, >= 0, and a^2 + b^2 > 0 even where the squares underflow."""
     if not (math.isfinite(a) and math.isfinite(b) and a >= 0.0 and b >= 0.0):
         raise ValueError("amplitudes must be finite and >= 0")
-    if a == 0.0 and b == 0.0:
-        raise ValueError("amplitudes cannot both be zero")
-    p = abs(a * a - b * b) / (a * a + b * b)
-    meta = {"mode": "open", "assumption": _COHERENCE_NOTE}
-    return duality_report(PREDICTABILITY, p, _contrast(a, b), meta=meta)
+    if a * a + b * b == 0.0:
+        raise ValueError("amplitudes must satisfy a^2 + b^2 > 0")
 
 
 def _contrast(a: float, b: float) -> float:

@@ -168,9 +168,8 @@ def fraunhofer_amplitude(beam: BeamProfile, apertures: ApertureSet,
     raises :class:`ConvergenceError` otherwise.
 
     With ``shifts_m`` (a 1-D array) the result is an (x, shift) array whose
-    column j is the amplitude at ``x_m - shifts_m[j]``.  Each column
-    converges on its own and stops refining at the first level where it
-    agrees with the previous one.
+    column j is the amplitude at ``x_m - shifts_m[j]``.  All columns refine
+    together until every column agrees with its previous estimate.
     """
     if quad is None:
         quad = QuadratureSpec()
@@ -192,30 +191,22 @@ def fraunhofer_amplitude(beam: BeamProfile, apertures: ApertureSet,
     if x.size == 0 or shifts.size == 0:
         return result(np.zeros((x.size, shifts.size), dtype=complex))
 
-    # out holds every column's latest estimate; only the columns in cols
-    # are still refining.  Columns are compared one at a time so no
-    # temporary grows with the column count.
+    # Columns are compared one at a time so no temporary grows with their
+    # count; at most two whole estimates (prev, cur) are alive at once.
     n = quad.nodes_per_interval
-    out = _amplitude_fixed(beam, apertures, geom, x, n, shifts)
-    cols = np.arange(shifts.size)
+    cur = _amplitude_fixed(beam, apertures, geom, x, n, shifts)
     for _ in range(quad.max_refinements):
         n *= 2
-        cur = _amplitude_fixed(beam, apertures, geom, x, n, shifts[cols])
-        diff = np.array([np.max(np.abs(cur[:, j] - out[:, c]))
-                         for j, c in enumerate(cols)])
-        scale = np.array([np.max(np.abs(cur[:, j]))
-                          for j in range(cols.size)])
+        prev = cur
+        cur = _amplitude_fixed(beam, apertures, geom, x, n, shifts)
+        diff = np.array([np.max(np.abs(c - p)) for c, p in zip(cur.T, prev.T)])
+        scale = np.array([np.max(np.abs(c)) for c in cur.T])
         scale[scale == 0.0] = 1.0
-        converged = diff <= quad.relative_tolerance * scale
-        worst = cols[int(np.argmax(diff / scale))]
-        prev = out[:, worst].copy()
-        out[:, cols] = cur
-        del cur  # freed before the next level allocates its estimate
-        if np.all(converged):
-            return result(out)
-        cols = cols[~converged]
+        if np.all(diff <= quad.relative_tolerance * scale):
+            return result(cur)
 
-    last = out[:, worst].copy()
+    worst = int(np.argmax(diff / scale))
+    last, prev = cur[:, worst].copy(), prev[:, worst].copy()
     worst_x = float(x[int(np.argmax(np.abs(last - prev)))])
     shift = float(shifts[worst])
     raise ConvergenceError(

@@ -581,6 +581,59 @@ class TestMain:
         assert code == EXIT_CONFIG
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("mode", ["open", "asymmetric", "blocked"])
+    def test_mzi_underflowing_amplitudes_exit_1(self, capsys, mode):
+        # a*a + b*b underflows to 0 although a and b are positive
+        code = main(["mzi", "--mode", mode, "--a", "1e-200", "--b", "1e-200"])
+        assert code == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_mzi_phase_offset_flag_is_gone(self, capsys):
+        code = main(["mzi", "--mode", "open", "--phase-offset", "0.3"])
+        assert code == EXIT_CONFIG
+        assert "--phase-offset" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv,extra,key", [
+        (["check"], "oracle_nodes = 4\n", "oracle_nodes"),
+        (["check"], "oracle_rtol = 2\n", "oracle_rtol"),
+        (["check"], "oracle_refinements = 0\n", "oracle_refinements"),
+        (["check"], "grid_min = -1mm\ngrid_max = 1mm\ngrid_points = 1\n",
+         "grid_points"),
+        (["check"], "grid_min = 1mm\ngrid_max = -1mm\n", "grid_min"),
+        (["mzi", "--mode", "open", "--a", "0.5", "--b", "-0.5"], None, "--b"),
+        (["mzi", "--mode", "open", "--a", "-0.5", "--b", "0.5"], None, "--a"),
+    ])
+    def test_error_names_its_own_key(self, tmp_path, capsys, argv, extra,
+                                     key):
+        if extra is not None:
+            argv = argv + ["--config", str(self.write_config(tmp_path, extra))]
+        assert main(argv) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert f"(key '{key}'" in err
+
+    @pytest.mark.parametrize("extra,key", [
+        ("alpha = 1e308\n", "alpha"),
+        ("alpha = 1e200\nbeta = 1e200\n", "alpha"),
+        ("alpha = 1e-200\nbeta = 1e-200\n", "alpha"),
+        ("alpha = 0\nbeta = 0\n", "alpha"),
+        ("alpha = -0.5\n", "alpha"),
+        ("beta = inf\n", "beta"),
+        ("beta = nan\n", "beta"),
+        ("beam = bessel\nalignment = focus_a\nradial_wavenumber = nan\n",
+         "radial_wavenumber"),
+        ("beam = gaussian\nwaist = -1um\n", "waist"),
+    ])
+    def test_out_of_range_value_names_key(self, tmp_path, capsys, extra, key):
+        path = self.write_config(tmp_path,
+                                 "models = general_two_slit\n" + extra)
+        for command in ("simulate", "check"):
+            assert main([command, "--config", str(path)]) == EXIT_CONFIG
+            err = capsys.readouterr().err
+            assert err.startswith("error: ")
+            assert f"(key '{key}'" in err
+            assert "Traceback" not in err
+
     def test_io_failure_cleans_partial_outputs(self, tmp_path, capsys):
         path = self.write_config(tmp_path)
         out = tmp_path / "broken"

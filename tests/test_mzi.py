@@ -197,6 +197,8 @@ class TestMziConfig:
     def test_rejects_both_zero(self):
         with pytest.raises(ValueError):
             MziConfig(0.0, 0.0)
+        with pytest.raises(ValueError, match=r"a\^2 \+ b\^2 > 0"):
+            MziConfig(1e-200, 1e-200)
 
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
@@ -232,9 +234,14 @@ class TestAsymmetricDuality:
         assert report.visibility == pytest.approx(0.6, rel=1e-12)
         assert report.duality_sum == pytest.approx(1.0, abs=1e-12)
 
+    def test_detected_fraction_is_one(self):
+        assert asymmetric_duality(0.8, 0.45).meta["detected_fraction"] == 1.0
+
     def test_rejects_bad_amplitudes(self):
         with pytest.raises(ValueError):
             asymmetric_duality(0.0, 0.0)
+        with pytest.raises(ValueError, match=r"a\^2 \+ b\^2 > 0"):
+            asymmetric_duality(1e-200, 1e-200)
         with pytest.raises(ValueError):
             asymmetric_duality(-0.5, 0.5)
         with pytest.raises(ValueError):

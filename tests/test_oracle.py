@@ -221,31 +221,41 @@ class TestShiftedColumns:
         scale = np.max(np.abs(expected))
         assert np.max(np.abs(batch - expected)) <= 1e-13 * scale
 
-    def test_columns_converge_at_their_own_levels(self, monkeypatch):
-        # near x = 0 the unshifted column converges at 64 nodes; the one
-        # shifted by 0.5 m sees a fast kernel and needs more doublings
-        levels = []
+    def test_columns_refine_together(self, monkeypatch):
+        # near x = 0 the unshifted column alone converges at 64 nodes; the
+        # one shifted by 0.5 m sees a fast kernel and needs more doublings,
+        # and the unshifted column refines along to the same final level
+        estimates = []
         fixed = oracle_module._amplitude_fixed
 
         def spy(beam, apertures, geom, x, n, shifts=None):
-            levels.append((n, shifts.size))
-            return fixed(beam, apertures, geom, x, n, shifts)
+            estimates.append((n, fixed(beam, apertures, geom, x, n, shifts)))
+            return estimates[-1][1]
 
         monkeypatch.setattr(oracle_module, "_amplitude_fixed", spy)
+        quad = QuadratureSpec()
         x = np.linspace(-1e-3, 1e-3, 101)
-        shifts = np.array([0.0, 0.5])
         apertures = two_slit_apertures(REF_GEOM)
+        fraunhofer_amplitude(PlaneWave(), apertures, REF_GEOM, x, quad)
+        assert [n for n, _ in estimates] == [32, 64]
+        estimates.clear()
+        shifts = np.array([0.0, 0.5])
         batch = fraunhofer_amplitude(PlaneWave(), apertures, REF_GEOM, x,
-                                     shifts_m=shifts)
-        assert levels[:2] == [(32, 2), (64, 2)]
-        assert len(levels) > 2
-        assert all(cols == 1 for _, cols in levels[2:])
+                                     quad, shifts_m=shifts)
         monkeypatch.undo()
+        assert len(estimates) > 2
+        assert all(est.shape == (x.size, 2) for _, est in estimates)
+        (_, prev), (_, last) = estimates[-2:]
+        assert np.array_equal(batch, last)
+        for j in range(shifts.size):
+            assert np.max(np.abs(last[:, j] - prev[:, j])) \
+                <= quad.relative_tolerance * np.max(np.abs(last[:, j]))
         expected = per_shift_columns(PlaneWave(), apertures, x, shifts)
         # the shifted column is a small remainder of a fast oscillation, so
-        # rounding is measured against the batch's largest amplitude
+        # the agreement is measured against the batch's largest amplitude
         scale = np.max(np.abs(expected))
-        assert np.max(np.abs(batch - expected)) <= 1e-13 * scale
+        assert np.max(np.abs(batch - expected)) \
+            <= quad.relative_tolerance * scale
 
     def test_single_shift_is_the_plain_call(self):
         x = np.linspace(-LOBE, LOBE, 301)

@@ -1,22 +1,25 @@
 """Golden output digests: run a fixed matrix of ``whichway`` invocations
 through ``whichway.cli.main`` and print one sha256 per item as JSON.
 
-Run it against two checkouts and diff the two listings to see which outputs
-a change moved:
+Write the listing of one checkout, then compare another checkout with it to
+see which outputs a change moved:
 
-    PYTHONPATH=src python3 tools/golden_outputs.py > after.json
     PYTHONPATH=/path/to/other/checkout/src python3 tools/golden_outputs.py \\
         > before.json
-    diff before.json after.json
+    PYTHONPATH=src python3 tools/golden_outputs.py --against before.json
+
+With ``--against`` the tool prints the ids whose digests differ and the ids
+missing from either side, and exits 1 if any digest differs.
 
 An item's digest covers its exit code, stdout, stderr and the name and bytes
 of every file it wrote.  The matrix covers every model, beam, alignment and
 normalization, the model and oracle washouts, every sweep parameter,
-``check``, and each ``mzi`` mode with and without a static phase offset.
+``check``, and each ``mzi`` mode with balanced and unbalanced amplitudes.
 """
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import hashlib
 import io
@@ -103,7 +106,6 @@ CHECK = {
 
 MZI_MODES = ("open", "blocked", "marker", "knockout", "asymmetric")
 MZI_AMPLITUDES = {"balanced": [], "unbalanced": ["--a", "0.8", "--b", "0.45"]}
-MZI_OFFSETS = {"": [], "_offset": ["--phase-offset", "0.3"]}
 
 
 def items() -> list[tuple[str, list[str], str | None]]:
@@ -125,9 +127,8 @@ def items() -> list[tuple[str, list[str], str | None]]:
         out.append((f"check/{name}", ["check", "--config", "{config}"], text))
     for mode in MZI_MODES:
         for amp_name, amps in MZI_AMPLITUDES.items():
-            for off_name, offset in MZI_OFFSETS.items():
-                out.append((f"mzi/{mode}_{amp_name}{off_name}",
-                            ["mzi", "--mode", mode, *amps, *offset], None))
+            out.append((f"mzi/{mode}_{amp_name}",
+                        ["mzi", "--mode", mode, *amps], None))
     return out
 
 
@@ -155,9 +156,32 @@ def digest(argv: list[str], config: str | None) -> str:
         return h.hexdigest()
 
 
+def compare(digests: dict[str, str], before: dict[str, str],
+            before_name: str) -> int:
+    """Print the ids whose digests differ or that only one side has; 1 if
+    any shared id differs."""
+    differ = [i for i in digests if i in before and digests[i] != before[i]]
+    for item_id in differ:
+        print(f"differs: {item_id}")
+    for item_id in sorted(before.keys() - digests.keys()):
+        print(f"missing here: {item_id}")
+    for item_id in sorted(digests.keys() - before.keys()):
+        print(f"missing in {before_name}: {item_id}")
+    shared = len(digests.keys() & before.keys())
+    print(f"{shared - len(differ)} of {shared} shared items identical")
+    return 1 if differ else 0
+
+
 def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--against", metavar="BEFORE_JSON",
+                        help="compare with a listing written earlier")
+    args = parser.parse_args()
     digests = {item_id: digest(argv, config)
                for item_id, argv, config in items()}
+    if args.against is not None:
+        before = json.loads(Path(args.against).read_text(encoding="utf-8"))
+        return compare(digests, before, args.against)
     json.dump(digests, sys.stdout, indent=2)
     sys.stdout.write("\n")
     return 0
