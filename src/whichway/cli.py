@@ -189,10 +189,17 @@ class ScenarioConfig:
             key = "alpha" if self.alpha >= self.beta else "beta"
             raise ConfigError("(alpha + beta)^2 overflows or is 0", key=key)
         scales = {"waist": self.waist_m,
-                  "radial_wavenumber": self.radial_wavenumber_per_m}
+                  "radial_wavenumber": self.radial_wavenumber_per_m,
+                  "spot_width": self.spot_width_m}
         for key, value in scales.items():
             if value is not None and not 0.0 < value < math.inf:
                 raise ConfigError(f"{key} must be finite and > 0", key=key)
+        theta = self.washout_theta_rad
+        if theta is not None and not 0.0 <= theta < math.inf:
+            raise ConfigError("washout_theta must be finite and >= 0",
+                              key="washout_theta")
+        if not abs(self.tilt_rad) < 0.5 * math.pi:
+            raise ConfigError("tilt must lie in (-pi/2, pi/2)", key="tilt")
 
 
 def parse_config(text: str) -> ScenarioConfig:
@@ -527,10 +534,10 @@ def run_scenario(cfg: ScenarioConfig,
 def write_pattern_csv(pattern: IntensityPattern, path: Path) -> None:
     """Two-column CSV ``x_m,intensity`` with 17-significant-digit floats
     (lossless float round-trip)."""
-    lines = ["x_m,intensity"]
-    for x, v in zip(pattern.x_m, pattern.intensity):
-        lines.append(f"{x:.17g},{v:.17g}")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="ascii")
+    rows = map("{:.17g},{:.17g}\n".format, pattern.x_m.tolist(),
+               pattern.intensity.tolist())
+    Path(path).write_text("x_m,intensity\n" + "".join(rows),
+                          encoding="ascii")
 
 
 def write_summary_json(summary: dict, path: Path) -> None:
@@ -818,6 +825,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return args.func(args)
     except ConvergenceError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        print("refinement history (nodes/interval: max |diff| / scale):",
+              file=sys.stderr)
+        for nodes, disagreement in exc.history:
+            print(f"  {nodes}: {disagreement:.3e}", file=sys.stderr)
         return EXIT_NO_CONVERGENCE
     except ValueError as exc:
         # ConfigError and every domain validation error land here.

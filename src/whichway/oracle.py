@@ -12,6 +12,12 @@ every tilt is a phase on the same aperture samples and one kernel per
 refinement level serves all of them.  The kernel is built in blocks of screen
 rows and the tilts are taken in blocks of columns, both sized from
 ``_BLOCK_BYTES``, so memory does not grow with node or tilt counts.
+
+The screen grid is evenly spaced, so a kernel row factors into the row at
+its block's first point times a row of a small step table,
+exp(-i k x_{a+r} xi) = exp(-i k x_a xi) exp(-i k r dx xi).  With blocks of
+about sqrt(N) rows a level takes about 2 sqrt(N) complex exponentials per
+node instead of N.
 """
 
 from __future__ import annotations
@@ -31,6 +37,9 @@ from .geometry import SlitGeometry
 # washout columns (complex128 entries of 16 bytes each).
 _BLOCK_BYTES = 4 << 20
 _COMPLEX_BYTES = 16
+# Screen points may deviate from x_0 + j dx by this many ulps of the grid's
+# largest magnitude: a linspace is exact to about one, a shifted one to two.
+_EVEN_SPACING_ULPS = 8
 
 
 class ConvergenceError(RuntimeError):
@@ -38,17 +47,21 @@ class ConvergenceError(RuntimeError):
 
     Carries the last two whole-grid estimates and the screen coordinate
     where they disagree most; for a batch of shifted columns, those of the
-    worst unconverged column and its shift.
+    worst unconverged column and its shift.  ``history`` holds one
+    ``(nodes_per_interval, max |diff| / scale)`` pair per refinement level,
+    the largest ratio over the columns at that level.
     """
 
     def __init__(self, message: str, last_estimate=None,
                  previous_estimate=None, worst_x_m: float | None = None,
-                 shift_m: float | None = None):
+                 shift_m: float | None = None,
+                 history: tuple[tuple[int, float], ...] = ()):
         super().__init__(message)
         self.last_estimate = last_estimate
         self.previous_estimate = previous_estimate
         self.worst_x_m = worst_x_m
         self.shift_m = shift_m
+        self.history = history
 
 
 @dataclass(frozen=True)
@@ -127,7 +140,8 @@ def _gl_nodes(n: int) -> tuple[np.ndarray, np.ndarray]:
 def _amplitude_fixed(beam: BeamProfile, apertures: ApertureSet,
                      geom: SlitGeometry, x: np.ndarray, n: int,
                      shifts: np.ndarray | None = None) -> np.ndarray:
-    """Single-pass amplitude with exactly n Gauss-Legendre nodes per interval.
+    """Single-pass amplitude with exactly n Gauss-Legendre nodes per interval
+    on the evenly spaced points ``x``.
 
     With ``shifts`` the result has one column per shift s, holding the
     amplitude at x - s; all columns share each block of kernel rows.
@@ -145,16 +159,19 @@ def _amplitude_fixed(beam: BeamProfile, apertures: ApertureSet,
     columns = np.zeros(1) if shifts is None else shifts
     f = f[:, None] * np.exp(1j * k_screen * np.outer(xi, columns))
 
+    # Block of rows r = 0..rows-1 from x[start]: kernel = steps * anchor row.
+    dx = (x[-1] - x[0]) / (x.size - 1) if x.size > 1 else 0.0
+    rows = min(math.isqrt(x.size - 1) + 1,
+               max(1, _BLOCK_BYTES // (_COMPLEX_BYTES * xi.size)))
+    steps = np.exp(np.multiply.outer(np.arange(rows) * dx, xi)
+                   * (-1j * k_screen))
     amp = np.empty((x.size, columns.size), dtype=complex)
-    rows = max(1, _BLOCK_BYTES // (_COMPLEX_BYTES * xi.size))
-    buffer = np.empty((min(rows, x.size), xi.size), dtype=complex)
+    anchored = np.empty_like(f)
     for start in range(0, x.size, rows):
         stop = min(start + rows, x.size)
-        kernel = buffer[:stop - start]
-        np.multiply.outer(x[start:stop], xi, out=kernel)
-        kernel *= -1j * k_screen
-        np.exp(kernel, out=kernel)
-        np.matmul(kernel, f, out=amp[start:stop])
+        anchor = np.exp(xi * (-1j * k_screen * x[start]))
+        np.multiply(anchor[:, None], f, out=anchored)
+        np.matmul(steps[:stop - start], anchored, out=amp[start:stop])
     return amp[:, 0] if shifts is None else amp
 
 
@@ -170,12 +187,22 @@ def fraunhofer_amplitude(beam: BeamProfile, apertures: ApertureSet,
     With ``shifts_m`` (a 1-D array) the result is an (x, shift) array whose
     column j is the amplitude at ``x_m - shifts_m[j]``.  All columns refine
     together until every column agrees with its previous estimate.
+
+    ``x_m`` must be evenly spaced, ``x_0 + j dx`` to within a few ulps of its
+    largest magnitude (any scalar or pair of points is); otherwise this
+    raises ``ValueError``.
     """
     if quad is None:
         quad = QuadratureSpec()
     x = np.atleast_1d(np.asarray(x_m, dtype=float))
     if not np.all(np.isfinite(x)):
         raise ValueError("x_m must be finite")
+    if x.size > 2:
+        ramp = x[0] + np.arange(x.size) * ((x[-1] - x[0]) / (x.size - 1))
+        tolerance = _EVEN_SPACING_ULPS * np.finfo(float).eps \
+            * max(abs(x[0]), abs(x[-1]))
+        if not np.all(np.abs(x - ramp) <= tolerance):
+            raise ValueError("x_m must be evenly spaced")
     shifts = np.zeros(1) if shifts_m is None \
         else np.atleast_1d(np.asarray(shifts_m, dtype=float))
     if not np.all(np.isfinite(shifts)):
@@ -195,6 +222,7 @@ def fraunhofer_amplitude(beam: BeamProfile, apertures: ApertureSet,
     # count; at most two whole estimates (prev, cur) are alive at once.
     n = quad.nodes_per_interval
     cur = _amplitude_fixed(beam, apertures, geom, x, n, shifts)
+    history = []
     for _ in range(quad.max_refinements):
         n *= 2
         prev = cur
@@ -204,6 +232,7 @@ def fraunhofer_amplitude(beam: BeamProfile, apertures: ApertureSet,
         scale[scale == 0.0] = 1.0
         if np.all(diff <= quad.relative_tolerance * scale):
             return result(cur)
+        history.append((n, float(np.max(diff / scale))))
 
     worst = int(np.argmax(diff / scale))
     last, prev = cur[:, worst].copy(), prev[:, worst].copy()
@@ -214,7 +243,7 @@ def fraunhofer_amplitude(beam: BeamProfile, apertures: ApertureSet,
         f"after {quad.max_refinements} refinements ({n} nodes/interval) "
         f"at shift {shift:.6g} m; worst disagreement at x = {worst_x:.6g} m",
         last_estimate=last, previous_estimate=prev, worst_x_m=worst_x,
-        shift_m=shift)
+        shift_m=shift, history=tuple(history))
 
 
 def _washout_tilts(theta_rad: float, n_tilts: int) -> np.ndarray:

@@ -8,8 +8,8 @@ import jsonschema
 import numpy as np
 import pytest
 
-from whichway.analytic import (UNIT_INTEGRAL, GridSpec, ModelKind,
-                               sample_pattern)
+from whichway.analytic import (PEAK_SINGLE_SLIT, UNIT_INTEGRAL, GridSpec,
+                               IntensityPattern, ModelKind, sample_pattern)
 from whichway.beam import BesselBeam, GaussianBeam, PlaneWave
 from whichway.cli import (
     EXIT_CONFIG,
@@ -32,6 +32,7 @@ from whichway.cli import (
     run_scenario,
     shared_grid,
     sweep_scenario,
+    write_pattern_csv,
 )
 from whichway.geometry import half_fringe_angle
 
@@ -328,6 +329,17 @@ class TestRunScenario:
         assert np.array_equal(data[:, 0], pattern.x_m)
         assert np.array_equal(data[:, 1], pattern.intensity)
 
+    def test_csv_bytes_match_per_value_formatting(self, tmp_path):
+        x = np.linspace(-1e-3, 2e-3, 7)
+        intensity = np.array([0.0, 5e-324, 1.0 / 3.0, 1.0, 2.5e-17,
+                              0.1 + 0.2, 1e300])
+        pattern = IntensityPattern(x, intensity, PEAK_SINGLE_SLIT)
+        write_pattern_csv(pattern, tmp_path / "p.csv")
+        reference = "".join([f"{a:.17g},{b:.17g}\n"
+                             for a, b in zip(x, intensity)])
+        assert (tmp_path / "p.csv").read_bytes() \
+            == ("x_m,intensity\n" + reference).encode("ascii")
+
     def test_focused_duality_bookkeeping(self):
         # Focusing on slit A makes the path certain (P = 1); the slit-A
         # model keeps full fringes, so its duality sum lands near 2.
@@ -518,7 +530,34 @@ class TestMain:
                                  "grid_max = 100m\ngrid_points = 2\n")
         assert main(["simulate", "--config",
                      str(path)]) == EXIT_NO_CONVERGENCE
-        assert "converge" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "converge" in err
+        self.assert_refinement_history(err)
+
+    @staticmethod
+    def assert_refinement_history(err):
+        # one "nodes: max |diff| / scale" line per level under the error
+        lines = err.splitlines()
+        assert lines[0].startswith("error: ")
+        assert lines[1].startswith("refinement history")
+        levels = [line.split(":") for line in lines[2:]]
+        assert [int(nodes) for nodes, _ in levels] == [
+            64, 128, 256, 512, 1024, 2048]
+        assert all(float(ratio) > 1e-12 for _, ratio in levels)
+
+    def test_bessel_kinks_report_refinement_history(self, tmp_path, capsys):
+        # |J0| has kinks inside slit B without ring phase flips, so the
+        # Gauss-Legendre doubling stalls
+        path = self.write_config(tmp_path,
+                                 "beam = bessel\nradial_wavenumber = 3e6\n"
+                                 "alignment = focus_b\n"
+                                 "ring_phase_flips = false\noracle = true\n"
+                                 "models = empty_wave_b\n")
+        assert main(["simulate", "--config",
+                     str(path)]) == EXIT_NO_CONVERGENCE
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        self.assert_refinement_history(err)
 
     def test_bad_flag_exits_1(self, tmp_path, capsys):
         path = self.write_config(tmp_path)
@@ -623,6 +662,14 @@ class TestMain:
         ("beam = bessel\nalignment = focus_a\nradial_wavenumber = nan\n",
          "radial_wavenumber"),
         ("beam = gaussian\nwaist = -1um\n", "waist"),
+        ("spot_width = -1um\n", "spot_width"),
+        ("spot_width = 0\n", "spot_width"),
+        ("spot_width = 1e400um\n", "spot_width"),
+        ("washout_theta = -1mrad\n", "washout_theta"),
+        ("washout_theta = 1e400\n", "washout_theta"),
+        ("tilt = 1e308\noracle = true\n", "tilt"),
+        ("tilt = -1.6\n", "tilt"),
+        ("tilt = 90deg\n", "tilt"),
     ])
     def test_out_of_range_value_names_key(self, tmp_path, capsys, extra, key):
         path = self.write_config(tmp_path,

@@ -14,6 +14,7 @@ from whichway import (ApertureSet, BesselBeam, ConvergenceError,
                       standard_two_slit, two_slit_apertures, washout_pattern,
                       visibility_fringe_local, ModelKind)
 from whichway import oracle as oracle_module
+from whichway.beam import amplitude_at
 from whichway.oracle import _amplitude_fixed
 
 REF_GEOM = SlitGeometry(0.63e-6, 2e-6, 12e-6, 0.1)
@@ -170,11 +171,49 @@ class TestFraunhoferAmplitude:
         assert err.previous_estimate is not None
         assert err.worst_x_m == pytest.approx(100.0)
         assert "100" in str(err)
+        quad = QuadratureSpec()
+        assert [n for n, _ in err.history] == [
+            quad.nodes_per_interval * 2 ** (level + 1)
+            for level in range(quad.max_refinements)]
+        assert all(ratio > quad.relative_tolerance
+                   for _, ratio in err.history)
+        last, prev = err.last_estimate, err.previous_estimate
+        assert err.history[-1][1] == pytest.approx(
+            np.max(np.abs(last - prev)) / np.max(np.abs(last)), rel=1e-12)
 
     def test_rejects_non_finite_x(self):
         with pytest.raises(ValueError):
             fraunhofer_amplitude(PlaneWave(), two_slit_apertures(REF_GEOM),
                                  REF_GEOM, float("nan"))
+
+    @pytest.mark.parametrize("x", [
+        np.array([0.0, 1e-3, 3e-3]),
+        np.geomspace(1e-3, 1e-2, 50),
+        np.where(np.arange(101) == 50, 1e-9, np.linspace(-1e-3, 1e-3, 101)),
+        np.linspace(-0.03, 0.03, 4001) * (1.0 + 1e-14 * np.cos(
+            np.arange(4001))),
+    ])
+    def test_rejects_unevenly_spaced_x(self, x):
+        with pytest.raises(ValueError, match="evenly spaced"):
+            fraunhofer_amplitude(PlaneWave(), two_slit_apertures(REF_GEOM),
+                                 REF_GEOM, x)
+
+    def test_two_points_need_no_even_spacing(self):
+        x = np.array([-3e-3, 0.07])
+        amp = fraunhofer_amplitude(PlaneWave(), single_slit_aperture(
+            REF_GEOM, "b"), REF_GEOM, x)
+        lo, hi = single_slit_aperture(REF_GEOM, "b").intervals[0]
+        expected = closed_form_interval(x, lo, hi, REF_GEOM)
+        assert np.max(np.abs(amp - expected)) < 1e-13 * (hi - lo)
+
+    def test_wide_grid_matches_closed_form(self):
+        # rows far from their block's anchor and a fast kernel at |x| = 0.1 m
+        x = np.linspace(-0.1, 0.1, 20_001)
+        aperture = single_slit_aperture(REF_GEOM, "b")
+        amp = fraunhofer_amplitude(PlaneWave(), aperture, REF_GEOM, x)
+        lo, hi = aperture.intervals[0]
+        expected = closed_form_interval(x, lo, hi, REF_GEOM)
+        assert np.max(np.abs(amp - expected)) <= 1e-13 * (hi - lo)
 
     def test_empty_grid_gives_empty_amplitude(self):
         amp = fraunhofer_amplitude(PlaneWave(), two_slit_apertures(REF_GEOM),
@@ -193,6 +232,47 @@ class TestFraunhoferAmplitude:
         second = fraunhofer_amplitude(PlaneWave(), two_slit_apertures(
             REF_GEOM), REF_GEOM, x)
         assert np.array_equal(first, second)
+
+
+def direct_amplitude(beam, apertures, geom, x, n, shifts):
+    """Reference for ``_amplitude_fixed``: every kernel entry
+    exp(-i k x xi) taken directly, and column j phased by exp(i k xi s_j)."""
+    k = 2 * math.pi / (geom.wavelength_m * geom.screen_distance_m)
+    t, w = np.polynomial.legendre.leggauss(n)
+    total = np.zeros((x.size, shifts.size), dtype=complex)
+    for (lo, hi), phase in zip(apertures.intervals, apertures.phases_rad):
+        half, mid = 0.5 * (hi - lo), 0.5 * (hi + lo)
+        xi = mid + half * t
+        f = half * w * np.exp(1j * phase) * amplitude_at(beam, xi,
+                                                         geom.wavelength_m)
+        kernel = np.exp(-1j * k * np.outer(x, xi))
+        total += kernel @ (f[:, None] * np.exp(1j * k * np.outer(xi, shifts)))
+    return total
+
+
+class TestFactoredKernel:
+    """``_amplitude_fixed`` builds kernel rows from a step table times one
+    anchor row per block; the direct kernel is the reference."""
+
+    @pytest.mark.parametrize("points", [4001, 20_001])
+    @pytest.mark.parametrize("shifts", [None, np.array([-2e-3, 0.0, 3.5e-3])])
+    @pytest.mark.parametrize("beam", [
+        PlaneWave(tilt_rad=1e-3),
+        GaussianBeam(waist_m=3e-6, center_m=REF_GEOM.slit_a_center_m),
+        BesselBeam(radial_wavenumber_per_m=1.2e6,
+                   center_m=REF_GEOM.slit_a_center_m),
+    ])
+    def test_matches_direct_kernel(self, beam, shifts, points):
+        x = np.linspace(-1.2 * LOBE, 1.2 * LOBE, points)
+        apertures = two_slit_apertures(REF_GEOM, phase_b_rad=0.5 * math.pi)
+        factored = _amplitude_fixed(beam, apertures, REF_GEOM, x, 64, shifts)
+        expected = direct_amplitude(beam, apertures, REF_GEOM, x, 64,
+                                    np.zeros(1) if shifts is None else shifts)
+        if shifts is None:
+            expected = expected[:, 0]
+        assert factored.shape == expected.shape
+        assert np.max(np.abs(factored - expected)) \
+            <= 1e-13 * np.max(np.abs(expected))
 
 
 def per_shift_columns(beam, apertures, x, shifts, quad=None):
