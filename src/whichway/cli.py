@@ -194,6 +194,9 @@ class ScenarioConfig:
         for key, value in scales.items():
             if value is not None and not 0.0 < value < math.inf:
                 raise ConfigError(f"{key} must be finite and > 0", key=key)
+        if not 0.0 <= self.focusing_angle_rad < math.inf:
+            raise ConfigError("focusing_angle must be finite and >= 0",
+                              key="focusing_angle")
         theta = self.washout_theta_rad
         if theta is not None and not 0.0 <= theta < math.inf:
             raise ConfigError("washout_theta must be finite and >= 0",

@@ -8,10 +8,17 @@ in :mod:`whichway.analytic`, so agreement between the two is a real check.
 
 Angular washout uses the Fourier shift theorem: a tilt t moves the far field
 by s = D sin t, and exp(-i k (x - s) xi) = exp(-i k x xi) exp(i k xi s), so
-every tilt is a phase on the same aperture samples and one kernel per
-refinement level serves all of them.  The kernel is built in blocks of screen
-rows and the tilts are taken in blocks of columns, both sized from
-``_BLOCK_BYTES``, so memory does not grow with node or tilt counts.
+every tilt is the phase V(xi, s) = exp(i k xi s) on the same aperture
+samples.  The washout sums |A_s(x)|^2 over the tilts, and with the SVD
+V = U S W^H that sum is sum_r |C_r(x)|^2 over the coherent modes C = A W
+(Wolf's coherent-mode representation of partially coherent light).  V has
+low numerical rank (about 10 at the paper's angles, out of 101 tilts), so a
+washout integrates a few mode columns instead of one column per tilt.  W is
+taken once per washout from V on a fixed proxy set of nodes, so the mode
+columns are the same functions at every refinement level and refine like
+amplitudes.  The kernel is built in blocks of screen rows and the modes are
+taken in blocks of columns, both sized from ``_BLOCK_BYTES``, so memory does
+not grow with node, tilt or mode counts.
 
 The screen grid is evenly spaced, so a kernel row factors into the row at
 its block's first point times a row of a small step table,
@@ -40,6 +47,8 @@ _COMPLEX_BYTES = 16
 # Screen points may deviate from x_0 + j dx by this many ulps of the grid's
 # largest magnitude: a linspace is exact to about one, a shifted one to two.
 _EVEN_SPACING_ULPS = 8
+# A washout keeps the coherent modes with sigma_r > _MODE_CUTOFF * sigma_1.
+_MODE_CUTOFF = 1e-13
 
 
 class ConvergenceError(RuntimeError):
@@ -137,27 +146,53 @@ def _gl_nodes(n: int) -> tuple[np.ndarray, np.ndarray]:
     return nodes, weights
 
 
-def _amplitude_fixed(beam: BeamProfile, apertures: ApertureSet,
-                     geom: SlitGeometry, x: np.ndarray, n: int,
-                     shifts: np.ndarray | None = None) -> np.ndarray:
-    """Single-pass amplitude with exactly n Gauss-Legendre nodes per interval
-    on the evenly spaced points ``x``.
-
-    With ``shifts`` the result has one column per shift s, holding the
-    amplitude at x - s; all columns share each block of kernel rows.
-    """
-    k_screen = 2.0 * math.pi / (geom.wavelength_m * geom.screen_distance_m)
+def _aperture_nodes(apertures: ApertureSet, n: int
+                    ) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes xi on every interval, n per interval, and their
+    weights times the interval's phase factor."""
     t, w = _gl_nodes(n)
-    xi, f = [], []
+    xi, weights = [], []
     for (lo, hi), phase in zip(apertures.intervals, apertures.phases_rad):
         half = 0.5 * (hi - lo)
         mid = 0.5 * (hi + lo)
         xi.append(mid + half * t)
-        f.append(half * w * complex(math.cos(phase), math.sin(phase)))
-    xi = np.concatenate(xi)
-    f = amplitude_at(beam, xi, geom.wavelength_m) * np.concatenate(f)
-    columns = np.zeros(1) if shifts is None else shifts
-    f = f[:, None] * np.exp(1j * k_screen * np.outer(xi, columns))
+        weights.append(half * w * complex(math.cos(phase), math.sin(phase)))
+    return np.concatenate(xi), np.concatenate(weights)
+
+
+def _mode_phases(k_screen: float, xi: np.ndarray, shifts: np.ndarray,
+                 modes: np.ndarray) -> np.ndarray:
+    """exp(i k xi s) @ modes, one row per node, built in blocks of nodes so
+    that no nodes x shifts matrix outgrows ``_BLOCK_BYTES``."""
+    out = np.empty((xi.size, modes.shape[1]), dtype=complex)
+    rows = max(1, _BLOCK_BYTES // (_COMPLEX_BYTES * shifts.size))
+    for start in range(0, xi.size, rows):
+        phases = np.exp(1j * k_screen * np.outer(xi[start:start + rows],
+                                                  shifts))
+        np.matmul(phases, modes, out=out[start:start + rows])
+    return out
+
+
+def _amplitude_fixed(beam: BeamProfile, apertures: ApertureSet,
+                     geom: SlitGeometry, x: np.ndarray, n: int,
+                     shifts: np.ndarray | None = None,
+                     modes: np.ndarray | None = None) -> np.ndarray:
+    """Single-pass amplitude with exactly n Gauss-Legendre nodes per interval
+    on the evenly spaced points ``x``.
+
+    With ``shifts`` the result has one column per shift s, holding the
+    amplitude at x - s; all columns share each block of kernel rows.  With
+    ``modes`` (shifts x R) as well, it has one column per mode instead:
+    the shifted columns times ``modes``.
+    """
+    k_screen = 2.0 * math.pi / (geom.wavelength_m * geom.screen_distance_m)
+    xi, weights = _aperture_nodes(apertures, n)
+    f = amplitude_at(beam, xi, geom.wavelength_m) * weights
+    if modes is None:
+        columns = np.zeros(1) if shifts is None else shifts
+        f = f[:, None] * np.exp(1j * k_screen * np.outer(xi, columns))
+    else:
+        f = f[:, None] * _mode_phases(k_screen, xi, shifts, modes)
 
     # Block of rows r = 0..rows-1 from x[start]: kernel = steps * anchor row.
     dx = (x[-1] - x[0]) / (x.size - 1) if x.size > 1 else 0.0
@@ -165,7 +200,7 @@ def _amplitude_fixed(beam: BeamProfile, apertures: ApertureSet,
                max(1, _BLOCK_BYTES // (_COMPLEX_BYTES * xi.size)))
     steps = np.exp(np.multiply.outer(np.arange(rows) * dx, xi)
                    * (-1j * k_screen))
-    amp = np.empty((x.size, columns.size), dtype=complex)
+    amp = np.empty((x.size, f.shape[1]), dtype=complex)
     anchored = np.empty_like(f)
     for start in range(0, x.size, rows):
         stop = min(start + rows, x.size)
@@ -175,9 +210,49 @@ def _amplitude_fixed(beam: BeamProfile, apertures: ApertureSet,
     return amp[:, 0] if shifts is None else amp
 
 
+def _coherent_modes(beam: BeamProfile, apertures: ApertureSet,
+                    geom: SlitGeometry, shifts: np.ndarray, n: int
+                    ) -> tuple[np.ndarray, float]:
+    """Mode weights W (shifts x R) of a washout, and its truncation bound.
+
+    V = exp(i k xi s) on a proxy of n nodes per interval has the SVD
+    U S W^H; the kept modes are those with sigma_r > ``_MODE_CUTOFF`` sigma_1.
+    While R fills the proxy (and is short of the shift count), the proxy is
+    too coarse to span the tilt phases, so n doubles.  The bound is
+    sigma_{R+1}^2 sum |f|^2 over the proxy nodes, 0 when no mode is dropped.
+    """
+    k_screen = 2.0 * math.pi / (geom.wavelength_m * geom.screen_distance_m)
+    while True:
+        xi, weights = _aperture_nodes(apertures, n)
+        _, sigma, wh = np.linalg.svd(
+            np.exp(1j * k_screen * np.outer(xi, shifts)), full_matrices=False)
+        rank = int(np.count_nonzero(sigma > _MODE_CUTOFF * sigma[0]))
+        if rank < xi.size or rank == shifts.size:
+            break
+        n *= 2
+    bound = 0.0
+    if rank < sigma.size:
+        f = amplitude_at(beam, xi, geom.wavelength_m) * weights
+        bound = float(sigma[rank] ** 2 * np.sum(np.abs(f) ** 2))
+    return wh[:rank].conj().T, bound
+
+
+def _worst_shift(delta: np.ndarray, modes: np.ndarray) -> int:
+    """Index j of the shifted column (delta @ modes^H)_j with the largest
+    magnitude, built in blocks of rows."""
+    to_shifts = modes.conj().T
+    rows = max(1, _BLOCK_BYTES // (_COMPLEX_BYTES * to_shifts.shape[1]))
+    largest = np.zeros(to_shifts.shape[1])
+    for start in range(0, delta.shape[0], rows):
+        block = np.abs(delta[start:start + rows] @ to_shifts)
+        np.maximum(largest, np.max(block, axis=0), out=largest)
+    return int(np.argmax(largest))
+
+
 def fraunhofer_amplitude(beam: BeamProfile, apertures: ApertureSet,
                          geom: SlitGeometry, x_m,
-                         quad: QuadratureSpec | None = None, shifts_m=None):
+                         quad: QuadratureSpec | None = None, shifts_m=None,
+                         modes=None, min_scale: float = 0.0):
     """Far-field amplitude at screen coordinate(s) ``x_m``.
 
     Node count doubles until two successive estimates agree to the requested
@@ -185,8 +260,20 @@ def fraunhofer_amplitude(beam: BeamProfile, apertures: ApertureSet,
     raises :class:`ConvergenceError` otherwise.
 
     With ``shifts_m`` (a 1-D array) the result is an (x, shift) array whose
-    column j is the amplitude at ``x_m - shifts_m[j]``.  All columns refine
-    together until every column agrees with its previous estimate.
+    column j is the amplitude A_j at ``x_m - shifts_m[j]``.  All columns
+    refine together until every column agrees with its previous estimate
+    to the tolerance of its own largest amplitude.
+
+    With ``modes`` as well (an (n_shifts, R) array W) the result is the
+    (x, R) array C = A W of coherent-mode columns.  Every mode column must
+    agree with its previous estimate to the tolerance of one common scale,
+    sqrt(max_x sum_r |C_r|^2 / n_shifts): the root of the washout's peak
+    when W has orthonormal columns spanning the tilts.  On failure the
+    shifted columns of the last two estimates are rebuilt as C W^H to name
+    the worst shift.
+
+    Every scale is raised to at least ``min_scale``, which lets a call that
+    holds only some of a washout's modes use the peak of the others.
 
     ``x_m`` must be evenly spaced, ``x_0 + j dx`` to within a few ulps of its
     largest magnitude (any scalar or pair of points is); otherwise this
@@ -207,6 +294,11 @@ def fraunhofer_amplitude(beam: BeamProfile, apertures: ApertureSet,
         else np.atleast_1d(np.asarray(shifts_m, dtype=float))
     if not np.all(np.isfinite(shifts)):
         raise ValueError("shifts_m must be finite")
+    if modes is not None:
+        modes = np.asarray(modes, dtype=complex)
+        if shifts_m is None or modes.ndim != 2 \
+                or modes.shape[0] != shifts.size:
+            raise ValueError("modes needs one row per entry of shifts_m")
 
     def result(columns: np.ndarray):
         if shifts_m is not None:
@@ -215,27 +307,40 @@ def fraunhofer_amplitude(beam: BeamProfile, apertures: ApertureSet,
             return complex(columns[0, 0])
         return columns[:, 0]
 
-    if x.size == 0 or shifts.size == 0:
-        return result(np.zeros((x.size, shifts.size), dtype=complex))
+    width = shifts.size if modes is None else modes.shape[1]
+    if x.size == 0 or width == 0:
+        return result(np.zeros((x.size, width), dtype=complex))
 
     # Columns are compared one at a time so no temporary grows with their
     # count; at most two whole estimates (prev, cur) are alive at once.
     n = quad.nodes_per_interval
-    cur = _amplitude_fixed(beam, apertures, geom, x, n, shifts)
+    cur = _amplitude_fixed(beam, apertures, geom, x, n, shifts, modes)
     history = []
     for _ in range(quad.max_refinements):
         n *= 2
         prev = cur
-        cur = _amplitude_fixed(beam, apertures, geom, x, n, shifts)
+        cur = _amplitude_fixed(beam, apertures, geom, x, n, shifts, modes)
         diff = np.array([np.max(np.abs(c - p)) for c, p in zip(cur.T, prev.T)])
-        scale = np.array([np.max(np.abs(c)) for c in cur.T])
+        if modes is None:
+            scale = np.array([np.max(np.abs(c)) for c in cur.T])
+        else:
+            energy = np.zeros(x.size)
+            for c in cur.T:
+                energy += c.real ** 2 + c.imag ** 2
+            scale = np.full(width, math.sqrt(np.max(energy) / shifts.size))
+        scale = np.maximum(scale, min_scale)
         scale[scale == 0.0] = 1.0
         if np.all(diff <= quad.relative_tolerance * scale):
             return result(cur)
         history.append((n, float(np.max(diff / scale))))
 
-    worst = int(np.argmax(diff / scale))
-    last, prev = cur[:, worst].copy(), prev[:, worst].copy()
+    if modes is None:
+        worst = int(np.argmax(diff / scale))
+        last, prev = cur[:, worst].copy(), prev[:, worst].copy()
+    else:
+        # One common scale, so the worst shift has the largest |diff|.
+        worst = _worst_shift(cur - prev, modes)
+        last, prev = cur @ modes[worst].conj(), prev @ modes[worst].conj()
     worst_x = float(x[int(np.argmax(np.abs(last - prev)))])
     shift = float(shifts[worst])
     raise ConvergenceError(
@@ -268,20 +373,33 @@ def oracle_pattern(beam: BeamProfile, apertures: ApertureSet,
     With ``theta_rad`` > 0 the pattern is washed out over ``n_tilts`` (odd)
     illumination tilts uniform in [-theta, theta]: a tilt t shifts the far
     field by D sin t, the members' absolute intensities are averaged, and
-    the average is normalized once by its own peak.  Tilts are taken in
-    column blocks sized from ``_BLOCK_BYTES``, so memory does not grow with
-    ``n_tilts``.
+    the average is normalized once by its own peak.  The average is taken
+    over the tilts' coherent modes (:func:`_coherent_modes`), in column
+    blocks sized from ``_BLOCK_BYTES``; ``meta`` records their count as
+    ``washout_modes`` and the truncation bound on the summed intensity as
+    ``washout_truncation_bound``.
 
     The absolute peak intensity is recorded in ``meta['peak_abs']``.
     """
+    if quad is None:
+        quad = QuadratureSpec()
     x = grid.x()
     shifts = geom.screen_distance_m * np.sin(_washout_tilts(theta_rad,
                                                             n_tilts))
+    modes, bound = None, 0.0
+    if shifts.size > 1:
+        modes, bound = _coherent_modes(beam, apertures, geom, shifts,
+                                       quad.nodes_per_interval)
+    columns = shifts.size if modes is None else modes.shape[1]
     width = max(1, _BLOCK_BYTES // (_COMPLEX_BYTES * x.size))
     intensity = np.zeros(x.size)
-    for block in np.array_split(shifts, -(-shifts.size // width)):
+    for block in np.array_split(np.arange(columns), -(-columns // width)):
+        # Later blocks converge against the peak of the modes before them.
         intensity += np.sum(np.abs(fraunhofer_amplitude(
-            beam, apertures, geom, x, quad, shifts_m=block)) ** 2, axis=1)
+            beam, apertures, geom, x, quad, shifts_m=shifts,
+            modes=None if modes is None else modes[:, block],
+            min_scale=math.sqrt(np.max(intensity) / shifts.size))) ** 2,
+            axis=1)
     intensity /= shifts.size
     peak = float(np.max(intensity))
     if peak <= 0.0:
@@ -297,6 +415,8 @@ def oracle_pattern(beam: BeamProfile, apertures: ApertureSet,
         meta.update({
             "washout_theta_rad": theta_rad,
             "washout_tilts": n_tilts,
+            "washout_modes": columns,
+            "washout_truncation_bound": bound,
             "model": "washout(oracle)",
         })
     return IntensityPattern(x_m=x, intensity=intensity / peak,

@@ -670,6 +670,8 @@ class TestMain:
         ("tilt = 1e308\noracle = true\n", "tilt"),
         ("tilt = -1.6\n", "tilt"),
         ("tilt = 90deg\n", "tilt"),
+        ("focusing_angle = -1mrad\n", "focusing_angle"),
+        ("focusing_angle = 1e400\n", "focusing_angle"),
     ])
     def test_out_of_range_value_names_key(self, tmp_path, capsys, extra, key):
         path = self.write_config(tmp_path,
@@ -680,6 +682,17 @@ class TestMain:
             assert err.startswith("error: ")
             assert f"(key '{key}'" in err
             assert "Traceback" not in err
+
+    @pytest.mark.parametrize("value", ["-1mrad", "1e400"])
+    def test_sweep_out_of_range_theta_names_key(self, tmp_path, capsys,
+                                                value):
+        path = self.write_config(tmp_path, "models = general_two_slit\n")
+        assert main(["sweep", "--config", str(path), "--param", "theta",
+                     f"--values={value}"]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "(key 'focusing_angle'" in err
+        assert "Traceback" not in err
 
     def test_io_failure_cleans_partial_outputs(self, tmp_path, capsys):
         path = self.write_config(tmp_path)

@@ -68,6 +68,9 @@ SIMULATE = {
     "model_washout_unit_integral": "normalization = unit_integral\n"
                                    "washout_theta = 2mrad\nwashout_tilts = 11\n",
     "oracle_washout": "oracle = true\nwashout_theta = 5mrad\n",
+    # 301 tilts over +-0.4 rad leave 32 coherent modes, the high-rank case.
+    "oracle_washout_wide": "oracle = true\nwashout_theta = 0.4\n"
+                           "washout_tilts = 301\n",
     "oracle_washout_focus_a": "beam = gaussian\nwaist = 3um\n"
                               "alignment = focus_a\noracle = true\n"
                               + FOCUS_MODELS
