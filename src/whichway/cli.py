@@ -23,9 +23,9 @@ from .analytic import (PEAK_SINGLE_SLIT, UNIT_INTEGRAL, GridSpec,
 from .beam import (BesselBeam, BeamProfile, GaussianBeam, PlaneWave,
                    bessel_core_radius)
 from .geometry import SlitGeometry, check_feasibility
-from .metrics import (PREDICTABILITY, duality_report, pattern_divergence,
-                      predictability, visibility_fringe_local,
-                      visibility_global)
+from .metrics import (PREDICTABILITY, ResolutionError, duality_report,
+                      pattern_divergence, predictability,
+                      visibility_fringe_local, visibility_global)
 from .mzi import MziConfig, MziMode, asymmetric_duality, mzi_duality
 # fraunhofer_amplitude is not called here but stays bound: perfbench/spans.py
 # wraps the oracle names this module binds.
@@ -433,12 +433,15 @@ def _washout_base(cfg: ScenarioConfig, grid: GridSpec
     return gen
 
 
-def run_scenario(cfg: ScenarioConfig,
-                 out_dir: Optional[Path] = None) -> ComparisonReport:
-    """Evaluate the configured models (and oracle, and washout) on one grid,
-    compute duality metrics and divergences, and optionally write CSV/JSON.
+def _compare(cfg: ScenarioConfig, oracle_theta_rad: float, csv: bool
+             ) -> tuple[dict, dict[str, IntensityPattern]]:
+    """The comparison ``simulate`` and ``sweep`` share: the configured models
+    and oracle on one grid, the configured washout, their duality metrics
+    and the model-vs-oracle divergences, as the JSON summary plus the
+    patterns.
 
-    Partial outputs are removed if anything fails mid-run.
+    The oracle is washed out over ``oracle_theta_rad`` (0 gives the plain
+    oracle).  With ``csv`` each pattern entry names its CSV file.
     """
     geom = cfg.geometry
     grid = shared_grid(cfg)
@@ -456,7 +459,8 @@ def run_scenario(cfg: ScenarioConfig,
         beam = build_beam(cfg)
         apertures = build_apertures(cfg)
         patterns["oracle"] = oracle_pattern(beam, apertures, geom, grid,
-                                            cfg.quadrature)
+                                            cfg.quadrature, oracle_theta_rad,
+                                            cfg.washout_tilts)
         order.append(("oracle", "oracle"))
     if cfg.washout_theta_rad is not None:
         if cfg.oracle_enabled:
@@ -469,11 +473,13 @@ def run_scenario(cfg: ScenarioConfig,
                 cfg.washout_tilts)
         order.append(("washout", "washout"))
 
-    entries = []
-    for name, source in order:
-        csv_name = f"{cfg.csv_prefix}_{name}.csv" if out_dir else None
-        entries.append(_pattern_entry(name, source, patterns[name], cfg,
-                                      csv_name))
+    try:
+        entries = [_pattern_entry(name, source, patterns[name], cfg,
+                                  f"{cfg.csv_prefix}_{name}.csv" if csv
+                                  else None)
+                   for name, source in order]
+    except ResolutionError as exc:
+        raise ConfigError(str(exc), key="grid_points") from None
 
     divergences = []
     if cfg.oracle_enabled:
@@ -509,29 +515,36 @@ def run_scenario(cfg: ScenarioConfig,
             {"theta_rad": cfg.washout_theta_rad, "n_tilts": cfg.washout_tilts}
             if cfg.washout_theta_rad is not None else None),
     }
+    return summary, patterns
 
-    csv_paths: list[Path] = []
+
+def run_scenario(cfg: ScenarioConfig,
+                 out_dir: Optional[Path] = None) -> ComparisonReport:
+    """Evaluate the configured models (and oracle, and washout) on one grid,
+    compute duality metrics and divergences, and optionally write CSV/JSON.
+
+    Partial outputs are removed if anything fails mid-run.
+    """
+    summary, patterns = _compare(cfg, 0.0, out_dir is not None)
+    written: list[Path] = []
     json_path: Optional[Path] = None
     if out_dir is not None:
         out_dir = Path(out_dir)
-        written: list[Path] = []
         try:
             out_dir.mkdir(parents=True, exist_ok=True)
-            for name, _ in order:
-                path = out_dir / f"{cfg.csv_prefix}_{name}.csv"
-                write_pattern_csv(patterns[name], path)
+            for entry in summary["patterns"]:
+                path = out_dir / entry["csv"]
+                write_pattern_csv(patterns[entry["model"]], path)
                 written.append(path)
-                csv_paths.append(path)
             json_path = out_dir / "summary.json"
             write_summary_json(summary, json_path)
-            written.append(json_path)
         except BaseException:
             for path in written:
                 path.unlink(missing_ok=True)
             raise
 
     return ComparisonReport(summary=summary, patterns=patterns,
-                            csv_paths=tuple(csv_paths), json_path=json_path)
+                            csv_paths=tuple(written), json_path=json_path)
 
 
 def write_pattern_csv(pattern: IntensityPattern, path: Path) -> None:
@@ -550,8 +563,9 @@ def write_summary_json(summary: dict, path: Path) -> None:
 
 def sweep_scenario(cfg: ScenarioConfig, parameter: str,
                    values: Sequence[float]) -> list[dict]:
-    """One row per swept value: feasibility flags plus model/oracle
-    visibilities and their divergence.
+    """One row per swept value, read off the ``simulate`` comparison of the
+    first configured model, peak-normalized and unwashed, with the oracle:
+    feasibility flags, model/oracle visibilities and their sup divergence.
 
     Sweeping ``theta`` treats the value as the illumination angular spread:
     it enters the collimation check and washes out the oracle pattern.
@@ -561,56 +575,39 @@ def sweep_scenario(cfg: ScenarioConfig, parameter: str,
         raise ConfigError(
             f"unknown sweep parameter {parameter!r} (expected one of: {valid})")
 
+    base = replace(cfg, models=cfg.models[:1], normalization=PEAK_SINGLE_SLIT,
+                   washout_theta_rad=None)
     rows = []
     for value in values:
         if parameter == "theta":
-            sub = replace(cfg, focusing_angle_rad=value)
+            sub = replace(base, focusing_angle_rad=value)
         elif parameter == "spot_width":
-            sub = replace(cfg, spot_width_m=value)
+            sub = replace(base, spot_width_m=value)
         else:
             try:
-                geom = replace(cfg.geometry,
+                geom = replace(base.geometry,
                                **{_SWEEP_GEOMETRY[parameter]: value})
             except ValueError as exc:
                 raise ConfigError(str(exc), key=parameter) from None
-            sub = replace(cfg, geometry=geom)
+            sub = replace(base, geometry=geom)
 
-        geom = sub.geometry
-        grid = shared_grid(sub)
-        feas = check_feasibility(geom, sub.focusing_angle_rad,
-                                 derived_spot_width(sub))
-
-        v_model = None
-        model_pattern = None
-        if sub.models:
-            model_pattern = sample_pattern(sub.models[0], geom, grid,
-                                           PEAK_SINGLE_SLIT, sub.alpha,
-                                           sub.beta)
-            v_model = visibility_fringe_local(model_pattern, geom)
-
-        v_oracle = None
-        divergence_sup = None
-        if sub.oracle_enabled:
-            theta = value if parameter == "theta" else 0.0
-            oracle_pat = oracle_pattern(build_beam(sub), build_apertures(sub),
-                                        geom, grid, sub.quadrature, theta,
-                                        sub.washout_tilts)
-            v_oracle = visibility_fringe_local(oracle_pat, geom)
-            if model_pattern is not None:
-                div = pattern_divergence(_shape_normalized(model_pattern),
-                                         _shape_normalized(oracle_pat))
-                divergence_sup = div.sup_relative
-
+        summary, _ = _compare(sub, value if parameter == "theta" else 0.0,
+                              False)
+        feas = summary["feasibility"]
+        visibility = {entry["source"]: entry["visibility_fringe_local"]
+                      for entry in summary["patterns"]}
+        divergences = summary["divergences"]
         rows.append({
             "parameter": parameter,
             "value": value,
-            "half_fringe_angle_rad": feas.half_fringe_angle_rad,
-            "collimation_ok": feas.collimation_ok,
-            "spot_fits_slit": feas.spot_fits_slit,
-            "fraunhofer_ok": feas.fraunhofer_ok,
-            "visibility_model": v_model,
-            "visibility_oracle": v_oracle,
-            "divergence_sup_relative": divergence_sup,
+            "half_fringe_angle_rad": feas["half_fringe_angle_rad"],
+            "collimation_ok": feas["collimation_ok"],
+            "spot_fits_slit": feas["spot_fits_slit"],
+            "fraunhofer_ok": feas["fraunhofer_ok"],
+            "visibility_model": visibility.get("model"),
+            "visibility_oracle": visibility.get("oracle"),
+            "divergence_sup_relative": (divergences[0]["sup_relative"]
+                                        if divergences else None),
         })
     return rows
 

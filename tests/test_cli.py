@@ -3,6 +3,7 @@ runs with CSV/JSON outputs, parameter sweeps, and exit codes."""
 
 import json
 import math
+from dataclasses import replace
 
 import jsonschema
 import numpy as np
@@ -35,6 +36,8 @@ from whichway.cli import (
     write_pattern_csv,
 )
 from whichway.geometry import half_fringe_angle
+from whichway.metrics import visibility_fringe_local
+from whichway.oracle import oracle_pattern
 
 BASE_CONFIG = """\
 # HeNe-laser two-slit bench
@@ -411,6 +414,20 @@ class TestRunScenario:
         for name in files:
             assert (dir_a / name).read_bytes() == (dir_b / name).read_bytes()
 
+    def test_model_listed_twice_gives_two_entries(self, tmp_path):
+        cfg = make_config("models = pure_fringe, pure_fringe\n"
+                          "oracle = true\ngrid_points = 801\n")
+        report = run_scenario(cfg, out_dir=tmp_path)
+        entries = report.summary["patterns"]
+        assert [e["model"] for e in entries] == ["pure_fringe", "pure_fringe",
+                                                 "oracle"]
+        assert entries[0] == entries[1]
+        assert [d["model"] for d in report.summary["divergences"]] == [
+            "pure_fringe", "pure_fringe"]
+        assert [p.name for p in report.csv_paths] == [
+            "pattern_pure_fringe.csv", "pattern_pure_fringe.csv",
+            "pattern_oracle.csv"]
+
     def test_partial_outputs_removed_on_failure(self, tmp_path):
         out = tmp_path / "out"
         (out / "summary.json").mkdir(parents=True)
@@ -430,6 +447,51 @@ class TestSweepScenario:
                                                     visibilities[1:]))
         assert rows[0]["collimation_ok"]
         assert not rows[-1]["collimation_ok"]
+
+    # Two models, unit_integral and a washout: a row must drop all three.
+    ROW_CONFIG = ("oracle = true\nmodels = empty_wave_sum, standard_two_slit\n"
+                  "normalization = unit_integral\nwashout_theta = 2mrad\n"
+                  "washout_tilts = 11\ngrid_points = 801\n")
+
+    def test_row_is_the_simulate_comparison(self):
+        cfg = make_config(self.ROW_CONFIG)
+        values = [10e-6, 12.6e-6]
+        for row, d in zip(sweep_scenario(cfg, "d", values), values):
+            one = replace(cfg, geometry=replace(cfg.geometry,
+                                                slit_separation_m=d),
+                          models=cfg.models[:1],
+                          normalization=PEAK_SINGLE_SLIT,
+                          washout_theta_rad=None)
+            summary = run_scenario(one).summary
+            feas = summary["feasibility"]
+            model, oracle = summary["patterns"]
+            assert (model["source"], oracle["source"]) == ("model", "oracle")
+            assert row == {
+                "parameter": "d",
+                "value": d,
+                "half_fringe_angle_rad": feas["half_fringe_angle_rad"],
+                "collimation_ok": feas["collimation_ok"],
+                "spot_fits_slit": feas["spot_fits_slit"],
+                "fraunhofer_ok": feas["fraunhofer_ok"],
+                "visibility_model": model["visibility_fringe_local"],
+                "visibility_oracle": oracle["visibility_fringe_local"],
+                "divergence_sup_relative":
+                    summary["divergences"][0]["sup_relative"],
+            }
+
+    def test_theta_row_washes_out_only_the_oracle(self):
+        cfg = make_config(self.ROW_CONFIG)
+        theta = 5e-3
+        row, = sweep_scenario(cfg, "theta", [theta])
+        washed = oracle_pattern(build_beam(cfg), build_apertures(cfg),
+                                cfg.geometry, shared_grid(cfg),
+                                cfg.quadrature, theta, cfg.washout_tilts)
+        assert row["visibility_oracle"] == visibility_fringe_local(
+            washed, cfg.geometry)
+        model = sample_pattern(ModelKind.EMPTY_WAVE_SUM, cfg.geometry,
+                               shared_grid(cfg), PEAK_SINGLE_SLIT)
+        assert row["visibility_model"] == visibility_fringe_local(
+            model, cfg.geometry)
 
     def test_geometry_sweep_updates_fringe_angle(self):
         cfg = make_config()
@@ -639,6 +701,10 @@ class TestMain:
         (["check"], "grid_min = -1mm\ngrid_max = 1mm\ngrid_points = 1\n",
          "grid_points"),
         (["check"], "grid_min = 1mm\ngrid_max = -1mm\n", "grid_min"),
+        (["simulate"], "grid_min = -1mm\ngrid_max = 1mm\ngrid_points = 3\n",
+         "grid_points"),
+        (["sweep", "--param", "d", "--values", "12.6um"],
+         "grid_min = -1mm\ngrid_max = 1mm\ngrid_points = 3\n", "grid_points"),
         (["mzi", "--mode", "open", "--a", "0.5", "--b", "-0.5"], None, "--b"),
         (["mzi", "--mode", "open", "--a", "-0.5", "--b", "0.5"], None, "--a"),
     ])

@@ -79,6 +79,8 @@ SIMULATE = {
                    "csv_prefix = run\nfocusing_angle = 4mrad\n"
                    "spot_width = 20um\nmodels = standard_two_slit, pure_fringe\n",
     "config_error": "alpha = plenty\n",
+    # Too coarse for the fringe period: exits 1 naming grid_points.
+    "coarse_grid": "grid_min = -1mm\ngrid_max = 1mm\ngrid_points = 3\n",
 }
 
 # name -> (config lines added to PLATE, --param, --values).
@@ -90,6 +92,12 @@ SWEEP = {
                       "theta", "0,1mrad"),
     "spot_width": ("", "spot_width", "5um,12.6um,30um"),
     "d_oracle": ("oracle = true\ngrid_points = 801\n", "d", "8um,12.6um,20um"),
+    # A row takes the first model, peak-normalized and unwashed.
+    "d_unit_integral_washout": ("oracle = true\ngrid_points = 801\n"
+                                "models = empty_wave_sum, standard_two_slit\n"
+                                "normalization = unit_integral\n"
+                                "washout_theta = 2mrad\nwashout_tilts = 11\n",
+                                "d", "8um,12.6um"),
     "s": ("models = empty_wave_a\n", "s", "1um,2um,4um"),
     "D": ("", "D", "1cm,0.1m,1m"),
     "wavelength": ("models = general_two_slit\nalpha = 0.6\n", "wavelength",
