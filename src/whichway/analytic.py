@@ -153,6 +153,10 @@ class GridSpec:
     def x(self) -> np.ndarray:
         return np.linspace(self.x_min_m, self.x_max_m, self.points)
 
+    @property
+    def spacing_m(self) -> float:
+        return (self.x_max_m - self.x_min_m) / (self.points - 1)
+
 
 def default_grid(kind: ModelKind, geom: SlitGeometry, points: int = 4001) -> GridSpec:
     """Default sampling window for a model.

@@ -23,8 +23,8 @@ from .analytic import (PEAK_SINGLE_SLIT, UNIT_INTEGRAL, GridSpec,
 from .beam import (BesselBeam, BeamProfile, GaussianBeam, PlaneWave,
                    bessel_core_radius)
 from .geometry import SlitGeometry, check_feasibility
-from .metrics import (PREDICTABILITY, ResolutionError, duality_report,
-                      pattern_divergence, predictability,
+from .metrics import (PREDICTABILITY, ResolutionError, check_resolution,
+                      duality_report, pattern_divergence, predictability,
                       visibility_fringe_local, visibility_global)
 from .mzi import MziConfig, MziMode, asymmetric_duality, mzi_duality
 # fraunhofer_amplitude is not called here but stays bound: perfbench/spans.py
@@ -445,6 +445,10 @@ def _compare(cfg: ScenarioConfig, oracle_theta_rad: float, csv: bool
     """
     geom = cfg.geometry
     grid = shared_grid(cfg)
+    try:
+        check_resolution(grid.spacing_m, geom)
+    except ResolutionError as exc:
+        raise ConfigError(str(exc), key="grid_points") from None
     feas = check_feasibility(geom, cfg.focusing_angle_rad,
                              derived_spot_width(cfg))
 
@@ -473,13 +477,9 @@ def _compare(cfg: ScenarioConfig, oracle_theta_rad: float, csv: bool
                 cfg.washout_tilts)
         order.append(("washout", "washout"))
 
-    try:
-        entries = [_pattern_entry(name, source, patterns[name], cfg,
-                                  f"{cfg.csv_prefix}_{name}.csv" if csv
-                                  else None)
-                   for name, source in order]
-    except ResolutionError as exc:
-        raise ConfigError(str(exc), key="grid_points") from None
+    entries = [_pattern_entry(name, source, patterns[name], cfg,
+                              f"{cfg.csv_prefix}_{name}.csv" if csv else None)
+               for name, source in order]
 
     divergences = []
     if cfg.oracle_enabled:
@@ -523,7 +523,8 @@ def run_scenario(cfg: ScenarioConfig,
     """Evaluate the configured models (and oracle, and washout) on one grid,
     compute duality metrics and divergences, and optionally write CSV/JSON.
 
-    Partial outputs are removed if anything fails mid-run.
+    Partial outputs are removed if anything fails mid-run.  The x column
+    is formatted once for all patterns that share it.
     """
     summary, patterns = _compare(cfg, 0.0, out_dir is not None)
     written: list[Path] = []
@@ -532,10 +533,15 @@ def run_scenario(cfg: ScenarioConfig,
         out_dir = Path(out_dir)
         try:
             out_dir.mkdir(parents=True, exist_ok=True)
+            from ._floattext import format_g17
+            x_m = x_text = None
             for entry in summary["patterns"]:
+                pattern = patterns[entry["model"]]
+                if x_text is None or not np.array_equal(pattern.x_m, x_m):
+                    x_m, x_text = pattern.x_m, format_g17(pattern.x_m)
                 path = out_dir / entry["csv"]
-                write_pattern_csv(patterns[entry["model"]], path)
                 written.append(path)
+                write_pattern_csv(pattern, path, x_text=x_text)
             json_path = out_dir / "summary.json"
             write_summary_json(summary, json_path)
         except BaseException:
@@ -547,13 +553,24 @@ def run_scenario(cfg: ScenarioConfig,
                             csv_paths=tuple(written), json_path=json_path)
 
 
-def write_pattern_csv(pattern: IntensityPattern, path: Path) -> None:
-    """Two-column CSV ``x_m,intensity`` with 17-significant-digit floats
-    (lossless float round-trip)."""
-    rows = map("{:.17g},{:.17g}\n".format, pattern.x_m.tolist(),
-               pattern.intensity.tolist())
-    Path(path).write_text("x_m,intensity\n" + "".join(rows),
-                          encoding="ascii")
+def write_pattern_csv(pattern: IntensityPattern, path: Path, *,
+                      x_text: Optional[np.ndarray] = None) -> None:
+    """Two-column CSV ``x_m,intensity``; each float is the bytes of Python's
+    ``format(v, ".17g")`` (lossless float round-trip).  Rows are formatted
+    and written in blocks.  ``x_text`` is ``format_g17(pattern.x_m)``, when
+    the caller has it already."""
+    # Imported here, so that only runs that write CSV compile the module.
+    from ._floattext import BLOCK_ROWS, csv_rows, format_g17
+    x, intensity = pattern.x_m, pattern.intensity
+    if x_text is not None and len(x_text) != x.size:
+        raise ValueError("x_text needs one row per x value")
+    with open(path, "wb") as out:
+        out.write(b"x_m,intensity\n")
+        for start in range(0, x.size, BLOCK_ROWS):
+            block = slice(start, start + BLOCK_ROWS)
+            x_block = format_g17(x[block]) if x_text is None \
+                else x_text[block]
+            out.write(csv_rows(x_block, format_g17(intensity[block])))
 
 
 def write_summary_json(summary: dict, path: Path) -> None:

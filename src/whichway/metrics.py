@@ -41,6 +41,17 @@ def visibility_global(pattern: IntensityPattern) -> float:
     return (hi - lo) / (hi + lo)
 
 
+def check_resolution(spacing_m: float, geom: SlitGeometry) -> None:
+    """Raise :class:`ResolutionError` unless a grid of this spacing samples
+    the fringe period at least ``_SAMPLES_PER_PERIOD`` times."""
+    period = fringe_period(geom)
+    required = period / _SAMPLES_PER_PERIOD
+    if spacing_m > required:
+        raise ResolutionError(
+            f"grid spacing {spacing_m:.6g} m cannot resolve the fringe period "
+            f"{period:.6g} m; need spacing <= {required:.6g} m")
+
+
 def visibility_fringe_local(pattern: IntensityPattern,
                             geom: SlitGeometry) -> float:
     """Fringe contrast near the pattern peak.
@@ -54,12 +65,7 @@ def visibility_fringe_local(pattern: IntensityPattern,
     x = pattern.x_m
     values = pattern.intensity
     period = fringe_period(geom)
-    dx = pattern.spacing_m
-    required = period / _SAMPLES_PER_PERIOD
-    if dx > required:
-        raise ResolutionError(
-            f"grid spacing {dx:.6g} m cannot resolve the fringe period "
-            f"{period:.6g} m; need spacing <= {required:.6g} m")
+    check_resolution(pattern.spacing_m, geom)
 
     i_peak = int(np.argmax(values))
     in_window = np.abs(x - x[i_peak]) <= 1.5 * period

@@ -3,12 +3,15 @@ runs with CSV/JSON outputs, parameter sweeps, and exit codes."""
 
 import json
 import math
+import tracemalloc
 from dataclasses import replace
 
 import jsonschema
 import numpy as np
 import pytest
 
+from whichway import cli, oracle
+from whichway._floattext import BLOCK_ROWS, format_g17
 from whichway.analytic import (PEAK_SINGLE_SLIT, UNIT_INTEGRAL, GridSpec,
                                IntensityPattern, ModelKind, sample_pattern)
 from whichway.beam import BesselBeam, GaussianBeam, PlaneWave
@@ -343,6 +346,38 @@ class TestRunScenario:
         assert (tmp_path / "p.csv").read_bytes() \
             == ("x_m,intensity\n" + reference).encode("ascii")
 
+    def test_csv_with_shared_x_text_is_identical(self, tmp_path):
+        x = np.linspace(-1.3e-3, 2.9e-3, 2 * BLOCK_ROWS + 5)
+        pattern = IntensityPattern(x, np.cos(3e3 * x) ** 2, PEAK_SINGLE_SLIT)
+        write_pattern_csv(pattern, tmp_path / "own.csv")
+        write_pattern_csv(pattern, tmp_path / "shared.csv",
+                          x_text=format_g17(x))
+        own = (tmp_path / "own.csv").read_bytes()
+        assert (tmp_path / "shared.csv").read_bytes() == own
+        reference = "".join(f"{a:.17g},{b:.17g}\n" for a, b in zip(
+            x.tolist(), pattern.intensity.tolist()))
+        assert own == ("x_m,intensity\n" + reference).encode("ascii")
+        with pytest.raises(ValueError):
+            write_pattern_csv(pattern, tmp_path / "short.csv",
+                              x_text=format_g17(x[:-1]))
+
+    def test_x_column_formatted_once_per_run(self, tmp_path, monkeypatch):
+        texts = []
+        real = cli.write_pattern_csv
+
+        def spy(pattern, path, *, x_text=None):
+            texts.append(x_text)
+            real(pattern, path, x_text=x_text)
+
+        monkeypatch.setattr(cli, "write_pattern_csv", spy)
+        cfg = make_config("oracle = true\nwashout_theta = 2mrad\n"
+                          "washout_tilts = 5\ngrid_points = 801\n"
+                          "models = empty_wave_a, standard_two_slit\n")
+        run_scenario(cfg, out_dir=tmp_path)
+        assert len(texts) == 4
+        assert all(text is texts[0] for text in texts)
+        assert np.array_equal(texts[0], format_g17(shared_grid(cfg).x()))
+
     def test_focused_duality_bookkeeping(self):
         # Focusing on slit A makes the path certain (P = 1); the slit-A
         # model keeps full fringes, so its duality sum lands near 2.
@@ -434,6 +469,26 @@ class TestRunScenario:
         with pytest.raises(OSError):
             run_scenario(make_config(), out_dir=out)
         assert list(out.glob("*.csv")) == []
+
+
+class TestCsvMemory:
+    """Peak traced allocation of a long CSV write stays under a fixed
+    limit: rows are formatted and written in blocks."""
+
+    LIMIT_BYTES = 4 * 2**20
+
+    def test_long_pattern(self, tmp_path):
+        # formatting all rows at once would trace about 70 MB here
+        x = np.linspace(-2e-3, 3e-3, 200_000)
+        pattern = IntensityPattern(x, np.cos(3e3 * x) ** 2 + 1e-3,
+                                   PEAK_SINGLE_SLIT)
+        tracemalloc.start()
+        try:
+            write_pattern_csv(pattern, tmp_path / "long.csv")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < self.LIMIT_BYTES
 
 
 class TestSweepScenario:
@@ -584,11 +639,39 @@ class TestMain:
         assert main(["simulate", "--config", str(missing)]) == EXIT_IO
         assert "error:" in capsys.readouterr().err
 
+    def test_coarse_grid_fails_before_the_oracle(self, tmp_path, capsys,
+                                                 monkeypatch):
+        calls = []
+        real = oracle.fraunhofer_amplitude
+
+        def spy(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(oracle, "fraunhofer_amplitude", spy)
+        # The golden run whose oracle cannot converge, on a grid too coarse
+        # for its fringes.
+        beam = ("beam = bessel\nradial_wavenumber = 3e6\n"
+                "alignment = focus_b\nring_phase_flips = false\n"
+                "oracle = true\nmodels = empty_wave_b\n")
+        path = self.write_config(tmp_path, beam + "grid_min = -1mm\n"
+                                 "grid_max = 1mm\ngrid_points = 3\n")
+        sweep = ["sweep", "--config", str(path), "--param", "d",
+                 "--values", "12.6um"]
+        assert main(sweep) == EXIT_CONFIG
+        assert "(key 'grid_points')" in capsys.readouterr().err
+        assert calls == []
+        # The spy sees the oracle of a grid fine enough to pass.
+        path = self.write_config(tmp_path, "oracle = true\n")
+        assert main(sweep) == EXIT_OK
+        assert calls
+
     def test_non_convergence_exits_2(self, tmp_path, capsys):
         # A screen point 100 m off axis needs far more quadrature nodes than
-        # the refinement cap allows.
+        # the refinement cap allows.  The grid is fine enough to pass the
+        # resolution check, which runs before the oracle.
         path = self.write_config(tmp_path,
-                                 "oracle = true\ngrid_min = 0m\n"
+                                 "oracle = true\ngrid_min = 99.9995m\n"
                                  "grid_max = 100m\ngrid_points = 2\n")
         assert main(["simulate", "--config",
                      str(path)]) == EXIT_NO_CONVERGENCE

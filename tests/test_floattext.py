@@ -1,0 +1,116 @@
+"""Tests for the vectorized ``.17g`` column formatter behind the CSV writer:
+its bytes equal Python's ``format(v, ".17g")`` for every float, and every
+value it cannot certify takes the scalar path."""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, strategies as st
+
+from whichway import _floattext
+from whichway._floattext import BLOCK_ROWS, csv_rows, format_g17
+
+
+def text(values) -> bytes:
+    return csv_rows(format_g17(np.asarray(values, dtype=float)))
+
+
+def reference(values) -> bytes:
+    return "".join(f"{v:.17g}\n" for v in values).encode("ascii")
+
+
+def powers_and_neighbours() -> list[float]:
+    powers = [10.0 ** k for k in range(-300, 301)]
+    return [v for p in powers
+            for v in (math.nextafter(p, 0.0), p, math.nextafter(p, math.inf))]
+
+
+BOUNDARIES = [
+    1e16, 1e17, math.nextafter(1e16, 0.0), math.nextafter(1e17, 0.0),
+    # fixed notation down to 1e-4, scientific below
+    1e-4, 1e-5, math.nextafter(1e-4, 0.0), math.nextafter(1e-4, 1.0),
+    9.9999999999999995e-05, 0.00012345678901234567, -0.0001,
+]
+
+# Exact decimal ties at the 17th digit, which round half to even.
+TIES = [9 * 2.0 ** -23, 2.0 ** -25, 3 * 2.0 ** -25, 211 * 2.0 ** -21]
+
+
+@given(st.floats())
+def test_matches_format(value):
+    assert text([value]) == reference([value])
+
+
+@given(st.lists(st.floats(), min_size=1, max_size=64))
+def test_matches_format_in_a_column(values):
+    assert text(values) == reference(values)
+
+
+@pytest.mark.parametrize("values", [
+    powers_and_neighbours(), BOUNDARIES, TIES,
+    [-v for v in powers_and_neighbours()],
+], ids=["powers", "boundaries", "ties", "negative_powers"])
+def test_fixed_values(values):
+    assert text(values) == reference(values)
+
+
+def test_tie_rounds_half_to_even():
+    assert text([9 * 2.0 ** -23]) == b"1.0728836059570312e-06\n"
+
+
+def test_column_longer_than_a_block():
+    rng = np.random.default_rng(5)
+    values = rng.uniform(-1, 1, 2 * BLOCK_ROWS + 37) \
+        * 10.0 ** rng.uniform(-12, 12, 2 * BLOCK_ROWS + 37)
+    assert text(values) == reference(values.tolist())
+
+
+def test_csv_rows_joins_columns():
+    x = format_g17(np.array([-1.5e-3, 2.0]))
+    y = format_g17(np.array([0.25, 1e-300]))
+    assert csv_rows(x, y) == b"-0.0015,0.25\n2,1e-300\n"
+
+
+def misestimated_exponents() -> list[float]:
+    """Values just below 10^k whose rounded log10 is k."""
+    below = [math.nextafter(10.0 ** k, 0.0) for k in range(1, 23)]
+    return [v for v in below
+            if math.floor(np.log10(v)) != int(f"{v:.16e}".split("e")[1])]
+
+
+class TestFallback:
+    """Each value the fast path cannot certify goes to ``format``."""
+
+    @pytest.fixture
+    def scalar_calls(self, monkeypatch):
+        calls = []
+
+        def spy(value):
+            calls.append(value)
+            return format(value, ".17g").encode("ascii")
+
+        monkeypatch.setattr(_floattext, "_fallback", spy)
+        return calls
+
+    @pytest.mark.parametrize("value", [
+        0.0, -0.0, 5e-324, 2.2250738585072014e-308, 1e-300, 1e300,
+        math.inf, -math.inf, math.nan, 9 * 2.0 ** -23,
+    ], ids=["zero", "negative_zero", "subnormal", "smallest_normal",
+            "below_range", "above_range", "inf", "negative_inf", "nan",
+            "exact_tie"])
+    def test_reason_takes_scalar_path(self, scalar_calls, value):
+        assert text([0.1, value, 0.3]) == reference([0.1, value, 0.3])
+        assert len(scalar_calls) == 1
+        assert scalar_calls[0] == value or math.isnan(value)
+
+    def test_misestimated_exponent_takes_scalar_path(self, scalar_calls):
+        values = misestimated_exponents()
+        assert values, "log10 rounds no value below a power of ten up"
+        assert text(values) == reference(values)
+        assert scalar_calls == values
+
+    def test_certified_values_skip_scalar_path(self, scalar_calls):
+        values = np.linspace(-1.3e-3, 2.9e-3, 5001)
+        assert text(values) == reference(values.tolist())
+        assert scalar_calls == []

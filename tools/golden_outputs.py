@@ -13,8 +13,9 @@ missing from either side, and exits 1 if any digest differs.
 
 An item's digest covers its exit code, stdout, stderr and the name and bytes
 of every file it wrote.  The matrix covers every model, beam, alignment and
-normalization, the model and oracle washouts, every sweep parameter,
-``check``, and each ``mzi`` mode with balanced and unbalanced amplitudes.
+normalization, the model and oracle washouts, an off-centre grid longer
+than two CSV row blocks, every sweep parameter, ``check``, and each ``mzi``
+mode with balanced and unbalanced amplitudes.
 """
 
 from __future__ import annotations
@@ -78,6 +79,11 @@ SIMULATE = {
     "custom_grid": "grid_min = -2mm\ngrid_max = 3mm\ngrid_points = 1201\n"
                    "csv_prefix = run\nfocusing_angle = 4mrad\n"
                    "spot_width = 20um\nmodels = standard_two_slit, pure_fringe\n",
+    # Off-centre, with no x = 0 and both signs of x, over more than two CSV
+    # row blocks: three patterns share the x column across block seams.
+    "offcentre_grid": "grid_min = -1.3mm\ngrid_max = 2.9mm\n"
+                      "grid_points = 5001\noracle = true\n"
+                      "models = empty_wave_a, standard_two_slit\n",
     "config_error": "alpha = plenty\n",
     # Too coarse for the fringe period: exits 1 naming grid_points.
     "coarse_grid": "grid_min = -1mm\ngrid_max = 1mm\ngrid_points = 3\n",
