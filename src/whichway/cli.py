@@ -13,7 +13,7 @@ import re
 import sys
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
-from typing import Callable, Optional, Sequence
+from typing import Any, Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -60,11 +60,6 @@ _ALIGNMENTS = {
 ALIGNMENTS = tuple(_ALIGNMENTS)
 BEAM_KINDS = ("plane", "gaussian", "bessel")
 
-SWEEP_PARAMETERS = ("theta", "spot_width", "d", "s", "D", "wavelength")
-# Swept parameter -> the SlitGeometry field it sets.
-_SWEEP_GEOMETRY = {"wavelength": "wavelength_m", "s": "slit_width_m",
-                   "d": "slit_separation_m", "D": "screen_distance_m"}
-
 # CLI-facing mode names (the enum values are more explicit).
 _MZI_MODE_NAMES = {
     "open": MziMode.OPEN,
@@ -79,13 +74,9 @@ class ConfigError(ValueError):
 
     def __init__(self, message: str, key: str | None = None,
                  line: int | None = None):
-        where = ""
-        if key is not None:
-            where += f" (key '{key}'"
-            where += f", line {line})" if line is not None else ")"
-        elif line is not None:
-            where += f" (line {line})"
-        super().__init__(message + where)
+        where = [f"key '{key}'"] if key is not None else []
+        where += [f"line {line}"] if line is not None else []
+        super().__init__(message + (f" ({', '.join(where)})" if where else ""))
         self.key = key
         self.line = line
 
@@ -127,6 +118,82 @@ def _parse_bool(text: str) -> bool:
     raise ValueError(f"cannot parse boolean {text!r}")
 
 
+def _parse_models(value: str) -> tuple[ModelKind, ...]:
+    names = [n.strip() for n in value.split(",") if n.strip()]
+    kinds = []
+    for name in names:
+        try:
+            kinds.append(ModelKind(name))
+        except ValueError:
+            valid = ", ".join(k.value for k in ModelKind)
+            raise ValueError(
+                f"unknown model {name!r} (expected one of: {valid})")
+    return tuple(kinds)
+
+
+class _Key(NamedTuple):
+    """A config key's field, parser and range rule (a test and its wording);
+    ``plate`` marks a required SlitGeometry length, ``sweep`` a --param."""
+
+    field: str
+    parse: Callable[[str], Any]
+    ok: Callable[[Any], bool] = lambda value: True
+    rule: str = ""
+    plate: bool = False
+    sweep: Optional[str] = None
+
+    def check(self, key: str, value: Any) -> None:
+        """Raise a ConfigError naming ``key`` unless ``value`` keeps the
+        rule; an unset optional value (None) keeps every rule."""
+        if value is not None and not self.ok(value):
+            raise ConfigError(f"{key} must be {self.rule}", key=key)
+
+
+_POSITIVE = (lambda v: 0.0 < v < math.inf, "finite and > 0")
+_NON_NEGATIVE = (lambda v: 0.0 <= v < math.inf, "finite and >= 0")
+
+
+def _one_of(*choices: str) -> tuple[Callable[[Any], bool], str]:
+    return (lambda v: v in choices), "one of: " + ", ".join(choices)
+
+
+# Each config key but grid_min, grid_max and oracle_*, declared once; the
+# defaults are those of the ScenarioConfig fields.
+_KEYS = {
+    **{key: _Key(f"{key}_m", parse_length, *_POSITIVE, plate=True, sweep=p)
+       for key, p in (("wavelength", "wavelength"), ("slit_width", "s"),
+                      ("slit_separation", "d"), ("screen_distance", "D"))},
+    "beam": _Key("beam_kind", str, *_one_of(*BEAM_KINDS)),
+    "alignment": _Key("alignment", str, *_one_of(*ALIGNMENTS)),
+    "tilt": _Key("tilt_rad", parse_angle, lambda v: abs(v) < 0.5 * math.pi,
+                 "in (-pi/2, pi/2)"),
+    "waist": _Key("waist_m", parse_length, *_POSITIVE),
+    "radial_wavenumber": _Key("radial_wavenumber_per_m", float, *_POSITIVE),
+    "ring_phase_flips": _Key("ring_phase_flips", _parse_bool),
+    "focusing_angle": _Key("focusing_angle_rad", parse_angle, *_NON_NEGATIVE,
+                           sweep="theta"),
+    "spot_width": _Key("spot_width_m", parse_length, *_POSITIVE,
+                       sweep="spot_width"),
+    "models": _Key("models", _parse_models),
+    "alpha": _Key("alpha", float, *_NON_NEGATIVE),
+    "beta": _Key("beta", float, *_NON_NEGATIVE),
+    "oracle": _Key("oracle_enabled", _parse_bool),
+    "washout_theta": _Key("washout_theta_rad", parse_angle, *_NON_NEGATIVE),
+    "washout_tilts": _Key("washout_tilts", int, lambda v: v > 0 and v % 2,
+                          "a positive odd count"),
+    "grid_points": _Key("grid_points", int, lambda v: v >= 2, ">= 2"),
+    "normalization": _Key("normalization", str,
+                          *_one_of(PEAK_SINGLE_SLIT, UNIT_INTEGRAL)),
+    "csv_prefix": _Key("csv_prefix", str),
+}
+_QUADRATURE_KEYS = {"oracle_nodes": ("nodes_per_interval", int),
+                    "oracle_rtol": ("relative_tolerance", float),
+                    "oracle_refinements": ("max_refinements", int)}
+# sweep --param name -> its config key.
+_SWEEP_KEYS = {spec.sweep: key for key, spec in _KEYS.items() if spec.sweep}
+SWEEP_PARAMETERS = tuple(_SWEEP_KEYS)
+
+
 @dataclass(frozen=True)
 class ScenarioConfig:
     """Everything one simulation run needs, as parsed from a config file."""
@@ -153,60 +220,34 @@ class ScenarioConfig:
     csv_prefix: str = "pattern"
 
     def __post_init__(self) -> None:
-        if self.beam_kind not in BEAM_KINDS:
-            raise ConfigError(f"unknown beam kind {self.beam_kind!r}",
-                              key="beam")
-        if self.alignment not in ALIGNMENTS:
-            raise ConfigError(f"unknown alignment {self.alignment!r}",
-                              key="alignment")
-        if self.beam_kind == "gaussian" and self.waist_m is None:
-            raise ConfigError("gaussian beam requires 'waist'", key="waist")
-        if self.beam_kind == "bessel" and self.radial_wavenumber_per_m is None:
-            raise ConfigError("bessel beam requires 'radial_wavenumber'",
-                              key="radial_wavenumber")
+        for key, spec in _KEYS.items():  # SlitGeometry checks the plate
+            if not spec.plate:
+                spec.check(key, getattr(self, spec.field))
+        scale = {"gaussian": "waist",
+                 "bessel": "radial_wavenumber"}.get(self.beam_kind)
+        if scale and getattr(self, _KEYS[scale].field) is None:
+            raise ConfigError(f"{self.beam_kind} beam requires '{scale}'",
+                              key=scale)
         if self.alignment != "cover_both" and self.beam_kind == "plane":
             raise ConfigError(
                 "focused alignments need a beam with a finite spot "
                 "(gaussian or bessel)", key="alignment")
         if not self.models and not self.oracle_enabled:
-            raise ConfigError(
-                "nothing to do: request at least one model or the oracle",
-                key="models")
-        if self.normalization not in (PEAK_SINGLE_SLIT, UNIT_INTEGRAL):
-            raise ConfigError(
-                f"unknown normalization {self.normalization!r}",
-                key="normalization")
-        if self.washout_tilts < 1 or self.washout_tilts % 2 == 0:
-            raise ConfigError("washout_tilts must be a positive odd count",
-                              key="washout_tilts")
-        if self.grid_points < 2:
-            raise ConfigError("grid_points must be >= 2", key="grid_points")
-        for key, value in (("alpha", self.alpha), ("beta", self.beta)):
-            if not 0.0 <= value < math.inf:
-                raise ConfigError(f"{key} must be finite and >= 0", key=key)
+            raise ConfigError("nothing to do: request at least one model or "
+                              "the oracle", key="models")
         total = self.alpha + self.beta  # general_two_slit divides by total^2
         if not 0.0 < total * total < math.inf:
             key = "alpha" if self.alpha >= self.beta else "beta"
             raise ConfigError("(alpha + beta)^2 overflows or is 0", key=key)
-        scales = {"waist": self.waist_m,
-                  "radial_wavenumber": self.radial_wavenumber_per_m,
-                  "spot_width": self.spot_width_m}
-        for key, value in scales.items():
-            if value is not None and not 0.0 < value < math.inf:
-                raise ConfigError(f"{key} must be finite and > 0", key=key)
-        if not 0.0 <= self.focusing_angle_rad < math.inf:
-            raise ConfigError("focusing_angle must be finite and >= 0",
-                              key="focusing_angle")
-        theta = self.washout_theta_rad
-        if theta is not None and not 0.0 <= theta < math.inf:
-            raise ConfigError("washout_theta must be finite and >= 0",
-                              key="washout_theta")
-        if not abs(self.tilt_rad) < 0.5 * math.pi:
-            raise ConfigError("tilt must lie in (-pi/2, pi/2)", key="tilt")
+        geom = self.geometry  # half_fringe_angle is the asin of this ratio
+        if geom.wavelength_m / (2.0 * geom.slit_separation_m) > 1.0:
+            raise ConfigError("wavelength must be <= 2 * slit_separation",
+                              key="wavelength")
 
 
 def parse_config(text: str) -> ScenarioConfig:
-    """Parse a flat ``key = value`` configuration (``#`` starts a comment)."""
+    """Parse a flat ``key = value`` configuration (``#`` starts a comment);
+    only the keys present reach ScenarioConfig, which holds the defaults."""
     raw: dict[str, tuple[str, int]] = {}
     for line_no, line in enumerate(text.splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
@@ -222,11 +263,8 @@ def parse_config(text: str) -> ScenarioConfig:
             raise ConfigError("duplicate key", key=key, line=line_no)
         raw[key] = (value, line_no)
 
-    def take(key: str, parser: Callable[[str], object], default=None,
-             required: bool = False):
+    def take(key: str, parser: Callable[[str], Any], default=None):
         if key not in raw:
-            if required:
-                raise ConfigError(f"missing required key '{key}'", key=key)
             return default
         value, line_no = raw.pop(key)
         try:
@@ -234,84 +272,51 @@ def parse_config(text: str) -> ScenarioConfig:
         except ValueError as exc:
             raise ConfigError(str(exc), key=key, line=line_no) from None
 
-    def parse_models(value: str) -> tuple[ModelKind, ...]:
-        names = [n.strip() for n in value.split(",") if n.strip()]
-        kinds = []
-        for name in names:
-            try:
-                kinds.append(ModelKind(name))
-            except ValueError:
-                valid = ", ".join(k.value for k in ModelKind)
-                raise ValueError(
-                    f"unknown model {name!r} (expected one of: {valid})")
-        return tuple(kinds)
+    fields, lengths = {}, {}
+    for key, spec in _KEYS.items():
+        if spec.plate:
+            if key not in raw:
+                raise ConfigError(f"missing required key '{key}'", key=key)
+            lengths[spec.field] = take(key, spec.parse)
+            spec.check(key, lengths[spec.field])
+        elif key in raw:
+            fields[spec.field] = take(key, spec.parse)
+    if lengths["slit_width_m"] >= lengths["slit_separation_m"]:
+        raise ConfigError("slit_width must be smaller than slit_separation",
+                          key="slit_width")
+    if lengths["screen_distance_m"] <= lengths["slit_separation_m"]:
+        raise ConfigError("screen_distance must exceed slit_separation",
+                          key="screen_distance")
+    geometry = SlitGeometry(**lengths)
 
-    wavelength = take("wavelength", parse_length, required=True)
-    slit_width = take("slit_width", parse_length, required=True)
-    slit_separation = take("slit_separation", parse_length, required=True)
-    screen_distance = take("screen_distance", parse_length, required=True)
-    try:
-        geometry = SlitGeometry(wavelength, slit_width, slit_separation,
-                                screen_distance)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
-
-    grid_points = take("grid_points", int, default=4001)
     grid_min = take("grid_min", parse_length)
     grid_max = take("grid_max", parse_length)
-    grid = None
     if (grid_min is None) != (grid_max is None):
         raise ConfigError("grid_min and grid_max must be given together",
                           key="grid_min" if grid_min is None else "grid_max")
-    if grid_min is not None:
-        try:
-            grid = GridSpec(grid_min, grid_max, grid_points)
-        except ValueError as exc:
-            raise ConfigError(str(exc), key="grid_points" if grid_points < 2
-                              else "grid_min") from None
 
     # Each key sets one field; replace() validates it, and take() names it.
     quadrature = QuadratureSpec()
-    for key, field, parse in (("oracle_nodes", "nodes_per_interval", int),
-                              ("oracle_rtol", "relative_tolerance", float),
-                              ("oracle_refinements", "max_refinements", int)):
+    for key, (field, parse) in _QUADRATURE_KEYS.items():
         quadrature = take(key, lambda v: replace(
             quadrature, **{field: parse(v)}), default=quadrature)
 
-    cfg = ScenarioConfig(
-        geometry=geometry,
-        beam_kind=take("beam", str, default="plane"),
-        alignment=take("alignment", str, default="cover_both"),
-        tilt_rad=take("tilt", parse_angle, default=0.0),
-        waist_m=take("waist", parse_length),
-        radial_wavenumber_per_m=take("radial_wavenumber", float),
-        ring_phase_flips=take("ring_phase_flips", _parse_bool, default=True),
-        focusing_angle_rad=take("focusing_angle", parse_angle, default=0.0),
-        spot_width_m=take("spot_width", parse_length),
-        models=take("models", parse_models,
-                    default=(ModelKind.STANDARD_TWO_SLIT,)),
-        alpha=take("alpha", float, default=1.0),
-        beta=take("beta", float, default=1.0),
-        oracle_enabled=take("oracle", _parse_bool, default=False),
-        quadrature=quadrature,
-        washout_theta_rad=take("washout_theta", parse_angle),
-        washout_tilts=take("washout_tilts", int, default=101),
-        grid=grid,
-        grid_points=grid_points,
-        normalization=take("normalization", str, default=PEAK_SINGLE_SLIT),
-        csv_prefix=take("csv_prefix", str, default="pattern"),
-    )
+    cfg = ScenarioConfig(geometry=geometry, quadrature=quadrature, **fields)
     if raw:
         key, (_, line_no) = next(iter(raw.items()))
         raise ConfigError("unknown key", key=key, line=line_no)
+    if grid_min is not None:
+        try:
+            cfg = replace(cfg, grid=GridSpec(grid_min, grid_max,
+                                             cfg.grid_points))
+        except ValueError as exc:
+            raise ConfigError(str(exc), key="grid_min") from None
     return cfg
 
 
 def beam_center(cfg: ScenarioConfig) -> float:
     lit = _ALIGNMENTS[cfg.alignment][0]
-    if lit is None:
-        return 0.0
-    return getattr(cfg.geometry, f"slit_{lit}_center_m")
+    return getattr(cfg.geometry, f"slit_{lit}_center_m") if lit else 0.0
 
 
 def build_beam(cfg: ScenarioConfig) -> BeamProfile:
@@ -587,27 +592,24 @@ def sweep_scenario(cfg: ScenarioConfig, parameter: str,
     Sweeping ``theta`` treats the value as the illumination angular spread:
     it enters the collimation check and washes out the oracle pattern.
     """
-    if parameter not in SWEEP_PARAMETERS:
+    if parameter not in _SWEEP_KEYS:
         valid = ", ".join(SWEEP_PARAMETERS)
         raise ConfigError(
             f"unknown sweep parameter {parameter!r} (expected one of: {valid})")
 
+    spec = _KEYS[_SWEEP_KEYS[parameter]]
     base = replace(cfg, models=cfg.models[:1], normalization=PEAK_SINGLE_SLIT,
                    washout_theta_rad=None)
     rows = []
     for value in values:
-        if parameter == "theta":
-            sub = replace(base, focusing_angle_rad=value)
-        elif parameter == "spot_width":
-            sub = replace(base, spot_width_m=value)
-        else:
-            try:
-                geom = replace(base.geometry,
-                               **{_SWEEP_GEOMETRY[parameter]: value})
-            except ValueError as exc:
-                raise ConfigError(str(exc), key=parameter) from None
-            sub = replace(base, geometry=geom)
-
+        fields = {spec.field: value}
+        try:
+            sub = (replace(base, geometry=replace(base.geometry, **fields))
+                   if spec.plate else replace(base, **fields))
+        except ConfigError:
+            raise  # names the key whose rule the value breaks
+        except ValueError as exc:  # SlitGeometry's own checks
+            raise ConfigError(str(exc), key=parameter) from None
         summary, _ = _compare(sub, value if parameter == "theta" else 0.0,
                               False)
         feas = summary["feasibility"]
@@ -733,15 +735,12 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
     cfg = parse_config(Path(args.config).read_text(encoding="utf-8"))
-    parse_value = parse_angle if args.parameter == "theta" else parse_length
-    values = []
-    for chunk in args.values.split(","):
-        chunk = chunk.strip()
-        if chunk:
-            try:
-                values.append(parse_value(chunk))
-            except ValueError as exc:
-                raise ConfigError(str(exc), key="--values") from None
+    parse_value = _KEYS[_SWEEP_KEYS[args.parameter]].parse
+    try:
+        values = [parse_value(chunk.strip())
+                  for chunk in args.values.split(",") if chunk.strip()]
+    except ValueError as exc:
+        raise ConfigError(str(exc), key="--values") from None
     rows = sweep_scenario(cfg, args.parameter, values)
     text = format_sweep_csv(rows)
     if args.out:

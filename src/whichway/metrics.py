@@ -68,24 +68,22 @@ def visibility_fringe_local(pattern: IntensityPattern,
     check_resolution(pattern.spacing_m, geom)
 
     i_peak = int(np.argmax(values))
-    in_window = np.abs(x - x[i_peak]) <= 1.5 * period
-    idx = np.nonzero(in_window)[0]
-    lo_i, hi_i = int(idx[0]), int(idx[-1])
-
-    minima = [
-        i for i in range(max(lo_i, 1), min(hi_i, x.size - 2) + 1)
-        if values[i] <= values[i - 1] and values[i] <= values[i + 1]
-        and (values[i] < values[i - 1] or values[i] < values[i + 1])
-    ]
-    if not minima:
-        near = np.abs(x - x[i_peak]) <= 0.25 * period
-        seg = values[near]
+    distance = np.abs(x - x[i_peak])
+    idx = np.nonzero(distance <= 1.5 * period)[0]
+    # The window's interior samples, each compared with both neighbours.
+    lo_i, hi_i = max(int(idx[0]), 1), min(int(idx[-1]), x.size - 2)
+    mid = values[lo_i:hi_i + 1]
+    left, right = values[lo_i - 1:hi_i], values[lo_i + 1:hi_i + 2]
+    minima = lo_i + np.nonzero((mid <= left) & (mid <= right)
+                               & ((mid < left) | (mid < right)))[0]
+    if minima.size == 0:
+        seg = values[distance <= 0.25 * period]
         hi, lo = float(np.max(seg)), float(np.min(seg))
         if hi <= 0.0:
             return 0.0
         return (hi - lo) / (hi + lo)
 
-    i_min = min(minima, key=lambda i: abs(x[i] - x[i_peak]))
+    i_min = int(minima[np.argmin(distance[minima])])
     v_max = _interp_extremum(values, i_peak)
     v_min = max(_interp_extremum(values, i_min), 0.0)
     if v_max <= 0.0:

@@ -3,8 +3,10 @@ runs with CSV/JSON outputs, parameter sweeps, and exit codes."""
 
 import json
 import math
+import re
 import tracemalloc
 from dataclasses import replace
+from pathlib import Path
 
 import jsonschema
 import numpy as np
@@ -203,6 +205,41 @@ class TestParseConfig:
 
     def test_config_error_is_value_error(self):
         assert issubclass(ConfigError, ValueError)
+
+
+class TestReadmeConfigTable:
+    """The README config table lists exactly the keys parse_config accepts,
+    and states each key's range as the key table does."""
+
+    @staticmethod
+    def rows() -> dict[str, str]:
+        text = (Path(__file__).parents[1] / "README.md").read_text("utf-8")
+        section = text.split("### Config format", 1)[1].split("\n### ", 1)[0]
+        rows = {}
+        for line in section.splitlines():
+            if line.startswith("| `"):
+                first, rest = line[1:].split("|", 1)
+                rows.update(dict.fromkeys(re.findall(r"`(\w+)`", first), rest))
+        return rows
+
+    def test_keys_are_the_accepted_keys(self):
+        rows = self.rows()
+        assert set(rows) == {*cli._KEYS, *cli._QUADRATURE_KEYS, "grid_min",
+                             "grid_max"}
+        for key in rows:
+            text = "".join(line for line in BASE_CONFIG.splitlines(True)
+                           if not line.startswith(key + " "))
+            try:
+                parse_config(text + f"{key} = ?\n")
+            except ConfigError as exc:
+                assert not str(exc).startswith("unknown key"), exc
+        with pytest.raises(ConfigError, match="unknown key"):
+            parse_config(BASE_CONFIG + "no_such_key = ?\n")
+
+    def test_rules_as_the_table_states_them(self):
+        rows = self.rows()
+        for key, spec in cli._KEYS.items():
+            assert spec.rule in rows[key], key
 
 
 class TestScenarioValidation:
@@ -609,8 +646,12 @@ class TestFormatSweepCsv:
 class TestMain:
     @staticmethod
     def write_config(tmp_path, extra=""):
+        # A key set in ``extra`` replaces the base line that sets it.
+        keys = {line.split("=")[0].strip() for line in extra.splitlines()}
+        base = "".join(line for line in BASE_CONFIG.splitlines(keepends=True)
+                       if line.split("=")[0].strip() not in keys)
         path = tmp_path / "scenario.cfg"
-        path.write_text(BASE_CONFIG + extra, encoding="utf-8")
+        path.write_text(base + extra, encoding="utf-8")
         return path
 
     def test_simulate_success(self, tmp_path, capsys):
@@ -788,6 +829,8 @@ class TestMain:
          "grid_points"),
         (["sweep", "--param", "d", "--values", "12.6um"],
          "grid_min = -1mm\ngrid_max = 1mm\ngrid_points = 3\n", "grid_points"),
+        (["sweep", "--param", "wavelength", "--values", "30um"], "",
+         "wavelength"),
         (["mzi", "--mode", "open", "--a", "0.5", "--b", "-0.5"], None, "--b"),
         (["mzi", "--mode", "open", "--a", "-0.5", "--b", "0.5"], None, "--a"),
     ])
@@ -821,6 +864,16 @@ class TestMain:
         ("tilt = 90deg\n", "tilt"),
         ("focusing_angle = -1mrad\n", "focusing_angle"),
         ("focusing_angle = 1e400\n", "focusing_angle"),
+        # The plate: a bad length, s >= d, D <= d and lambda > 2 d.
+        ("wavelength = 1e400\n", "wavelength"),
+        ("wavelength = 0\n", "wavelength"),
+        ("slit_width = -2um\n", "slit_width"),
+        ("slit_separation = -12.6um\n", "slit_separation"),
+        ("screen_distance = 1e400um\n", "screen_distance"),
+        ("slit_width = 20um\n", "slit_width"),
+        ("slit_width = 12.6um\n", "slit_width"),
+        ("screen_distance = 10um\n", "screen_distance"),
+        ("wavelength = 30um\n", "wavelength"),
     ])
     def test_out_of_range_value_names_key(self, tmp_path, capsys, extra, key):
         path = self.write_config(tmp_path,

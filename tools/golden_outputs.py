@@ -14,8 +14,8 @@ missing from either side, and exits 1 if any digest differs.
 An item's digest covers its exit code, stdout, stderr and the name and bytes
 of every file it wrote.  The matrix covers every model, beam, alignment and
 normalization, the model and oracle washouts, an off-centre grid longer
-than two CSV row blocks, every sweep parameter, ``check``, and each ``mzi``
-mode with balanced and unbalanced amplitudes.
+than two CSV row blocks, every sweep parameter, ``check`` with each plate
+error, and each ``mzi`` mode with balanced and unbalanced amplitudes.
 """
 
 from __future__ import annotations
@@ -119,6 +119,12 @@ CHECK = {
     "bessel_wide_spread": PLATE + "beam = bessel\nradial_wavenumber = 1e5\n"
                                   "focusing_angle = 10mrad\n",
     "near_field": PLATE.replace("0.1m", "1mm"),
+    # Each plate error exits 1 naming its key.
+    "nonfinite_length": PLATE.replace("= 0.1m", "= 1e400m"),
+    "nonpositive_length": PLATE.replace("= 2um", "= 0um"),
+    "slit_not_narrower": PLATE.replace("= 2um", "= 20um"),
+    "screen_inside_plate": PLATE.replace("= 0.1m", "= 10um"),
+    "wavelength_over_2d": PLATE.replace("= 632.8nm", "= 30um"),
 }
 
 MZI_MODES = ("open", "blocked", "marker", "knockout", "asymmetric")
