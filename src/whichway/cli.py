@@ -22,7 +22,7 @@ from .analytic import (PEAK_SINGLE_SLIT, UNIT_INTEGRAL, GridSpec,
                        IntensityPattern, ModelKind, sample_pattern)
 from .beam import (BesselBeam, BeamProfile, GaussianBeam, PlaneWave,
                    bessel_core_radius)
-from .geometry import SlitGeometry, check_feasibility
+from .geometry import FeasibilityReport, SlitGeometry, check_feasibility
 from .metrics import (PREDICTABILITY, ResolutionError, check_resolution,
                       duality_report, pattern_divergence, predictability,
                       visibility_fringe_local, visibility_global)
@@ -366,6 +366,26 @@ def shared_grid(cfg: ScenarioConfig) -> GridSpec:
     return GridSpec(-half, half, cfg.grid_points)
 
 
+def _preflight(cfg: ScenarioConfig
+               ) -> tuple[GridSpec, float, FeasibilityReport]:
+    """What a run checks before it samples, and all that ``check`` runs:
+    the run's grid, which must resolve the fringe period, then the spot
+    width and the feasibility report."""
+    try:
+        grid = shared_grid(cfg)
+    except ValueError as exc:  # a window given in the config is valid
+        raise ConfigError(f"{exc} for the screen window derived from the "
+                          "plate; give grid_min and grid_max",
+                          key="grid_min") from None
+    try:
+        check_resolution(grid.spacing_m, cfg.geometry)
+    except ResolutionError as exc:
+        raise ConfigError(str(exc), key="grid_points") from None
+    spot_width = derived_spot_width(cfg)
+    return grid, spot_width, check_feasibility(
+        cfg.geometry, cfg.focusing_angle_rad, spot_width)
+
+
 def path_probabilities(cfg: ScenarioConfig) -> tuple[float, float]:
     return _ALIGNMENTS[cfg.alignment][1]
 
@@ -449,13 +469,7 @@ def _compare(cfg: ScenarioConfig, oracle_theta_rad: float, csv: bool
     oracle).  With ``csv`` each pattern entry names its CSV file.
     """
     geom = cfg.geometry
-    grid = shared_grid(cfg)
-    try:
-        check_resolution(grid.spacing_m, geom)
-    except ResolutionError as exc:
-        raise ConfigError(str(exc), key="grid_points") from None
-    feas = check_feasibility(geom, cfg.focusing_angle_rad,
-                             derived_spot_width(cfg))
+    grid, _, feas = _preflight(cfg)
 
     patterns: dict[str, IntensityPattern] = {}
     order: list[tuple[str, str]] = []
@@ -752,8 +766,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 def _cmd_check(args: argparse.Namespace) -> int:
     cfg = parse_config(Path(args.config).read_text(encoding="utf-8"))
-    spot_width = derived_spot_width(cfg)
-    feas = check_feasibility(cfg.geometry, cfg.focusing_angle_rad, spot_width)
+    _, spot_width, feas = _preflight(cfg)
     print(json.dumps({
         "half_fringe_angle_rad": feas.half_fringe_angle_rad,
         "focusing_angle_rad": feas.focusing_angle_rad,

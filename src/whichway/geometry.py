@@ -134,8 +134,9 @@ def check_feasibility(geom: SlitGeometry, focusing_angle_rad: float,
     phi = half_fringe_angle(geom)
     collimation_ok = focusing_angle_rad <= phi / 10.0
     spot_fits = spot_width_m <= geom.slit_separation_m
-    far_field_min = 10.0 * (geom.slit_separation_m + geom.slit_width_m) ** 2 \
-        / geom.wavelength_m
+    # Not ** 2: a float power raises OverflowError where a product is inf.
+    aperture = geom.slit_separation_m + geom.slit_width_m
+    far_field_min = 10.0 * (aperture * aperture) / geom.wavelength_m
     fraunhofer_ok = geom.screen_distance_m >= far_field_min
 
     messages = []

@@ -825,6 +825,8 @@ class TestMain:
         (["check"], "grid_min = -1mm\ngrid_max = 1mm\ngrid_points = 1\n",
          "grid_points"),
         (["check"], "grid_min = 1mm\ngrid_max = -1mm\n", "grid_min"),
+        (["check"], "grid_min = -1mm\ngrid_max = 1mm\ngrid_points = 3\n",
+         "grid_points"),
         (["simulate"], "grid_min = -1mm\ngrid_max = 1mm\ngrid_points = 3\n",
          "grid_points"),
         (["sweep", "--param", "d", "--values", "12.6um"],
@@ -874,6 +876,9 @@ class TestMain:
         ("slit_width = 12.6um\n", "slit_width"),
         ("screen_distance = 10um\n", "screen_distance"),
         ("wavelength = 30um\n", "wavelength"),
+        # The screen window derived from this plate is not finite.
+        ("wavelength = 1e308\nslit_width = 1um\nslit_separation = 1e308\n"
+         "screen_distance = 1.5e308\n", "grid_min"),
     ])
     def test_out_of_range_value_names_key(self, tmp_path, capsys, extra, key):
         path = self.write_config(tmp_path,
@@ -884,6 +889,18 @@ class TestMain:
             assert err.startswith("error: ")
             assert f"(key '{key}'" in err
             assert "Traceback" not in err
+
+    def test_far_plate_runs(self, tmp_path, capsys):
+        # (d + s)^2 overflows: the far-field threshold reads inf
+        path = self.write_config(tmp_path, "slit_separation = 1e200\n"
+                                 "screen_distance = 1e201\ngrid_min = -1um\n"
+                                 "grid_max = 1um\ngrid_points = 401\n")
+        for command in ("check", "simulate"):
+            assert main([command, "--config", str(path)]) == EXIT_OK
+            out = json.loads(capsys.readouterr().out)
+            feas = out.get("feasibility", out)
+            assert feas["fraunhofer_ok"] is False
+            assert "far-field threshold inf m" in feas["messages"][-1]
 
     @pytest.mark.parametrize("value", ["-1mrad", "1e400"])
     def test_sweep_out_of_range_theta_names_key(self, tmp_path, capsys,

@@ -1,6 +1,6 @@
 """Config fuzzer: every config text either runs or exits 1 with an ``error:``
 line that names a key or a line, through ``check`` and ``simulate``; no
-exception escapes ``main``.
+exception escapes ``main``, and both commands give the same exit code.
 
 Texts draw their keys from the config key table plus the grid and oracle_*
 keys, with edge values: empty, nan, +-inf, 1e400, negatives, wrong or missing
@@ -124,9 +124,13 @@ def test_config_runs_or_names_its_error(text):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "fuzz.cfg"
         path.write_text(text, encoding="utf-8")
+        codes = []
         for command in ("check", "simulate"):
             code, err = run([command, "--config", str(path)])
             assert code in (cli.EXIT_OK, cli.EXIT_CONFIG), err
             if code == cli.EXIT_CONFIG:
                 assert err.startswith("error: "), err
                 assert "(key '" in err or "(line " in err, err
+            codes.append(code)
+        # check runs simulate's pre-flight, and the oracle is off
+        assert codes[0] == codes[1], text

@@ -193,6 +193,15 @@ class TestCheckFeasibility:
         report = check_feasibility(geom, 1e-3, 10e-6)
         assert not report.fraunhofer_ok
 
+    def test_far_plate_threshold_overflows_to_inf(self):
+        # (d + s)^2 overflows a float: the threshold reads inf, no exception
+        geom = SlitGeometry(632.8e-9, 2e-6, 1e200, 1e201)
+        report = check_feasibility(geom, 0.0, 1e-6)
+        assert not report.fraunhofer_ok
+        assert report.messages == (
+            "screen distance 1e+201 m is below the far-field threshold "
+            "inf m",)
+
     def test_rejects_bad_inputs(self, hene_geom):
         with pytest.raises(ValueError):
             check_feasibility(hene_geom, -1e-3, 10e-6)

@@ -15,7 +15,10 @@ An item's digest covers its exit code, stdout, stderr and the name and bytes
 of every file it wrote.  The matrix covers every model, beam, alignment and
 normalization, the model and oracle washouts, an off-centre grid longer
 than two CSV row blocks, every sweep parameter, ``check`` with each plate
-error, and each ``mzi`` mode with balanced and unbalanced amplitudes.
+error, ``check`` and ``simulate`` on a grid too coarse for the fringes and
+on a far plate whose far-field threshold overflows to inf, ``check`` on a
+plate whose derived screen window is not finite, and each ``mzi`` mode with
+balanced and unbalanced amplitudes.
 """
 
 from __future__ import annotations
@@ -41,8 +44,23 @@ ALL_MODELS = ("models = single_slit_a, empty_wave_a, empty_wave_b, "
               "empty_wave_sum, standard_two_slit, standard_focused_a, "
               "pure_fringe, general_two_slit\n")
 FOCUS_MODELS = "models = empty_wave_a, standard_focused_a\n"
+# Too coarse for the fringe period: exits 1 naming grid_points.
+COARSE_GRID = "grid_min = -1mm\ngrid_max = 1mm\ngrid_points = 3\n"
+# (d + s)^2 overflows, so the far-field threshold reads inf; runs anyway.
+FAR_PLATE = ("slit_separation = 1e200m\nscreen_distance = 1e201m\n"
+             "grid_min = -1um\ngrid_max = 1um\ngrid_points = 401\n")
 
-# name -> config lines added to PLATE for ``simulate --out-dir``.
+
+def with_plate(extra: str) -> str:
+    """PLATE plus ``extra``, where a key that ``extra`` sets replaces its
+    PLATE line."""
+    keys = {line.split("=")[0].strip() for line in extra.splitlines()}
+    return "".join(line for line in PLATE.splitlines(keepends=True)
+                   if line.split("=")[0].strip() not in keys) + extra
+
+
+# name -> config lines added to PLATE (see with_plate) for
+# ``simulate --out-dir``.
 SIMULATE = {
     "models_peak": ALL_MODELS + "alpha = 0.8\nbeta = 0.3\n",
     "models_unit_integral": ALL_MODELS + "normalization = unit_integral\n",
@@ -85,8 +103,8 @@ SIMULATE = {
                       "grid_points = 5001\noracle = true\n"
                       "models = empty_wave_a, standard_two_slit\n",
     "config_error": "alpha = plenty\n",
-    # Too coarse for the fringe period: exits 1 naming grid_points.
-    "coarse_grid": "grid_min = -1mm\ngrid_max = 1mm\ngrid_points = 3\n",
+    "coarse_grid": COARSE_GRID,
+    "far_plate": FAR_PLATE,
 }
 
 # name -> (config lines added to PLATE, --param, --values).
@@ -125,6 +143,13 @@ CHECK = {
     "slit_not_narrower": PLATE.replace("= 2um", "= 20um"),
     "screen_inside_plate": PLATE.replace("= 0.1m", "= 10um"),
     "wavelength_over_2d": PLATE.replace("= 632.8nm", "= 30um"),
+    # check rejects what a run would reject before sampling.
+    "coarse_grid": PLATE + COARSE_GRID,
+    "far_plate": with_plate(FAR_PLATE),
+    # The window derived from this plate is not finite: exits 1 naming
+    # grid_min.
+    "infinite_window": "wavelength = 1e308\nslit_width = 1um\n"
+                       "slit_separation = 1e308\nscreen_distance = 1.5e308\n",
 }
 
 MZI_MODES = ("open", "blocked", "marker", "knockout", "asymmetric")
@@ -140,7 +165,7 @@ def items() -> list[tuple[str, list[str], str | None]]:
     for name, extra in SIMULATE.items():
         out.append((f"simulate/{name}",
                     ["simulate", "--config", "{config}", "--out-dir", "{out}"],
-                    PLATE + extra))
+                    with_plate(extra)))
     for name, (extra, param, values) in SWEEP.items():
         out.append((f"sweep/{name}",
                     ["sweep", "--config", "{config}", "--param", param,
