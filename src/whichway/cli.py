@@ -7,6 +7,7 @@ Exit codes: 0 success, 1 configuration error, 2 numerical non-convergence,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import re
@@ -240,7 +241,7 @@ class ScenarioConfig:
             key = "alpha" if self.alpha >= self.beta else "beta"
             raise ConfigError("(alpha + beta)^2 overflows or is 0", key=key)
         geom = self.geometry  # half_fringe_angle is the asin of this ratio
-        if geom.wavelength_m / (2.0 * geom.slit_separation_m) > 1.0:
+        if 0.5 * geom.wavelength_m / geom.slit_separation_m > 1.0:
             raise ConfigError("wavelength must be <= 2 * slit_separation",
                               key="wavelength")
 
@@ -382,6 +383,9 @@ def _preflight(cfg: ScenarioConfig
     except ResolutionError as exc:
         raise ConfigError(str(exc), key="grid_points") from None
     spot_width = derived_spot_width(cfg)
+    if not math.isfinite(spot_width):
+        raise ConfigError("the spot width derived from the beam and plate "
+                          "is not finite; give spot_width", key="spot_width")
     return grid, spot_width, check_feasibility(
         cfg.geometry, cfg.focusing_angle_rad, spot_width)
 
@@ -592,9 +596,14 @@ def write_pattern_csv(pattern: IntensityPattern, path: Path, *,
             out.write(csv_rows(x_block, format_g17(intensity[block])))
 
 
+def _json_text(value: Any) -> str:
+    """Strict JSON: a NaN or infinity raises ValueError instead of being
+    written as a token that JSON parsers reject."""
+    return json.dumps(value, indent=2, allow_nan=False)
+
+
 def write_summary_json(summary: dict, path: Path) -> None:
-    Path(path).write_text(json.dumps(summary, indent=2) + "\n",
-                          encoding="ascii")
+    Path(path).write_text(_json_text(summary) + "\n", encoding="ascii")
 
 
 def sweep_scenario(cfg: ScenarioConfig, parameter: str,
@@ -743,7 +752,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     cfg = parse_config(Path(args.config).read_text(encoding="utf-8"))
     out_dir = Path(args.out_dir) if args.out_dir else None
     report = run_scenario(cfg, out_dir=out_dir)
-    print(json.dumps(report.summary, indent=2))
+    print(_json_text(report.summary))
     return EXIT_OK
 
 
@@ -767,7 +776,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 def _cmd_check(args: argparse.Namespace) -> int:
     cfg = parse_config(Path(args.config).read_text(encoding="utf-8"))
     _, spot_width, feas = _preflight(cfg)
-    print(json.dumps({
+    print(_json_text({
         "half_fringe_angle_rad": feas.half_fringe_angle_rad,
         "focusing_angle_rad": feas.focusing_angle_rad,
         "spot_width_m": spot_width,
@@ -776,7 +785,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
         "fraunhofer_ok": feas.fraunhofer_ok,
         "all_ok": feas.all_ok,
         "messages": list(feas.messages),
-    }, indent=2))
+    }))
     return EXIT_OK
 
 
@@ -789,7 +798,7 @@ def _cmd_mzi(args: argparse.Namespace) -> int:
     else:
         cfg = MziConfig(args.a, args.b, mode=_MZI_MODE_NAMES[args.mode])
         report = mzi_duality(cfg)
-    print(json.dumps({
+    print(_json_text({
         "mode": args.mode,
         "amplitude_a": args.a,
         "amplitude_b": args.b,
@@ -799,11 +808,14 @@ def _cmd_mzi(args: argparse.Namespace) -> int:
         "duality_sum": report.duality_sum,
         "inequality_satisfied": report.inequality_satisfied,
         "detected_fraction": report.meta["detected_fraction"],
-    }, indent=2))
+    }))
     return EXIT_OK
 
 
-def _build_parser() -> argparse.ArgumentParser:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and then reused: once per
+    process, and not at import.  Parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="whichway",
         description="Two-slit which-way duality simulator")
@@ -845,9 +857,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_OK if exc.code in (0, None) else EXIT_CONFIG
     try:

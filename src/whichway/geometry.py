@@ -76,9 +76,11 @@ class FeasibilityReport:
 def half_fringe_angle(geom: SlitGeometry) -> float:
     """Angular half-period of the two-slit fringes, asin(lambda / (2 d)).
 
-    Raises ValueError when lambda > 2 d (no fringe system exists).
+    Raises ValueError when lambda > 2 d (no fringe system exists).  The
+    ratio is taken as 0.5 lambda / d, which rounds as lambda / (2 d) does
+    but stays finite where 2 d overflows.
     """
-    ratio = geom.wavelength_m / (2.0 * geom.slit_separation_m)
+    ratio = 0.5 * geom.wavelength_m / geom.slit_separation_m
     if ratio > 1.0:
         raise ValueError(
             f"wavelength / (2 * separation) = {ratio:.6g} exceeds 1; "
@@ -88,7 +90,7 @@ def half_fringe_angle(geom: SlitGeometry) -> float:
 
 def half_fringe_angle_small(geom: SlitGeometry) -> float:
     """Small-angle shortcut lambda / (2 d), for diagnostics only."""
-    return geom.wavelength_m / (2.0 * geom.slit_separation_m)
+    return 0.5 * geom.wavelength_m / geom.slit_separation_m
 
 
 def single_slit_first_min_angle(geom: SlitGeometry) -> float:

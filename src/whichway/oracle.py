@@ -16,15 +16,20 @@ low numerical rank (about 10 at the paper's angles, out of 101 tilts), so a
 washout integrates a few mode columns instead of one column per tilt.  W is
 taken once per washout from V on a fixed proxy set of nodes, so the mode
 columns are the same functions at every refinement level and refine like
-amplitudes.  The kernel is built in blocks of screen rows and the modes are
-taken in blocks of columns, both sized from ``_BLOCK_BYTES``, so memory does
-not grow with node, tilt or mode counts.
+amplitudes.  The modes are taken in blocks of columns sized from
+``_BLOCK_BYTES``, so memory does not grow with tilt or mode counts.
 
 The screen grid is evenly spaced, so a kernel row factors into the row at
 its block's first point times a row of a small step table,
 exp(-i k x_{a+r} xi) = exp(-i k x_a xi) exp(-i k r dx xi).  With blocks of
 about sqrt(N) rows a level takes about 2 sqrt(N) complex exponentials per
-node instead of N.
+node instead of N; the step table is capped at ``_BLOCK_BYTES``, which
+caps the rows per block.  Full blocks are evaluated in groups whose anchored
+columns fit in ``_GROUP_BYTES``, with one exponential of the group's anchor
+rows, one product with the columns and one stacked matmul per group instead
+of three numpy calls per block.  The ragged last block is evaluated alone.
+Every gemm keeps the shape it has block by block, so grouping moves no
+output bit.
 """
 
 from __future__ import annotations
@@ -43,6 +48,10 @@ from .geometry import SlitGeometry
 # Working-set budget for one block of kernel rows and for one block of
 # washout columns (complex128 entries of 16 bytes each).
 _BLOCK_BYTES = 4 << 20
+# Budget for the anchored columns of one group of kernel row blocks; small
+# enough to stay in cache.  Not _BLOCK_BYTES, which also splits the washout
+# into blocks of mode columns, and with them the summed output bits.
+_GROUP_BYTES = 256 << 10
 _COMPLEX_BYTES = 16
 # Screen points may deviate from x_0 + j dx by this many ulps of the grid's
 # largest magnitude: a linspace is exact to about one, a shifted one to two.
@@ -201,12 +210,19 @@ def _amplitude_fixed(beam: BeamProfile, apertures: ApertureSet,
     steps = np.exp(np.multiply.outer(np.arange(rows) * dx, xi)
                    * (-1j * k_screen))
     amp = np.empty((x.size, f.shape[1]), dtype=complex)
-    anchored = np.empty_like(f)
-    for start in range(0, x.size, rows):
-        stop = min(start + rows, x.size)
-        anchor = np.exp(xi * (-1j * k_screen * x[start]))
-        np.multiply(anchor[:, None], f, out=anchored)
-        np.matmul(steps[:stop - start], anchored, out=amp[start:stop])
+    # The ragged last block gets a gemm of its own row count: padded to a
+    # full block, its gemm could round differently.
+    full = x.size - x.size % rows
+    span = rows * max(1, _GROUP_BYTES // (_COMPLEX_BYTES * f.size))
+    for start in range(0, full, span):
+        stop = min(start + span, full)
+        anchors = np.exp(np.multiply.outer((-1j * k_screen)
+                                           * x[start:stop:rows], xi))
+        np.matmul(steps, anchors[:, :, None] * f,
+                  out=amp[start:stop].reshape(-1, rows, f.shape[1]))
+    if full < x.size:
+        anchor = np.exp(xi * (-1j * k_screen * x[full]))
+        np.matmul(steps[:x.size - full], anchor[:, None] * f, out=amp[full:])
     return amp[:, 0] if shifts is None else amp
 
 

@@ -756,6 +756,30 @@ class TestMain:
         assert main(["--version"]) == EXIT_OK
         assert "whichway" in capsys.readouterr().out
 
+    def test_parser_is_built_once_and_reused(self, tmp_path, capsys):
+        path = self.write_config(tmp_path)
+        calls = [
+            (["sweep", "--config", str(path), "--param", "tilt",
+              "--values", "1mrad"], EXIT_CONFIG),
+            (["--version"], EXIT_OK),
+            (["check", "--config", str(path)], EXIT_OK),
+            (["mzi", "--mode", "marker", "--a", "0.8", "--b", "0.6"],
+             EXIT_OK),
+        ]
+
+        def run(argv):
+            return main(argv), capsys.readouterr()
+
+        first = []  # each call on a newly built parser
+        for argv, _ in calls:
+            cli._parser.cache_clear()
+            first.append(run(argv))
+        cli._parser.cache_clear()
+        reused = [run(argv) for argv, _ in calls]
+        assert cli._parser.cache_info().misses == 1
+        assert [code for code, _ in reused] == [code for _, code in calls]
+        assert reused == first
+
     def test_sweep_to_file(self, tmp_path, capsys):
         path = self.write_config(tmp_path)
         out = tmp_path / "sweep.csv"
@@ -879,7 +903,13 @@ class TestMain:
         # The screen window derived from this plate is not finite.
         ("wavelength = 1e308\nslit_width = 1um\nslit_separation = 1e308\n"
          "screen_distance = 1.5e308\n", "grid_min"),
+        # On a finite window, the derived spot width 2 (d + s) is not.
+        ("wavelength = 1e308\nslit_width = 1um\nslit_separation = 1e308\n"
+         "screen_distance = 1.5e308\ngrid_min = -1m\ngrid_max = 1m\n"
+         "grid_points = 11\n", "spot_width"),
+        ("beam = gaussian\nwaist = 1e308\n", "spot_width"),
     ])
+    @pytest.mark.filterwarnings("error")
     def test_out_of_range_value_names_key(self, tmp_path, capsys, extra, key):
         path = self.write_config(tmp_path,
                                  "models = general_two_slit\n" + extra)

@@ -1,6 +1,7 @@
 """Config fuzzer: every config text either runs or exits 1 with an ``error:``
 line that names a key or a line, through ``check`` and ``simulate``; no
-exception escapes ``main``, and both commands give the same exit code.
+exception escapes ``main``, both commands give the same exit code, and what
+a run prints is strict JSON, with no ``NaN`` or ``Infinity``.
 
 Texts draw their keys from the config key table plus the grid and oracle_*
 keys, with edge values: empty, nan, +-inf, 1e400, negatives, wrong or missing
@@ -11,6 +12,7 @@ units, misspelled choices, duplicate lines and lines that are not
 
 import contextlib
 import io
+import json
 import tempfile
 from pathlib import Path
 
@@ -110,12 +112,16 @@ def test_every_key_has_values():
         assert edges(key)
 
 
-def run(argv: list[str]) -> tuple[int, str]:
+def run(argv: list[str]) -> tuple[int, str, str]:
     stdout, stderr = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(stdout), \
             contextlib.redirect_stderr(stderr):
         code = cli.main(argv)
-    return code, stderr.getvalue()
+    return code, stdout.getvalue(), stderr.getvalue()
+
+
+def reject_constant(token: str):
+    raise ValueError(f"{token} is not JSON")
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
@@ -126,9 +132,11 @@ def test_config_runs_or_names_its_error(text):
         path.write_text(text, encoding="utf-8")
         codes = []
         for command in ("check", "simulate"):
-            code, err = run([command, "--config", str(path)])
+            code, out, err = run([command, "--config", str(path)])
             assert code in (cli.EXIT_OK, cli.EXIT_CONFIG), err
-            if code == cli.EXIT_CONFIG:
+            if code == cli.EXIT_OK:
+                json.loads(out, parse_constant=reject_constant)
+            else:
                 assert err.startswith("error: "), err
                 assert "(key '" in err or "(line " in err, err
             codes.append(code)

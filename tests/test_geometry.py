@@ -72,6 +72,16 @@ class TestHalfFringeAngle:
         assert half_fringe_angle(geom) == pytest.approx(0.02500260489936114,
                                                         rel=1e-12)
 
+    def test_no_overflow_where_2d_overflows(self):
+        geom = SlitGeometry(1e308, 1e-6, 1e308, 1.5e308)
+        assert half_fringe_angle_small(geom) == 0.5
+        assert half_fringe_angle(geom) == math.asin(0.5)
+
+    @given(geometries())
+    def test_ratio_bits_unchanged(self, geom):
+        assert half_fringe_angle_small(geom) \
+            == geom.wavelength_m / (2.0 * geom.slit_separation_m)
+
     def test_domain_error(self):
         geom = SlitGeometry(30e-6, 2e-6, 12.6e-6, 0.1)  # lambda/(2d) > 1
         with pytest.raises(ValueError):

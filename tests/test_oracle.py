@@ -283,6 +283,111 @@ class TestFactoredKernel:
             <= 1e-13 * np.max(np.abs(expected))
 
 
+def per_block_amplitude(beam, apertures, geom, x, n, shifts=None,
+                        modes=None):
+    """Reference for the grouped ``_amplitude_fixed``: the same factored
+    kernel, evaluated one block of rows at a time, each block with its own
+    anchor row, product and gemm."""
+    k_screen = 2.0 * math.pi / (geom.wavelength_m * geom.screen_distance_m)
+    xi, weights = oracle_module._aperture_nodes(apertures, n)
+    f = amplitude_at(beam, xi, geom.wavelength_m) * weights
+    if modes is None:
+        columns = np.zeros(1) if shifts is None else shifts
+        f = f[:, None] * np.exp(1j * k_screen * np.outer(xi, columns))
+    else:
+        f = f[:, None] * oracle_module._mode_phases(k_screen, xi, shifts,
+                                                    modes)
+    dx = (x[-1] - x[0]) / (x.size - 1) if x.size > 1 else 0.0
+    rows = min(math.isqrt(x.size - 1) + 1,
+               max(1, oracle_module._BLOCK_BYTES // (16 * xi.size)))
+    steps = np.exp(np.multiply.outer(np.arange(rows) * dx, xi)
+                   * (-1j * k_screen))
+    amp = np.empty((x.size, f.shape[1]), dtype=complex)
+    anchored = np.empty_like(f)
+    for start in range(0, x.size, rows):
+        stop = min(start + rows, x.size)
+        anchor = np.exp(xi * (-1j * k_screen * x[start]))
+        np.multiply(anchor[:, None], f, out=anchored)
+        np.matmul(steps[:stop - start], anchored, out=amp[start:stop])
+    return amp[:, 0] if shifts is None else amp
+
+
+class MatmulSpy:
+    """Stands in for numpy in the oracle module and records the operand
+    shapes of every matmul whose second operand has ``nodes`` rows: the
+    kernel's products of the step table with anchored columns."""
+
+    def __init__(self, nodes: int):
+        self.nodes = nodes
+        self.kernel_calls = []
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def matmul(self, a, b, **kwargs):
+        if b.shape[-2] == self.nodes:
+            self.kernel_calls.append((a.shape, b.shape))
+        return np.matmul(a, b, **kwargs)
+
+
+class TestGroupedKernel:
+    """Full blocks of kernel rows are evaluated in groups, and the ragged
+    last block alone; every output bit is that of the per-block loop, and
+    each group's anchored columns stay within ``_GROUP_BYTES``."""
+
+    BEAM = GaussianBeam(waist_m=3e-6, center_m=REF_GEOM.slit_a_center_m)
+    APERTURES = two_slit_apertures(REF_GEOM, phase_b_rad=0.5 * math.pi)
+    TILT_SHIFTS = REF_GEOM.screen_distance_m * np.sin(
+        np.linspace(-PHI, PHI, 101))
+
+    def compare(self, monkeypatch, points, n, columns):
+        if columns == "plain":
+            shifts = modes = None
+        elif columns == "shifted":
+            shifts, modes = np.array([-2e-3, 0.0, 3.5e-3]), None
+        else:
+            shifts = self.TILT_SHIFTS
+            modes, _ = oracle_module._coherent_modes(
+                self.BEAM, self.APERTURES, REF_GEOM, shifts, 32)
+        x = np.linspace(-1.2 * LOBE, 1.2 * LOBE, points)
+        expected = per_block_amplitude(self.BEAM, self.APERTURES, REF_GEOM,
+                                       x, n, shifts, modes)
+        spy = MatmulSpy(nodes=2 * n)
+        monkeypatch.setattr(oracle_module, "np", spy)
+        grouped = _amplitude_fixed(self.BEAM, self.APERTURES, REF_GEOM, x, n,
+                                   shifts, modes)
+        monkeypatch.undo()
+        assert np.array_equal(grouped, expected)
+        # A group's anchor rows are smaller than its anchored columns.
+        for _, anchored in spy.kernel_calls:
+            one_block = 16 * anchored[-2] * anchored[-1]
+            assert 16 * math.prod(anchored) \
+                <= max(oracle_module._GROUP_BYTES, one_block)
+        return spy.kernel_calls
+
+    # 1 and 2 points; 4032 = 63 blocks of 64 rows; 4001 = 62 blocks of 64
+    # and a 33-row tail; 10,001 at 512 nodes = 99 blocks of 101 rows and a
+    # 2-row tail, in groups of at most 32 blocks.
+    @pytest.mark.parametrize("points,n", [(1, 32), (2, 32), (4032, 32),
+                                          (4001, 32), (10_001, 256)])
+    @pytest.mark.parametrize("columns", ["plain", "shifted", "modes"])
+    def test_matches_per_block_loop(self, monkeypatch, points, n, columns):
+        calls = self.compare(monkeypatch, points, n, columns)
+        rows = math.isqrt(points - 1) + 1
+        blocks = sum(b[0] if len(b) == 3 else 1 for _, b in calls)
+        assert blocks == -(-points // rows)
+        if points == 10_001:
+            assert sum(len(b) == 3 for _, b in calls) > 1
+
+    def test_rows_capped_by_block_bytes(self, monkeypatch):
+        # 2048 nodes cap a block at 4 MB / (16 B x 2048) = 128 rows, under
+        # the sqrt(N) + 1 = 201 of 40,001 points: 312 blocks and a 65-row
+        # tail, in groups of 8.
+        calls = self.compare(monkeypatch, 40_001, 1024, "plain")
+        assert {a[0] for a, _ in calls} == {128, 65}
+        assert sum(len(b) == 3 for _, b in calls) == 39
+
+
 def per_shift_columns(beam, apertures, x, shifts, quad=None):
     return np.stack([fraunhofer_amplitude(beam, apertures, REF_GEOM, x - s,
                                           quad) for s in shifts], axis=1)
@@ -615,6 +720,40 @@ class TestPlancherel:
             / (2 * math.pi ** 2 * reach)
         leading = edges * LAM_D ** 2 / (2 * math.pi ** 2 * self.X)
         assert abs(loss - leading) <= 5e-5 * total
+
+
+class TestConjugateSymmetry:
+    """A real aperture field g has A(-x) = conj(A(x)), so I(-x) = I(x); a
+    washout over tilts symmetric about 0 keeps the symmetry.  Nothing here
+    uses a closed form.  On a symmetric grid, mirrored screen points fall
+    in different kernel blocks, and for a washout's mode columns in
+    different groups of blocks.  Real fields: an untilted plane wave, a
+    Gaussian, a signed Bessel profile, each slit with phase 0 or pi.  (The
+    CLI's focused Bessel beam puts pi/2 on the far slit, which makes the
+    field complex and breaks the symmetry.)"""
+
+    @settings(max_examples=30, deadline=None, derandomize=True,
+              database=None)
+    @given(beam=st.one_of(
+               st.just(PlaneWave()),
+               st.builds(GaussianBeam,
+                         waist_m=st.floats(2e-6, 20e-6),
+                         center_m=st.floats(-12e-6, 12e-6)),
+               st.builds(BesselBeam,
+                         radial_wavenumber_per_m=st.floats(2e5, 3e6),
+                         center_m=st.floats(-12e-6, 12e-6))),
+           phases=st.sampled_from([(0.0, 0.0), (0.0, math.pi),
+                                   (math.pi, 0.0), (math.pi, math.pi)]),
+           theta=st.sampled_from([0.0, 0.5 * PHI]),
+           points=st.sampled_from([1001, 4000, 4001]))
+    def test_real_field_gives_mirror_symmetric_intensity(self, beam, phases,
+                                                         theta, points):
+        apertures = two_slit_apertures(REF_GEOM, *phases)
+        pattern = oracle_pattern(beam, apertures, REF_GEOM,
+                                 GridSpec(-1.2 * LOBE, 1.2 * LOBE, points),
+                                 theta_rad=theta, n_tilts=21)
+        assert np.max(np.abs(pattern.intensity
+                             - pattern.intensity[::-1])) <= 1e-12
 
 
 class TestOracleMemory:

@@ -14,9 +14,10 @@ missing from either side, and exits 1 if any digest differs.
 An item's digest covers its exit code, stdout, stderr and the name and bytes
 of every file it wrote.  The matrix covers every model, beam, alignment and
 normalization, the model and oracle washouts, an off-centre grid longer
-than two CSV row blocks, every sweep parameter, ``check`` with each plate
-error, ``check`` and ``simulate`` on a grid too coarse for the fringes and
-on a far plate whose far-field threshold overflows to inf, ``check`` on a
+than two CSV row blocks, an oracle and an oracle washout whose kernel rows
+span several groups of blocks, every sweep parameter, ``check`` with each
+plate error, ``check`` and ``simulate`` on a grid too coarse for the fringes
+and on a far plate whose far-field threshold overflows to inf, ``check`` on a
 plate whose derived screen window is not finite, and each ``mzi`` mode with
 balanced and unbalanced amplitudes.
 """
@@ -102,6 +103,13 @@ SIMULATE = {
     "offcentre_grid": "grid_min = -1.3mm\ngrid_max = 2.9mm\n"
                       "grid_points = 5001\noracle = true\n"
                       "models = empty_wave_a, standard_two_slit\n",
+    # 10,001 points: 99 kernel blocks of 101 rows and a 2-row tail.  At
+    # 256-512 nodes the plain oracle's full blocks span several groups, as
+    # do the washout's mode columns.
+    "oracle_10001": "oracle = true\noracle_nodes = 128\n"
+                    "grid_points = 10001\n",
+    "oracle_washout_10001": "oracle = true\nwashout_theta = 5mrad\n"
+                            "grid_points = 10001\n",
     "config_error": "alpha = plenty\n",
     "coarse_grid": COARSE_GRID,
     "far_plate": FAR_PLATE,
