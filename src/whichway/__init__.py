@@ -9,8 +9,7 @@ P**2 + V**2 for both.
 __version__ = "0.1.0"
 
 from .geometry import (FeasibilityReport, SlitGeometry, check_feasibility,
-                       envelope_zeros, fringe_period, half_fringe_angle,
-                       half_fringe_angle_small, single_slit_first_min_angle)
+                       fringe_period, half_fringe_angle)
 from .beam import (BESSEL_J0_FIRST_ZERO, BesselBeam, BeamProfile,
                    GaussianBeam, PlaneWave, amplitude_at, bessel_core_radius,
                    bessel_j0, bessel_tilt_shift_angle, rayleigh_range,
@@ -28,8 +27,8 @@ from .oracle import (ApertureSet, ConvergenceError, QuadratureSpec,
 from .metrics import (DISTINGUISHABILITY, PREDICTABILITY, DualityReport,
                       PatternDivergence, ResolutionError, duality_report,
                       fringe_carrier_phase, pattern_divergence,
-                      predictability, spread_fraction,
-                      visibility_fringe_local, visibility_global)
+                      predictability, visibility_fringe_local,
+                      visibility_global)
 from .mzi import (MziConfig, MziMode, asymmetric_duality, mzi_duality,
                   output_intensity)
 
@@ -37,8 +36,7 @@ __all__ = [
     "__version__",
     # geometry
     "SlitGeometry", "FeasibilityReport", "check_feasibility",
-    "envelope_zeros", "fringe_period", "half_fringe_angle",
-    "half_fringe_angle_small", "single_slit_first_min_angle",
+    "fringe_period", "half_fringe_angle",
     # beam
     "BESSEL_J0_FIRST_ZERO", "BeamProfile", "PlaneWave", "GaussianBeam",
     "BesselBeam", "amplitude_at", "bessel_j0", "bessel_core_radius",
@@ -57,7 +55,7 @@ __all__ = [
     "PREDICTABILITY", "DISTINGUISHABILITY", "DualityReport",
     "PatternDivergence", "ResolutionError", "duality_report",
     "fringe_carrier_phase", "pattern_divergence", "predictability",
-    "spread_fraction", "visibility_fringe_local", "visibility_global",
+    "visibility_fringe_local", "visibility_global",
     # mzi
     "MziConfig", "MziMode", "asymmetric_duality", "mzi_duality",
     "output_intensity",

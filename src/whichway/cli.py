@@ -1,7 +1,7 @@
 """Command-line front end: flat ``key = value`` configs in, CSV + JSON out.
 
 Exit codes: 0 success, 1 configuration error, 2 numerical non-convergence,
-3 I/O error.  Identical configurations produce byte-identical outputs.
+3 I/O error.  Re-runs are byte-identical at a fixed BLAS thread count.
 """
 
 from __future__ import annotations
@@ -371,7 +371,7 @@ def _preflight(cfg: ScenarioConfig
                ) -> tuple[GridSpec, float, FeasibilityReport]:
     """What a run checks before it samples, and all that ``check`` runs:
     the run's grid, which must resolve the fringe period, then the spot
-    width and the feasibility report."""
+    width, the models on the grid and the feasibility report."""
     try:
         grid = shared_grid(cfg)
     except ValueError as exc:  # a window given in the config is valid
@@ -386,6 +386,24 @@ def _preflight(cfg: ScenarioConfig
     if not math.isfinite(spot_width):
         raise ConfigError("the spot width derived from the beam and plate "
                           "is not finite; give spot_width", key="spot_width")
+    # A model's phases grow with |x|, so the grid's two ends decide.  None
+    # exceeds 2 pi (d + s)(|x| + d) / (lambda D); only near overflow are
+    # the models sampled there.
+    geom = cfg.geometry
+    reach = max(-grid.x_min_m, grid.x_max_m) + geom.slit_separation_m
+    bound = 2.0 * math.pi * (geom.slit_separation_m + geom.slit_width_m)
+    if not bound * reach < 1e300 * geom.wavelength_m * geom.screen_distance_m:
+        ends = GridSpec(grid.x_min_m, grid.x_max_m, 2)
+        with np.errstate(all="ignore"):
+            for kind in cfg.models:
+                try:
+                    sample_pattern(kind, geom, ends, PEAK_SINGLE_SLIT,
+                                   cfg.alpha, cfg.beta)
+                except ValueError:  # the pattern is not finite
+                    raise ConfigError(
+                        f"the phase of {kind.value} overflows on the screen "
+                        "window; reduce slit_separation or the window",
+                        key="slit_separation") from None
     return grid, spot_width, check_feasibility(
         cfg.geometry, cfg.focusing_angle_rad, spot_width)
 
@@ -546,8 +564,8 @@ def run_scenario(cfg: ScenarioConfig,
     """Evaluate the configured models (and oracle, and washout) on one grid,
     compute duality metrics and divergences, and optionally write CSV/JSON.
 
-    Partial outputs are removed if anything fails mid-run.  The x column
-    is formatted once for all patterns that share it.
+    Partial outputs are removed if anything fails mid-run.  Every pattern
+    is sampled on the pre-flight grid, so the x column is formatted once.
     """
     summary, patterns = _compare(cfg, 0.0, out_dir is not None)
     written: list[Path] = []
@@ -557,14 +575,12 @@ def run_scenario(cfg: ScenarioConfig,
         try:
             out_dir.mkdir(parents=True, exist_ok=True)
             from ._floattext import format_g17
-            x_m = x_text = None
+            x_text = format_g17(next(iter(patterns.values())).x_m)
             for entry in summary["patterns"]:
-                pattern = patterns[entry["model"]]
-                if x_text is None or not np.array_equal(pattern.x_m, x_m):
-                    x_m, x_text = pattern.x_m, format_g17(pattern.x_m)
                 path = out_dir / entry["csv"]
                 written.append(path)
-                write_pattern_csv(pattern, path, x_text=x_text)
+                write_pattern_csv(patterns[entry["model"]], path,
+                                  x_text=x_text)
             json_path = out_dir / "summary.json"
             write_summary_json(summary, json_path)
         except BaseException:

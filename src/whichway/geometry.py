@@ -1,8 +1,7 @@
 """Slit-plate geometry: derived angles, screen landmarks, feasibility checks.
 
 Angle conventions: all derived angles are returned exactly via arcsine /
-arctangent, never by their small-angle shortcuts.  The small-angle value of
-the half-fringe angle is exposed separately for diagnostics.
+arctangent, never by their small-angle shortcuts.
 """
 
 from __future__ import annotations
@@ -88,33 +87,9 @@ def half_fringe_angle(geom: SlitGeometry) -> float:
     return math.asin(ratio)
 
 
-def half_fringe_angle_small(geom: SlitGeometry) -> float:
-    """Small-angle shortcut lambda / (2 d), for diagnostics only."""
-    return 0.5 * geom.wavelength_m / geom.slit_separation_m
-
-
-def single_slit_first_min_angle(geom: SlitGeometry) -> float:
-    """Angle of the first single-slit diffraction minimum, asin(lambda / s)."""
-    ratio = geom.wavelength_m / geom.slit_width_m
-    if ratio > 1.0:
-        raise ValueError(
-            f"wavelength / slit_width = {ratio:.6g} exceeds 1; "
-            "the single-slit pattern has no first minimum")
-    return math.asin(ratio)
-
-
 def fringe_period(geom: SlitGeometry) -> float:
     """Fringe spacing on the screen, lambda * D / d."""
     return geom.wavelength_m * geom.screen_distance_m / geom.slit_separation_m
-
-
-def envelope_zeros(geom: SlitGeometry, center_m: float = 0.0) -> tuple[float, float]:
-    """First zeros of a single-slit envelope centered at ``center_m``.
-
-    Returns (center - lambda*D/s, center + lambda*D/s).
-    """
-    half = geom.wavelength_m * geom.screen_distance_m / geom.slit_width_m
-    return (center_m - half, center_m + half)
 
 
 def check_feasibility(geom: SlitGeometry, focusing_angle_rad: float,

@@ -149,33 +149,6 @@ def duality_report(which_way_kind: str, which_way_value: float,
     )
 
 
-def spread_fraction(pattern: IntensityPattern, lo_m: float, hi_m: float) -> float:
-    """Fraction of the pattern's integrated intensity inside [lo_m, hi_m].
-
-    Uses the trapezoidal rule consistently for both integrals; the interval
-    bounds may fall between grid points (linear interpolation).
-    """
-    if lo_m > hi_m:
-        raise ValueError("interval requires lo_m <= hi_m")
-    x = pattern.x_m
-    if lo_m < x[0] or hi_m > x[-1]:
-        raise ValueError(
-            f"interval [{lo_m!r}, {hi_m!r}] extends beyond the grid "
-            f"[{x[0]!r}, {x[-1]!r}]")
-    total = float(np.trapezoid(pattern.intensity, x))
-    if total <= 0.0:
-        raise ValueError("pattern integrates to zero")
-    if lo_m == hi_m:
-        return 0.0
-    inside = (x > lo_m) & (x < hi_m)
-    xs = np.concatenate(([lo_m], x[inside], [hi_m]))
-    ys = np.concatenate(([np.interp(lo_m, x, pattern.intensity)],
-                         pattern.intensity[inside],
-                         [np.interp(hi_m, x, pattern.intensity)]))
-    part = float(np.trapezoid(ys, xs))
-    return part / total
-
-
 @dataclass(frozen=True)
 class PatternDivergence:
     l2_relative: float

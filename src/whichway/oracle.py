@@ -136,15 +136,14 @@ def two_slit_apertures(geom: SlitGeometry, phase_a_rad: float = 0.0,
     )
 
 
-def single_slit_aperture(geom: SlitGeometry, slit: str = "a",
-                         phase_rad: float = 0.0) -> ApertureSet:
+def single_slit_aperture(geom: SlitGeometry, slit: str = "a") -> ApertureSet:
     """One slit opening alone ('a' or 'b')."""
     if slit not in ("a", "b"):
         raise ValueError("slit must be 'a' or 'b'")
     center = geom.slit_a_center_m if slit == "a" else geom.slit_b_center_m
     half_s = 0.5 * geom.slit_width_m
     return ApertureSet(intervals=((center - half_s, center + half_s),),
-                       phases_rad=(phase_rad,))
+                       phases_rad=(0.0,))
 
 
 @lru_cache(maxsize=32)

@@ -11,6 +11,7 @@ from pathlib import Path
 import jsonschema
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from whichway import cli, oracle
 from whichway._floattext import BLOCK_ROWS, format_g17
@@ -40,7 +41,7 @@ from whichway.cli import (
     sweep_scenario,
     write_pattern_csv,
 )
-from whichway.geometry import half_fringe_angle
+from whichway.geometry import SlitGeometry, half_fringe_angle
 from whichway.metrics import visibility_fringe_local
 from whichway.oracle import oracle_pattern
 
@@ -51,6 +52,23 @@ slit_width = 2um
 slit_separation = 12.6um
 screen_distance = 0.1m
 """
+
+
+# Plates whose model phases overflow on a +-1 m grid.  (A): lambda D
+# overflows.  (B): lambda D is finite, pi d x overflows.  (C): only
+# general_two_slit's 2 pi d x overflows.
+OVERFLOW_PLATES = {
+    "lambda_d": "wavelength = 1e308m\nslit_width = 1um\n"
+                "slit_separation = 1e308m\nscreen_distance = 1.5e308m\n"
+                "grid_points = 11\n",
+    "pi_d_x": "wavelength = 1e-3m\nslit_width = 1um\n"
+              "slit_separation = 1e308m\nscreen_distance = 1.5e308m\n"
+              "grid_points = 20001\n",
+    "two_pi_d_x": "wavelength = 1e-3m\nslit_width = 1um\n"
+                  "slit_separation = 5e307m\nscreen_distance = 6e307m\n"
+                  "grid_points = 20001\n",
+}
+OVERFLOW_WINDOW = "grid_min = -1m\ngrid_max = 1m\nspot_width = 1um\n"
 
 
 def make_config(extra: str = "") -> ScenarioConfig:
@@ -414,6 +432,18 @@ class TestRunScenario:
         assert len(texts) == 4
         assert all(text is texts[0] for text in texts)
         assert np.array_equal(texts[0], format_g17(shared_grid(cfg).x()))
+
+    def test_every_pattern_is_on_the_preflight_grid(self):
+        # The CSVs share one formatted x column, so every pattern of a run
+        # (models, oracle, washout) must sit on the pre-flight grid exactly.
+        cfg = make_config("oracle = true\nwashout_theta = 2mrad\n"
+                          "washout_tilts = 5\ngrid_points = 801\n"
+                          "models = empty_wave_a, standard_two_slit\n")
+        x = shared_grid(cfg).x()
+        patterns = run_scenario(cfg).patterns
+        assert len(patterns) == 4
+        for pattern in patterns.values():
+            assert np.array_equal(pattern.x_m, x)
 
     def test_focused_duality_bookkeeping(self):
         # Focusing on slit A makes the path certain (P = 1); the slit-A
@@ -908,6 +938,9 @@ class TestMain:
          "screen_distance = 1.5e308\ngrid_min = -1m\ngrid_max = 1m\n"
          "grid_points = 11\n", "spot_width"),
         ("beam = gaussian\nwaist = 1e308\n", "spot_width"),
+        # A model's phase overflows on the grid.
+        *((plate + OVERFLOW_WINDOW, "slit_separation")
+          for plate in OVERFLOW_PLATES.values()),
     ])
     @pytest.mark.filterwarnings("error")
     def test_out_of_range_value_names_key(self, tmp_path, capsys, extra, key):
@@ -919,6 +952,16 @@ class TestMain:
             assert err.startswith("error: ")
             assert f"(key '{key}'" in err
             assert "Traceback" not in err
+
+    @pytest.mark.filterwarnings("error")
+    def test_overflow_of_another_model_does_not_stop_a_run(self, tmp_path,
+                                                           capsys):
+        path = self.write_config(tmp_path, OVERFLOW_PLATES["two_pi_d_x"]
+                                 + OVERFLOW_WINDOW
+                                 + "models = standard_two_slit\n")
+        for command in ("check", "simulate"):
+            assert main([command, "--config", str(path)]) == EXIT_OK
+            assert capsys.readouterr().err == ""
 
     def test_far_plate_runs(self, tmp_path, capsys):
         # (d + s)^2 overflows: the far-field threshold reads inf
@@ -951,3 +994,72 @@ class TestMain:
                      "--out-dir", str(out)]) == EXIT_IO
         capsys.readouterr()
         assert list(out.glob("*.csv")) == []
+
+
+def powers_of_ten(lo: int, hi: int):
+    return st.integers(lo, hi).map(lambda k: 10.0 ** k)
+
+
+class TestPreflightPhases:
+    """The pre-flight samples the models at the grid's two ends only when
+    the bound 2 pi (d + s)(|x| + d) / (lambda D) on their phases nears
+    overflow.  Over plates and windows from 1e-300 to 1e308 m, it rejects
+    a phase overflow exactly when some model cannot be sampled there."""
+
+    def test_ordinary_plate_samples_no_model(self, monkeypatch):
+        # Far from overflow the bound alone clears the plate, so the
+        # pre-flight of an eight-model config evaluates nothing.
+        calls = []
+        real = cli.sample_pattern
+
+        def spy(*args, **kwargs):
+            calls.append(args[0])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "sample_pattern", spy)
+        cfg = replace(make_config(), models=tuple(ModelKind))
+        cli._preflight(cfg)
+        assert calls == []
+        plate = parse_config(OVERFLOW_PLATES["two_pi_d_x"] + OVERFLOW_WINDOW)
+        with pytest.raises(ConfigError):
+            cli._preflight(replace(plate, models=tuple(ModelKind)))
+        assert calls  # near overflow the models are sampled at the ends
+
+    @settings(max_examples=300, deadline=None, derandomize=True,
+              database=None)
+    @given(s=powers_of_ten(-300, 300), d_over_s=powers_of_ten(0, 20),
+           lam_over_d=st.sampled_from([1e-300, 1e-100, 1e-20, 1e-3, 1.9]),
+           big_over_d=powers_of_ten(0, 20),
+           centre=st.sampled_from([-1.0, 0.0, 1.0]),
+           centre_scale=powers_of_ten(-300, 308),
+           periods=powers_of_ten(-12, -2), points=st.sampled_from([2, 11]))
+    def test_rejects_exactly_what_a_model_cannot_sample(
+            self, s, d_over_s, lam_over_d, big_over_d, centre, centre_scale,
+            periods, points):
+        d = 1.5 * s * d_over_s
+        try:
+            geom = SlitGeometry(lam_over_d * d, s, d, 1.5 * big_over_d * d)
+            x0 = centre * centre_scale
+            half = periods * geom.wavelength_m * geom.screen_distance_m / d
+            cfg = ScenarioConfig(geometry=geom, models=tuple(ModelKind),
+                                 alpha=0.6, beta=0.3, spot_width_m=1e-6,
+                                 grid=GridSpec(x0 - half, x0 + half, points))
+        except ValueError:
+            return  # not a plate or not a window
+        try:
+            cli._preflight(cfg)
+            rejected = False
+        except ConfigError as exc:
+            if exc.key != "slit_separation":
+                return  # rejected before the models, say for resolution
+            rejected = True
+        ends = GridSpec(cfg.grid.x_min_m, cfg.grid.x_max_m, 2)
+        failing = []
+        with np.errstate(all="ignore"):
+            for kind in ModelKind:
+                try:
+                    sample_pattern(kind, geom, ends, PEAK_SINGLE_SLIT,
+                                   cfg.alpha, cfg.beta)
+                except ValueError:
+                    failing.append(kind)
+        assert rejected == bool(failing)

@@ -4,8 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from whichway import (FeasibilityReport, SlitGeometry, check_feasibility,
-                      envelope_zeros, fringe_period, half_fringe_angle,
-                      half_fringe_angle_small, single_slit_first_min_angle)
+                      fringe_period, half_fringe_angle, single_slit_intensity)
 
 lengths = st.floats(min_value=1e-9, max_value=1e-3, allow_nan=False,
                     allow_infinity=False)
@@ -63,7 +62,8 @@ class TestHalfFringeAngle:
     def test_small_wavelength_limit(self):
         geom = SlitGeometry(1e-12, 2e-6, 12.6e-6, 0.1)
         exact = half_fringe_angle(geom)
-        assert exact == pytest.approx(half_fringe_angle_small(geom), rel=1e-9)
+        small = 0.5 * geom.wavelength_m / geom.slit_separation_m
+        assert exact == pytest.approx(small, rel=1e-9)
         assert exact == pytest.approx(3.968e-8, rel=1e-3)
 
     def test_arcsine_value(self):
@@ -74,13 +74,17 @@ class TestHalfFringeAngle:
 
     def test_no_overflow_where_2d_overflows(self):
         geom = SlitGeometry(1e308, 1e-6, 1e308, 1.5e308)
-        assert half_fringe_angle_small(geom) == 0.5
-        assert half_fringe_angle(geom) == math.asin(0.5)
+        # lambda / (2 d) reads 0 here; 0.5 lambda / d is the true ratio
+        assert geom.wavelength_m / (2.0 * geom.slit_separation_m) == 0.0
+        assert half_fringe_angle(geom) \
+            == math.asin(0.5 * geom.wavelength_m / geom.slit_separation_m) \
+            == math.asin(0.5)
 
     @given(geometries())
     def test_ratio_bits_unchanged(self, geom):
-        assert half_fringe_angle_small(geom) \
-            == geom.wavelength_m / (2.0 * geom.slit_separation_m)
+        # 0.5 lambda / d rounds as lambda / (2 d) wherever 2 d is finite
+        assert half_fringe_angle(geom) \
+            == math.asin(geom.wavelength_m / (2.0 * geom.slit_separation_m))
 
     def test_domain_error(self):
         geom = SlitGeometry(30e-6, 2e-6, 12.6e-6, 0.1)  # lambda/(2d) > 1
@@ -101,26 +105,6 @@ class TestHalfFringeAngle:
                              geom.slit_separation_m * factor,
                              geom.screen_distance_m)
         assert half_fringe_angle(wider) < half_fringe_angle(geom)
-
-
-class TestSingleSlitFirstMin:
-    def test_values(self):
-        geom = SlitGeometry(0.63e-6, 2e-6, 12e-6, 0.1)
-        # arcsin(0.315)
-        assert single_slit_first_min_angle(geom) == pytest.approx(
-            0.3204566540495979, rel=1e-12)
-        geom2 = SlitGeometry(633e-9, 10e-6, 20e-6, 0.1)
-        assert single_slit_first_min_angle(geom2) == pytest.approx(
-            0.0633423490936981, rel=1e-12)
-
-    def test_wavelength_equals_width(self):
-        geom = SlitGeometry(2e-6, 2e-6, 12e-6, 0.1)
-        assert single_slit_first_min_angle(geom) == pytest.approx(math.pi / 2)
-
-    def test_domain_error(self):
-        geom = SlitGeometry(3e-6, 2e-6, 12e-6, 0.1)
-        with pytest.raises(ValueError):
-            single_slit_first_min_angle(geom)
 
 
 class TestFringePeriod:
@@ -147,31 +131,14 @@ class TestFringePeriod:
 
 
 class TestEnvelopeZeros:
-    def test_slit_a_centered(self, ref_geom):
-        lo, hi = envelope_zeros(ref_geom, ref_geom.slit_a_center_m)
-        assert lo == pytest.approx(-0.031506, rel=1e-12)
-        assert hi == pytest.approx(+0.031494, rel=1e-12)
-
-    def test_symmetric_about_zero(self, ref_geom):
-        lo, hi = envelope_zeros(ref_geom, 0.0)
-        assert lo == -hi
-        assert hi == pytest.approx(0.0315, rel=1e-12)
-
-    def test_translation(self, ref_geom):
-        d_half = ref_geom.slit_separation_m / 2
-        lo_a, hi_a = envelope_zeros(ref_geom, -d_half)
-        lo_b, hi_b = envelope_zeros(ref_geom, +d_half)
-        assert lo_b == pytest.approx(lo_a + ref_geom.slit_separation_m,
-                                     rel=1e-12)
-        assert hi_b == pytest.approx(hi_a + ref_geom.slit_separation_m,
-                                     rel=1e-12)
-
-    @given(geometries(), st.floats(min_value=-1e-3, max_value=1e-3))
-    def test_spacing(self, geom, center):
-        lo, hi = envelope_zeros(geom, center)
-        width = 2 * geom.wavelength_m * geom.screen_distance_m \
-            / geom.slit_width_m
-        assert hi - lo == pytest.approx(width, rel=1e-12)
+    @given(geometries(), st.sampled_from(["slit_a_center_m", "slit_b_center_m",
+                                          None]))
+    def test_intensity_vanishes_there(self, geom, center):
+        # The first zeros of an envelope centered at c are c -+ lambda D / s.
+        c = getattr(geom, center) if center else 0.0
+        half = geom.wavelength_m * geom.screen_distance_m / geom.slit_width_m
+        for x in (c - half, c + half):
+            assert single_slit_intensity(geom, x, c) < 1e-15
 
 
 class TestCheckFeasibility:

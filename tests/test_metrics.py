@@ -1,5 +1,5 @@
 """Tests for duality metrics: visibility, predictability, duality sums,
-spread fractions, pattern divergence, and fringe carrier phase."""
+pattern divergence, and fringe carrier phase."""
 
 import math
 
@@ -27,7 +27,6 @@ from whichway.metrics import (
     fringe_carrier_phase,
     pattern_divergence,
     predictability,
-    spread_fraction,
     visibility_fringe_local,
     visibility_global,
 )
@@ -190,60 +189,6 @@ class TestDualityReport:
         total = w * w + v * v
         assert report.duality_sum == total
         assert report.inequality_satisfied == (total <= 1.0 + DUALITY_TOLERANCE)
-
-
-class TestSpreadFraction:
-    def test_full_interval_is_unity(self, ref_geom):
-        p = sample_pattern(ModelKind.EMPTY_WAVE_A, ref_geom)
-        frac = spread_fraction(p, float(p.x_m[0]), float(p.x_m[-1]))
-        assert frac == pytest.approx(1.0, rel=1e-12)
-
-    def test_zero_width_interval(self, ref_geom):
-        p = sample_pattern(ModelKind.EMPTY_WAVE_A, ref_geom)
-        assert spread_fraction(p, 0.0, 0.0) == 0.0
-
-    def test_rejects_outside_grid(self, ref_geom):
-        p = sample_pattern(ModelKind.EMPTY_WAVE_A, ref_geom)
-        with pytest.raises(ValueError):
-            spread_fraction(p, float(p.x_m[0]) - 1.0, 0.0)
-        with pytest.raises(ValueError):
-            spread_fraction(p, 0.0, float(p.x_m[-1]) + 1.0)
-
-    def test_rejects_inverted_interval(self, ref_geom):
-        p = sample_pattern(ModelKind.EMPTY_WAVE_A, ref_geom)
-        with pytest.raises(ValueError):
-            spread_fraction(p, 1e-3, -1e-3)
-
-    def test_central_lobe_concentration(self, ref_geom):
-        # Nearly all energy of the slit-A pattern stays inside the central
-        # envelope lobe around the slit-A image.
-        p = sample_pattern(ModelKind.EMPTY_WAVE_A, ref_geom)
-        lobe = ref_geom.wavelength_m * ref_geom.screen_distance_m \
-            / ref_geom.slit_width_m
-        c = ref_geom.slit_a_center_m
-        assert spread_fraction(p, c - lobe, c + lobe) >= 0.90
-
-    def test_central_lobe_fraction_wide_window(self, ref_geom):
-        # Against a ten-lobe window the central lobe holds the sinc^2 share.
-        lobe = ref_geom.wavelength_m * ref_geom.screen_distance_m \
-            / ref_geom.slit_width_m
-        c = ref_geom.slit_a_center_m
-        grid = GridSpec(c - 10.0 * lobe, c + 10.0 * lobe, 40001)
-        p = sample_pattern(ModelKind.EMPTY_WAVE_A, ref_geom, grid=grid)
-        frac = spread_fraction(p, c - lobe, c + lobe)
-        assert 0.89 <= frac <= 0.93
-
-    @settings(max_examples=30, deadline=None)
-    @given(data=st.data())
-    def test_monotone_in_interval(self, data):
-        p = sample_pattern(ModelKind.PURE_FRINGE, REF_GEOM)
-        x0, x1 = float(p.x_m[0]), float(p.x_m[-1])
-        bounds = sorted(
-            data.draw(st.lists(st.floats(min_value=x0, max_value=x1),
-                               min_size=4, max_size=4)))
-        inner = spread_fraction(p, bounds[1], bounds[2])
-        outer = spread_fraction(p, bounds[0], bounds[3])
-        assert inner <= outer + 1e-12
 
 
 class TestPatternDivergence:

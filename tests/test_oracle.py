@@ -756,6 +756,85 @@ class TestConjugateSymmetry:
                              - pattern.intensity[::-1])) <= 1e-12
 
 
+class TestFarFieldRule:
+    """How far the Fraunhofer pattern is from the paraxial Fresnel one
+    around the threshold D_min = 10 (d + s)^2 / lambda that
+    ``check_feasibility`` uses.  The Fresnel intensity at x is the same
+    Gauss-Legendre sum with each aperture sample times
+    exp(i pi xi^2 / (lambda D)) (Goodman, Introduction to Fourier Optics,
+    section 4.2).  Both are peak-normalized on the run's derived grid of
+    4,001 points, on the HeNe plate, where D_min = 3.37 mm.  Measured
+    sup |I_Fresnel - I_Fraunhofer|:
+
+        D            plane wave   Gaussian w0 = 3 um on slit A
+        D_min / 10   6.5e-3       9.8e-2
+        D_min        6.5e-5       9.9e-3
+        30 D_min     7.2e-8       3.3e-4
+
+    The plane wave's difference falls as 1/D^2, the focused beam's as 1/D:
+    Fraunhofer centres the lit slit's pattern on x = 0, Fresnel behind the
+    slit, at x = -d/2.  With the Fraunhofer pattern moved there, the rest
+    is 8.8e-6 at D_min / 10 and 8.9e-8 at D_min.  Nodes: 128 per slit, which
+    agree with 256 to 2.5e-15.
+    """
+
+    GEOM = SlitGeometry(632.8e-9, 2e-6, 12.6e-6, 0.1)
+    D_MIN = 10.0 * (GEOM.slit_separation_m + GEOM.slit_width_m) ** 2 \
+        / GEOM.wavelength_m
+    FOCUS_A = GaussianBeam(waist_m=3e-6, center_m=GEOM.slit_a_center_m)
+
+    def plate(self, factor):
+        geom = SlitGeometry(self.GEOM.wavelength_m, self.GEOM.slit_width_m,
+                            self.GEOM.slit_separation_m, factor * self.D_MIN)
+        half = 0.5 * geom.slit_separation_m + 1.2 * geom.wavelength_m \
+            * geom.screen_distance_m / geom.slit_width_m  # cli.shared_grid
+        return geom, GridSpec(-half, half, 4001)
+
+    @staticmethod
+    def intensity(beam, geom, x, fresnel):
+        xi, weights = oracle_module._aperture_nodes(two_slit_apertures(geom),
+                                                    128)
+        lam_d = geom.wavelength_m * geom.screen_distance_m
+        f = amplitude_at(beam, xi, geom.wavelength_m) * weights
+        if fresnel:
+            f = f * np.exp(1j * math.pi * xi * xi / lam_d)
+        kernel = np.exp(np.multiply.outer(x, xi) * (-2j * math.pi / lam_d))
+        i = np.abs(kernel @ f) ** 2
+        return i / np.max(i)
+
+    def sup_difference(self, beam, factor, shift_m=0.0):
+        """sup |I_Fresnel(x) - I_Fraunhofer(x + shift)| at D = factor D_min."""
+        geom, grid = self.plate(factor)
+        x = grid.x()
+        return np.max(np.abs(self.intensity(beam, geom, x, True)
+                             - self.intensity(beam, geom, x + shift_m, False)))
+
+    @pytest.mark.parametrize("beam", [PlaneWave(), FOCUS_A])
+    def test_direct_fraunhofer_sum_is_the_oracle(self, beam):
+        geom, grid = self.plate(1.0)
+        oracle = oracle_pattern(beam, two_slit_apertures(geom), geom, grid)
+        assert np.max(np.abs(self.intensity(beam, geom, grid.x(), False)
+                             - oracle.intensity)) <= 1e-13
+
+    def test_plane_wave_difference_falls_as_inverse_square(self):
+        sup = {f: self.sup_difference(PlaneWave(), f) for f in (0.1, 1, 30)}
+        assert sup[1] <= 1e-4
+        for factor, value in sup.items():
+            assert value * factor ** 2 == pytest.approx(sup[1], rel=0.02)
+
+    def test_focused_beam_difference_is_the_slit_offset(self):
+        sup = {f: self.sup_difference(self.FOCUS_A, f) for f in (0.1, 1, 30)}
+        assert sup[1] <= 1.5e-2
+        for factor, value in sup.items():
+            assert value * factor == pytest.approx(sup[1], rel=0.02)
+        # Moved behind slit A, the Fraunhofer pattern is second-order close.
+        offset = -self.GEOM.slit_a_center_m
+        near, far = (self.sup_difference(self.FOCUS_A, f, offset)
+                     for f in (0.1, 1))
+        assert far <= 1e-6
+        assert far * 100 == pytest.approx(near, rel=0.05)
+
+
 class TestOracleMemory:
     """Peak traced allocation of fine oracle runs stays under a fixed limit:
     the kernel is built in row blocks and washout modes in column blocks."""

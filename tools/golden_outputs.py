@@ -11,6 +11,10 @@ see which outputs a change moved:
 With ``--against`` the tool prints the ids whose digests differ and the ids
 missing from either side, and exits 1 if any digest differs.
 
+The tool pins OpenBLAS, OpenMP and MKL to one thread before numpy loads: the
+SVD of an oracle washout rounds differently with more threads, so the
+digests of those items would depend on the host's thread count.
+
 An item's digest covers its exit code, stdout, stderr and the name and bytes
 of every file it wrote.  The matrix covers every model, beam, alignment and
 normalization, the model and oracle washouts, an off-centre grid longer
@@ -18,8 +22,9 @@ than two CSV row blocks, an oracle and an oracle washout whose kernel rows
 span several groups of blocks, every sweep parameter, ``check`` with each
 plate error, ``check`` and ``simulate`` on a grid too coarse for the fringes
 and on a far plate whose far-field threshold overflows to inf, ``check`` on a
-plate whose derived screen window is not finite, and each ``mzi`` mode with
-balanced and unbalanced amplitudes.
+plate whose derived screen window is not finite, ``check`` and ``simulate``
+on three plates whose model phases overflow on the grid, and each ``mzi``
+mode with balanced and unbalanced amplitudes.
 """
 
 from __future__ import annotations
@@ -29,11 +34,16 @@ import contextlib
 import hashlib
 import io
 import json
+import os
 import sys
 import tempfile
 from pathlib import Path
 
-from whichway import cli
+# Before numpy loads (whichway imports it).
+os.environ.update({var: "1" for var in ("OPENBLAS_NUM_THREADS",
+                                        "OMP_NUM_THREADS", "MKL_NUM_THREADS")})
+
+from whichway import cli  # noqa: E402
 
 PLATE = """\
 wavelength = 632.8nm
@@ -50,6 +60,21 @@ COARSE_GRID = "grid_min = -1mm\ngrid_max = 1mm\ngrid_points = 3\n"
 # (d + s)^2 overflows, so the far-field threshold reads inf; runs anyway.
 FAR_PLATE = ("slit_separation = 1e200m\nscreen_distance = 1e201m\n"
              "grid_min = -1um\ngrid_max = 1um\ngrid_points = 401\n")
+# general_two_slit's phase overflows on a +-1 m grid: exits 1 naming
+# slit_separation.  Here lambda D overflows, or pi d x, or only 2 pi d x.
+OVERFLOW = ("grid_min = -1m\ngrid_max = 1m\nspot_width = 1um\n"
+            "models = general_two_slit\nslit_width = 1um\n")
+OVERFLOW_PLATES = {
+    "overflow_lambda_d": OVERFLOW + "wavelength = 1e308m\n"
+                         "slit_separation = 1e308m\n"
+                         "screen_distance = 1.5e308m\ngrid_points = 11\n",
+    "overflow_pi_d_x": OVERFLOW + "wavelength = 1e-3m\n"
+                       "slit_separation = 1e308m\n"
+                       "screen_distance = 1.5e308m\ngrid_points = 20001\n",
+    "overflow_two_pi_d_x": OVERFLOW + "wavelength = 1e-3m\n"
+                           "slit_separation = 5e307m\n"
+                           "screen_distance = 6e307m\ngrid_points = 20001\n",
+}
 
 
 def with_plate(extra: str) -> str:
@@ -113,6 +138,7 @@ SIMULATE = {
     "config_error": "alpha = plenty\n",
     "coarse_grid": COARSE_GRID,
     "far_plate": FAR_PLATE,
+    **OVERFLOW_PLATES,
 }
 
 # name -> (config lines added to PLATE, --param, --values).
@@ -158,6 +184,7 @@ CHECK = {
     # grid_min.
     "infinite_window": "wavelength = 1e308\nslit_width = 1um\n"
                        "slit_separation = 1e308\nscreen_distance = 1.5e308\n",
+    **{name: with_plate(extra) for name, extra in OVERFLOW_PLATES.items()},
 }
 
 MZI_MODES = ("open", "blocked", "marker", "knockout", "asymmetric")
