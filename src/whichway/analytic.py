@@ -34,6 +34,8 @@ _NORMALIZATIONS = (PEAK_SINGLE_SLIT, UNIT_INTEGRAL)
 # Series switch for sin(u)/u keeps the evaluation C^2-smooth at u = 0,
 # which the extremum interpolation in the metrics module relies on.
 _SINC_SERIES_CUTOFF = 1e-4
+# A pattern's grid steps may differ from their mean by this fraction of it.
+_STEP_RTOL = 1e-9
 
 
 class ModelKind(enum.Enum):
@@ -153,6 +155,11 @@ class GridSpec:
     def x(self) -> np.ndarray:
         return np.linspace(self.x_min_m, self.x_max_m, self.points)
 
+    def check_points(self) -> None:
+        """Raise ValueError unless :meth:`x` is strictly increasing and evenly
+        spaced, as :class:`IntensityPattern` requires."""
+        _check_steps(self.x())
+
     @property
     def spacing_m(self) -> float:
         return (self.x_max_m - self.x_min_m) / (self.points - 1)
@@ -201,12 +208,7 @@ class IntensityPattern:
             raise ValueError("pattern contains non-finite values")
         if np.any(i < 0.0):
             raise ValueError("intensity must be nonnegative")
-        steps = np.diff(x)
-        if np.any(steps <= 0.0):
-            raise ValueError("x_m must be strictly increasing")
-        mean_step = (x[-1] - x[0]) / (x.size - 1)
-        if np.max(np.abs(steps - mean_step)) > 1e-9 * abs(mean_step):
-            raise ValueError("x_m must be uniformly spaced")
+        _check_steps(x)
         if self.normalization not in _NORMALIZATIONS:
             raise ValueError(f"unknown normalization {self.normalization!r}")
         if self.normalization == UNIT_INTEGRAL:
@@ -270,6 +272,17 @@ def sample_pattern(kind: ModelKind, geom: SlitGeometry,
     }
     return IntensityPattern(x_m=x, intensity=values,
                             normalization=normalization, meta=meta)
+
+
+def _check_steps(x: np.ndarray) -> None:
+    """Raise ValueError unless the points ``x`` (two or more) are strictly
+    increasing and their steps agree to ``_STEP_RTOL`` of the mean step."""
+    steps = np.diff(x)
+    if np.any(steps <= 0.0):
+        raise ValueError("x_m must be strictly increasing")
+    mean_step = (x[-1] - x[0]) / (x.size - 1)
+    if np.max(np.abs(steps - mean_step)) > _STEP_RTOL * abs(mean_step):
+        raise ValueError("x_m must be uniformly spaced")
 
 
 def _checked_x(x_m):

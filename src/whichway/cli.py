@@ -31,8 +31,8 @@ from .mzi import MziConfig, MziMode, asymmetric_duality, mzi_duality
 # fraunhofer_amplitude is not called here but stays bound: perfbench/spans.py
 # wraps the oracle names this module binds.
 from .oracle import (ApertureSet, ConvergenceError, QuadratureSpec,
-                     fraunhofer_amplitude, oracle_pattern, two_slit_apertures,
-                     washout_pattern)
+                     fraunhofer_amplitude, oracle_pattern, tilt_angles,
+                     two_slit_apertures, washout_pattern)
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -367,17 +367,74 @@ def shared_grid(cfg: ScenarioConfig) -> GridSpec:
     return GridSpec(-half, half, cfg.grid_points)
 
 
+def _overflowing_model(cfg: ScenarioConfig, grid: GridSpec,
+                       kinds: Sequence[ModelKind]) -> Optional[ModelKind]:
+    """The first of ``kinds`` whose phase overflows on ``grid``, if any.
+
+    A model's phases grow with |x|, so the grid's two ends decide.  None
+    exceeds 2 pi (d + s)(|x| + d) / (lambda D); only near overflow are the
+    models sampled there."""
+    geom = cfg.geometry
+    reach = max(-grid.x_min_m, grid.x_max_m) + geom.slit_separation_m
+    bound = 2.0 * math.pi * (geom.slit_separation_m + geom.slit_width_m)
+    if bound * reach < 1e300 * geom.wavelength_m * geom.screen_distance_m:
+        return None
+    ends = GridSpec(grid.x_min_m, grid.x_max_m, 2)
+    with np.errstate(all="ignore"):
+        for kind in kinds:
+            try:
+                sample_pattern(kind, geom, ends, PEAK_SINGLE_SLIT, cfg.alpha,
+                               cfg.beta)
+            except ValueError:  # the pattern is not finite
+                return kind
+    return None
+
+
+def _tilted_window(cfg: ScenarioConfig, grid: GridSpec, tilt: float
+                   ) -> GridSpec:
+    """The window a model washout samples its model on for one tilt t: the
+    grid shifted by D sin t, as a tilted plane wave shifts its far field."""
+    shift = cfg.geometry.screen_distance_m * math.sin(tilt)
+    return GridSpec(grid.x_min_m - shift, grid.x_max_m - shift, grid.points)
+
+
+def _check_washout_windows(cfg: ScenarioConfig, grid: GridSpec) -> None:
+    """The two most shifted windows of a model washout (:func:`_tilted_window`)
+    must be grids on which the first model's phase does not overflow."""
+    tilts = tilt_angles(cfg.washout_theta_rad, cfg.washout_tilts).tolist()
+    for tilt in (min(tilts, key=math.sin), max(tilts, key=math.sin)):
+        try:
+            window = _tilted_window(cfg, grid, tilt)
+            window.check_points()
+        except ValueError as exc:
+            raise ConfigError(f"{exc} on the screen window of tilt "
+                              f"{tilt:.6g} rad; reduce washout_theta",
+                              key="washout_theta") from None
+        if _overflowing_model(cfg, window, cfg.models[:1]) is not None:
+            raise ConfigError(
+                f"the phase of {cfg.models[0].value} overflows on the screen "
+                f"window of tilt {tilt:.6g} rad; reduce washout_theta",
+                key="washout_theta")
+
+
 def _preflight(cfg: ScenarioConfig
                ) -> tuple[GridSpec, float, FeasibilityReport]:
     """What a run checks before it samples, and all that ``check`` runs:
-    the run's grid, which must resolve the fringe period, then the spot
-    width, the models on the grid and the feasibility report."""
+    the run's grid, whose points must be distinct and resolve the fringe
+    period, then the spot width, the models on the grid, the windows a
+    model washout shifts the grid to, and the feasibility report."""
     try:
         grid = shared_grid(cfg)
     except ValueError as exc:  # a window given in the config is valid
         raise ConfigError(f"{exc} for the screen window derived from the "
                           "plate; give grid_min and grid_max",
                           key="grid_min") from None
+    try:
+        grid.check_points()
+    except ValueError as exc:
+        raise ConfigError(f"the window has no {grid.points} distinct, evenly "
+                          f"spaced floats ({exc}); widen it or lower "
+                          "grid_points", key="grid_points") from None
     try:
         check_resolution(grid.spacing_m, cfg.geometry)
     except ResolutionError as exc:
@@ -386,24 +443,13 @@ def _preflight(cfg: ScenarioConfig
     if not math.isfinite(spot_width):
         raise ConfigError("the spot width derived from the beam and plate "
                           "is not finite; give spot_width", key="spot_width")
-    # A model's phases grow with |x|, so the grid's two ends decide.  None
-    # exceeds 2 pi (d + s)(|x| + d) / (lambda D); only near overflow are
-    # the models sampled there.
-    geom = cfg.geometry
-    reach = max(-grid.x_min_m, grid.x_max_m) + geom.slit_separation_m
-    bound = 2.0 * math.pi * (geom.slit_separation_m + geom.slit_width_m)
-    if not bound * reach < 1e300 * geom.wavelength_m * geom.screen_distance_m:
-        ends = GridSpec(grid.x_min_m, grid.x_max_m, 2)
-        with np.errstate(all="ignore"):
-            for kind in cfg.models:
-                try:
-                    sample_pattern(kind, geom, ends, PEAK_SINGLE_SLIT,
-                                   cfg.alpha, cfg.beta)
-                except ValueError:  # the pattern is not finite
-                    raise ConfigError(
-                        f"the phase of {kind.value} overflows on the screen "
-                        "window; reduce slit_separation or the window",
-                        key="slit_separation") from None
+    kind = _overflowing_model(cfg, grid, cfg.models)
+    if kind is not None:
+        raise ConfigError(f"the phase of {kind.value} overflows on the "
+                          "screen window; reduce slit_separation or the "
+                          "window", key="slit_separation")
+    if cfg.washout_theta_rad is not None and not cfg.oracle_enabled:
+        _check_washout_windows(cfg, grid)
     return grid, spot_width, check_feasibility(
         cfg.geometry, cfg.focusing_angle_rad, spot_width)
 
@@ -414,9 +460,11 @@ def path_probabilities(cfg: ScenarioConfig) -> tuple[float, float]:
 
 @dataclass(frozen=True)
 class ComparisonReport:
-    """Result of :func:`run_scenario`: the JSON summary plus the patterns."""
+    """Result of :func:`run_scenario`: the JSON summary, its strict JSON
+    text (``summary.json`` less its final newline), plus the patterns."""
 
     summary: dict
+    summary_text: str
     patterns: dict[str, IntensityPattern]
     csv_paths: tuple[Path, ...]
     json_path: Optional[Path]
@@ -463,17 +511,15 @@ def _washout_base(cfg: ScenarioConfig, grid: GridSpec
                   ) -> Callable[[float], IntensityPattern]:
     """Tilt -> pattern generator for the first configured model; a tilt t
     shifts the pattern by D * sin(t), as it does a tilted plane wave's far
-    field.  The oracle washes itself out (:func:`oracle_pattern`)."""
-    geom = cfg.geometry
+    field (:func:`_tilted_window`).  The oracle washes itself out
+    (:func:`oracle_pattern`)."""
     x = grid.x()
     kind = cfg.models[0]
 
     def gen(tilt: float) -> IntensityPattern:
-        shift = geom.screen_distance_m * math.sin(tilt)
-        shifted = GridSpec(grid.x_min_m - shift, grid.x_max_m - shift,
-                           grid.points)
-        base = sample_pattern(kind, geom, shifted, PEAK_SINGLE_SLIT,
-                              cfg.alpha, cfg.beta)
+        base = sample_pattern(kind, cfg.geometry,
+                              _tilted_window(cfg, grid, tilt),
+                              PEAK_SINGLE_SLIT, cfg.alpha, cfg.beta)
         return IntensityPattern(x, base.intensity, PEAK_SINGLE_SLIT,
                                 dict(base.meta))
 
@@ -564,10 +610,13 @@ def run_scenario(cfg: ScenarioConfig,
     """Evaluate the configured models (and oracle, and washout) on one grid,
     compute duality metrics and divergences, and optionally write CSV/JSON.
 
-    Partial outputs are removed if anything fails mid-run.  Every pattern
-    is sampled on the pre-flight grid, so the x column is formatted once.
+    The summary is encoded once, as strict JSON: ``summary.json`` holds
+    that text and ``simulate`` prints it.  Partial outputs are removed if
+    anything fails mid-run.  Every pattern is sampled on the pre-flight
+    grid, so the x column is formatted once.
     """
     summary, patterns = _compare(cfg, 0.0, out_dir is not None)
+    text = _json_text(summary)
     written: list[Path] = []
     json_path: Optional[Path] = None
     if out_dir is not None:
@@ -582,14 +631,15 @@ def run_scenario(cfg: ScenarioConfig,
                 write_pattern_csv(patterns[entry["model"]], path,
                                   x_text=x_text)
             json_path = out_dir / "summary.json"
-            write_summary_json(summary, json_path)
+            write_summary_json(text, json_path)
         except BaseException:
             for path in written:
                 path.unlink(missing_ok=True)
             raise
 
-    return ComparisonReport(summary=summary, patterns=patterns,
-                            csv_paths=tuple(written), json_path=json_path)
+    return ComparisonReport(summary=summary, summary_text=text,
+                            patterns=patterns, csv_paths=tuple(written),
+                            json_path=json_path)
 
 
 def write_pattern_csv(pattern: IntensityPattern, path: Path, *,
@@ -618,8 +668,9 @@ def _json_text(value: Any) -> str:
     return json.dumps(value, indent=2, allow_nan=False)
 
 
-def write_summary_json(summary: dict, path: Path) -> None:
-    Path(path).write_text(_json_text(summary) + "\n", encoding="ascii")
+def write_summary_json(text: str, path: Path) -> None:
+    """Write a summary's JSON text, as :func:`run_scenario` encodes it."""
+    Path(path).write_text(text + "\n", encoding="ascii")
 
 
 def sweep_scenario(cfg: ScenarioConfig, parameter: str,
@@ -767,8 +818,7 @@ SUMMARY_SCHEMA = {
 def _cmd_simulate(args: argparse.Namespace) -> int:
     cfg = parse_config(Path(args.config).read_text(encoding="utf-8"))
     out_dir = Path(args.out_dir) if args.out_dir else None
-    report = run_scenario(cfg, out_dir=out_dir)
-    print(_json_text(report.summary))
+    print(run_scenario(cfg, out_dir=out_dir).summary_text)
     return EXIT_OK
 
 

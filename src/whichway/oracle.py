@@ -16,8 +16,12 @@ low numerical rank (about 10 at the paper's angles, out of 101 tilts), so a
 washout integrates a few mode columns instead of one column per tilt.  W is
 taken once per washout from V on a fixed proxy set of nodes, so the mode
 columns are the same functions at every refinement level and refine like
-amplitudes.  The modes are taken in blocks of columns sized from
-``_BLOCK_BYTES``, so memory does not grow with tilt or mode counts.
+amplitudes.  The tilts are symmetric by construction, theta (j / h) for
+j = -h..h, and so are the shifts, so W comes from one real SVD of the
+basis [1, sqrt2 cos(k xi s_j), sqrt2 sin(k xi s_j)] (j > 0), which spans
+what V spans (:func:`_coherent_modes`).  The modes are taken in blocks of
+columns sized from ``_BLOCK_BYTES``, so memory does not grow with tilt or
+mode counts.
 
 The screen grid is evenly spaced, so a kernel row factors into the row at
 its block's first point times a row of a small step table,
@@ -226,30 +230,43 @@ def _amplitude_fixed(beam: BeamProfile, apertures: ApertureSet,
 
 
 def _coherent_modes(beam: BeamProfile, apertures: ApertureSet,
-                    geom: SlitGeometry, shifts: np.ndarray, n: int
+                    geom: SlitGeometry, positive: np.ndarray, n: int
                     ) -> tuple[np.ndarray, float]:
-    """Mode weights W (shifts x R) of a washout, and its truncation bound.
+    """Mode weights W (shifts x R) of a washout over the shifts
+    s = [-positive[::-1], 0, positive], and its truncation bound.
 
-    V = exp(i k xi s) on a proxy of n nodes per interval has the SVD
-    U S W^H; the kept modes are those with sigma_r > ``_MODE_CUTOFF`` sigma_1.
-    While R fills the proxy (and is short of the shift count), the proxy is
-    too coarse to span the tilt phases, so n doubles.  The bound is
+    s is antisymmetric, s_{-j} = -s_j.  On a proxy of n nodes per interval,
+    V = exp(i k xi s) is then B T^H with T unitary and
+    B = [1, sqrt2 cos(k xi s_j), sqrt2 sin(k xi s_j)] (j > 0) real, so one
+    real SVD B = U S Z^T gives V's sigma and its modes W = T Z: W_0 = Z_0
+    and W_{+-j} = (Z_cj -+ i Z_sj) / sqrt2, with V W = B Z = U S.  The kept
+    modes are those with sigma_r > ``_MODE_CUTOFF`` sigma_1.  While R fills
+    the proxy (and is short of the shift count), the proxy is too coarse to
+    span the tilt phases, so n doubles.  The bound is
     sigma_{R+1}^2 sum |f|^2 over the proxy nodes, 0 when no mode is dropped.
     """
     k_screen = 2.0 * math.pi / (geom.wavelength_m * geom.screen_distance_m)
+    half, root2 = positive.size, math.sqrt(2.0)
     while True:
         xi, weights = _aperture_nodes(apertures, n)
-        _, sigma, wh = np.linalg.svd(
-            np.exp(1j * k_screen * np.outer(xi, shifts)), full_matrices=False)
+        phase = k_screen * np.outer(xi, positive)
+        basis = np.hstack((np.ones((xi.size, 1)), root2 * np.cos(phase),
+                           root2 * np.sin(phase)))
+        _, sigma, zt = np.linalg.svd(basis, full_matrices=False)
         rank = int(np.count_nonzero(sigma > _MODE_CUTOFF * sigma[0]))
-        if rank < xi.size or rank == shifts.size:
+        if rank < xi.size or rank == basis.shape[1]:
             break
         n *= 2
     bound = 0.0
     if rank < sigma.size:
         f = amplitude_at(beam, xi, geom.wavelength_m) * weights
         bound = float(sigma[rank] ** 2 * np.sum(np.abs(f) ** 2))
-    return wh[:rank].conj().T, bound
+    cos, sin = zt[:rank, 1:half + 1].T, zt[:rank, half + 1:].T
+    modes = np.empty((basis.shape[1], rank), dtype=complex)
+    modes[half] = zt[:rank, 0]
+    modes[half + 1:] = (cos - 1j * sin) / root2
+    modes[:half] = ((cos + 1j * sin) / root2)[::-1]
+    return modes, bound
 
 
 def _worst_shift(delta: np.ndarray, modes: np.ndarray) -> int:
@@ -366,16 +383,18 @@ def fraunhofer_amplitude(beam: BeamProfile, apertures: ApertureSet,
         shift_m=shift, history=tuple(history))
 
 
-def _washout_tilts(theta_rad: float, n_tilts: int) -> np.ndarray:
-    """Tilts uniform in [-theta, theta]; just the untilted one at theta 0
-    or for a single tilt."""
+def tilt_angles(theta_rad: float, n_tilts: int) -> np.ndarray:
+    """Tilts theta (j / h), j = -h..h, uniform in [-theta, theta] and
+    antisymmetric bit for bit, with 0.0 in the middle and +-theta at the
+    ends; just the untilted one at theta 0 or for a single tilt."""
     if theta_rad < 0.0:
         raise ValueError("theta_rad must be >= 0")
     if n_tilts < 1 or n_tilts % 2 == 0:
         raise ValueError("n_tilts must be a positive odd count")
     if theta_rad == 0.0 or n_tilts == 1:
         return np.zeros(1)
-    return np.linspace(-theta_rad, theta_rad, n_tilts)
+    half = n_tilts // 2
+    return theta_rad * (np.arange(-half, half + 1) / half)
 
 
 def oracle_pattern(beam: BeamProfile, apertures: ApertureSet,
@@ -399,11 +418,13 @@ def oracle_pattern(beam: BeamProfile, apertures: ApertureSet,
     if quad is None:
         quad = QuadratureSpec()
     x = grid.x()
-    shifts = geom.screen_distance_m * np.sin(_washout_tilts(theta_rad,
-                                                            n_tilts))
+    # D sin t of the positive tilts, mirrored: s_{-j} = -s_j exactly.
+    tilts = tilt_angles(theta_rad, n_tilts)
+    positive = geom.screen_distance_m * np.sin(tilts[tilts.size // 2 + 1:])
+    shifts = np.concatenate((-positive[::-1], [0.0], positive))
     modes, bound = None, 0.0
     if shifts.size > 1:
-        modes, bound = _coherent_modes(beam, apertures, geom, shifts,
+        modes, bound = _coherent_modes(beam, apertures, geom, positive,
                                        quad.nodes_per_interval)
     columns = shifts.size if modes is None else modes.shape[1]
     width = max(1, _BLOCK_BYTES // (_COMPLEX_BYTES * x.size))
@@ -448,7 +469,7 @@ def washout_pattern(base: Callable[[float], IntensityPattern],
     the untilted member is included.  The oracle's own washout is
     :func:`oracle_pattern` with ``theta_rad`` > 0.
     """
-    tilts = _washout_tilts(theta_rad, n_tilts)
+    tilts = tilt_angles(theta_rad, n_tilts)
     if theta_rad == 0.0:
         return base(0.0)
 

@@ -213,6 +213,20 @@ class TestGridSpec:
         grid = GridSpec(-1.0, 1.0, 5)
         assert np.array_equal(grid.x(), np.linspace(-1.0, 1.0, 5))
 
+    @pytest.mark.parametrize("x_max,points,message", [
+        (1.0000000000000004, 5, "strictly increasing"),
+        (1.0000001, 11, "uniformly spaced"),
+    ])
+    def test_check_points_rejects_a_window_too_narrow(self, x_max, points,
+                                                      message):
+        # A valid GridSpec whose floats collapse or step unevenly: the
+        # pattern built on it would fail the same way.
+        grid = GridSpec(1.0, x_max, points)
+        with pytest.raises(ValueError, match=message):
+            grid.check_points()
+        with pytest.raises(ValueError, match=message):
+            IntensityPattern(grid.x(), np.ones(points), PEAK_SINGLE_SLIT, {})
+
 
 class TestIntensityPattern:
     def test_rejects_negative_intensity(self):

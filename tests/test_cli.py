@@ -69,6 +69,24 @@ OVERFLOW_PLATES = {
                   "grid_points = 20001\n",
 }
 OVERFLOW_WINDOW = "grid_min = -1m\ngrid_max = 1m\nspot_width = 1um\n"
+# A model washout samples the first model on the grid shifted by D sin t, up
+# to D sin(1 rad) here.  (A): the model's phase overflows on the shifted
+# window.  (B): the shifted window collapses to one float.
+WASHOUT = "spot_width = 1um\nwashout_theta = 1\nwashout_tilts = 3\n"
+WASHOUT_WINDOW_PLATES = {
+    "phase_overflow": "wavelength = 1e150m\nslit_width = 1e153m\n"
+                      "slit_separation = 1e154m\nscreen_distance = 2e154m\n"
+                      "grid_min = -1e152m\ngrid_max = 1e152m\n"
+                      "grid_points = 4001\n" + WASHOUT,
+    "collapse": "wavelength = 1e-300m\nslit_width = 1m\n"
+                "slit_separation = 1e10m\nscreen_distance = 1e11m\n"
+                "grid_min = -1e-297m\ngrid_max = 1e-297m\n" + WASHOUT,
+}
+# Windows too narrow for their points in floating point: the floats of the
+# first are not distinct, those of the second not evenly spaced.
+NARROW_GRIDS = ("grid_min = 1m\ngrid_max = 1.0000000000000004m\n"
+                "grid_points = 5\n",
+                "grid_min = 1m\ngrid_max = 1.0000001m\ngrid_points = 11\n")
 
 
 def make_config(extra: str = "") -> ScenarioConfig:
@@ -700,6 +718,28 @@ class TestMain:
         assert (out / "summary.json").exists()
         assert (out / "pattern_standard_two_slit.csv").exists()
 
+    def test_simulate_prints_summary_json(self, tmp_path, capsys,
+                                          monkeypatch):
+        # The summary is encoded once: stdout is summary.json less its
+        # final newline, which print adds back.
+        encoded = []
+        real = cli._json_text
+
+        def spy(value):
+            encoded.append(value)
+            return real(value)
+
+        monkeypatch.setattr(cli, "_json_text", spy)
+        path = self.write_config(tmp_path, "washout_theta = 2mrad\n"
+                                           "washout_tilts = 11\n")
+        out = tmp_path / "results"
+        assert main(["simulate", "--config", str(path),
+                     "--out-dir", str(out)]) == EXIT_OK
+        text = (out / "summary.json").read_text(encoding="ascii")
+        assert text.endswith("}\n")
+        assert capsys.readouterr().out == text
+        assert len(encoded) == 1
+
     def test_config_error_exits_1(self, tmp_path, capsys):
         path = self.write_config(tmp_path, "alignment = sideways\n")
         assert main(["simulate", "--config", str(path)]) == EXIT_CONFIG
@@ -941,6 +981,10 @@ class TestMain:
         # A model's phase overflows on the grid.
         *((plate + OVERFLOW_WINDOW, "slit_separation")
           for plate in OVERFLOW_PLATES.values()),
+        # A window a model washout shifts the grid to is not valid.
+        *((plate, "washout_theta")
+          for plate in WASHOUT_WINDOW_PLATES.values()),
+        *((grid, "grid_points") for grid in NARROW_GRIDS),
     ])
     @pytest.mark.filterwarnings("error")
     def test_out_of_range_value_names_key(self, tmp_path, capsys, extra, key):

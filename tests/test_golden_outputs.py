@@ -1,10 +1,13 @@
 """tools/golden_outputs.py: a digest does not depend on the BLAS thread
-count of the environment that runs the tool."""
+count of the environment that runs the tool, and a dumped listing gives
+each changed CSV column's relative change."""
 
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
@@ -32,3 +35,45 @@ def test_oracle_washout_digest_does_not_depend_on_blas_threads():
     # The washout's coherent-mode SVD rounds differently with two threads.
     item = "simulate/oracle_washout"
     assert digest_with_threads(item, 2) == digest_with_threads(item, 1)
+
+
+def import_tool(monkeypatch):
+    # The tool pins the BLAS thread variables when it is imported; setenv
+    # first, so that they are restored after the test.
+    for var in BLAS_THREAD_VARS:
+        monkeypatch.setenv(var, "1")
+    monkeypatch.syspath_prepend(str(ROOT / "tools"))
+    import golden_outputs
+    return golden_outputs
+
+
+def test_dump_and_compare_report_column_changes(tmp_path, monkeypatch,
+                                                capsys):
+    golden = import_tool(monkeypatch)
+    before = b"x_m,intensity,flag,note\n-1,0.5,true,\n0,1,false,\n"
+    after = b"x_m,intensity,flag,note\n-1,0.5,true,\n0,0.999,true,\n"
+    assert golden.column_changes(before, after) == {
+        "x_m": 0.0, "intensity": pytest.approx(1e-3), "flag": "text differs",
+        "note": 0.0}
+    assert golden.column_changes(before, before + b"1,0,true,\n") == {
+        "": "header or row count differs"}
+
+    golden.dump(tmp_path / "before", {"simulate/a": "1", "check/b": "2"},
+                {"simulate/a": {"out/p.csv": before, "out/s.json": b"{}"},
+                 "check/b": {}})
+    assert (tmp_path / "before" / "simulate/a/out/p.csv").read_bytes() \
+        == before
+    code = golden.compare({"simulate/a": "3", "check/b": "2"},
+                          {"simulate/a": "1", "check/b": "2"}, "before",
+                          {"simulate/a": {"out/p.csv": after,
+                                          "out/s.json": b"[]"},
+                           "check/b": {}}, tmp_path / "before")
+    assert code == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "differs: simulate/a",
+        "  out/p.csv x_m: 0",
+        "  out/p.csv intensity: 0.001",
+        "  out/p.csv flag: text differs",
+        "  out/p.csv note: 0",
+        "1 of 2 shared items identical",
+    ]

@@ -330,6 +330,14 @@ class MatmulSpy:
         return np.matmul(a, b, **kwargs)
 
 
+def tilt_shifts(geom, theta, n_tilts):
+    """The positive washout shifts D sin t and the antisymmetric set they
+    mirror to, as oracle_pattern builds them."""
+    tilts = oracle_module.tilt_angles(theta, n_tilts)
+    positive = geom.screen_distance_m * np.sin(tilts[n_tilts // 2 + 1:])
+    return positive, np.concatenate((-positive[::-1], [0.0], positive))
+
+
 class TestGroupedKernel:
     """Full blocks of kernel rows are evaluated in groups, and the ragged
     last block alone; every output bit is that of the per-block loop, and
@@ -337,8 +345,7 @@ class TestGroupedKernel:
 
     BEAM = GaussianBeam(waist_m=3e-6, center_m=REF_GEOM.slit_a_center_m)
     APERTURES = two_slit_apertures(REF_GEOM, phase_b_rad=0.5 * math.pi)
-    TILT_SHIFTS = REF_GEOM.screen_distance_m * np.sin(
-        np.linspace(-PHI, PHI, 101))
+    TILT_POSITIVE, TILT_SHIFTS = tilt_shifts(REF_GEOM, PHI, 101)
 
     def compare(self, monkeypatch, points, n, columns):
         if columns == "plain":
@@ -348,7 +355,7 @@ class TestGroupedKernel:
         else:
             shifts = self.TILT_SHIFTS
             modes, _ = oracle_module._coherent_modes(
-                self.BEAM, self.APERTURES, REF_GEOM, shifts, 32)
+                self.BEAM, self.APERTURES, REF_GEOM, self.TILT_POSITIVE, 32)
         x = np.linspace(-1.2 * LOBE, 1.2 * LOBE, points)
         expected = per_block_amplitude(self.BEAM, self.APERTURES, REF_GEOM,
                                        x, n, shifts, modes)
@@ -668,6 +675,78 @@ class TestCoherentModeWashout:
                                       grid.x(), n, np.array([err.shift_m]))
             assert np.max(np.abs(estimate - column[:, 0])) \
                 <= 1e-13 * np.max(np.abs(column))
+
+
+class TestTiltAngles:
+    # theta (j / h) stays a normal float; linspace, the ulp reference, loses
+    # its relative accuracy on subnormal tilts.
+    @settings(max_examples=200, deadline=None, derandomize=True,
+              database=None)
+    @given(theta=st.floats(1e-300, 1.5),
+           n_tilts=st.sampled_from([3, 11, 101, 1001]))
+    def test_antisymmetric_by_construction(self, theta, n_tilts):
+        tilts = oracle_module.tilt_angles(theta, n_tilts)
+        middle = n_tilts // 2
+        assert np.array_equal(tilts, -tilts[::-1])
+        assert tilts[middle] == 0.0 and math.copysign(1.0, tilts[middle]) > 0
+        assert tilts[0] == -theta and tilts[-1] == theta
+        assert np.max(np.abs(tilts - np.linspace(-theta, theta, n_tilts))) \
+            <= 3 * math.ulp(theta)
+
+
+def complex_modes(apertures, geom, shifts, n):
+    """The washout's rank, sigma and proxy V from the complex SVD of
+    V = exp(i k xi s), doubling the proxy by the rule _coherent_modes keeps."""
+    k_screen = 2 * math.pi / (geom.wavelength_m * geom.screen_distance_m)
+    while True:
+        xi, _ = oracle_module._aperture_nodes(apertures, n)
+        v = np.exp(1j * k_screen * np.outer(xi, shifts))
+        sigma = np.linalg.svd(v, compute_uv=False)
+        rank = int(np.count_nonzero(sigma > 1e-13 * sigma[0]))
+        if rank < xi.size or rank == shifts.size:
+            return rank, sigma, v
+        n *= 2
+
+
+class TestRealModeBasis:
+    """The tilts are symmetric, so the washout's modes come from a real SVD
+    of the cos/sin basis; a complex SVD of V is the reference."""
+
+    @settings(max_examples=40, deadline=None, derandomize=True,
+              database=None)
+    @given(slit=st.floats(0.5e-6, 10e-6), ratio=st.floats(1.5, 20.0),
+           wavelength=st.floats(400e-9, 1e-6), beam=st.sampled_from(BEAMS),
+           theta=st.floats(1e-4, 1.5), n_tilts=st.sampled_from([3, 11, 101]),
+           nodes=st.sampled_from([8, 32]))
+    def test_matches_complex_svd(self, slit, ratio, wavelength, beam, theta,
+                                 n_tilts, nodes):
+        geom = SlitGeometry(wavelength, slit, ratio * slit, 0.1)
+        apertures = two_slit_apertures(geom)
+        positive, shifts = tilt_shifts(geom, theta, n_tilts)
+        modes, _ = oracle_module._coherent_modes(beam, apertures, geom,
+                                                 positive, nodes)
+        rank, sigma, v = complex_modes(apertures, geom, shifts, nodes)
+        assert modes.shape == (n_tilts, rank)
+        assert np.max(np.abs(modes.conj().T @ modes - np.eye(rank))) <= 1e-13
+        projected = v @ modes  # U S, real
+        assert np.max(np.abs(projected.imag)) \
+            <= 1e-13 * np.max(np.abs(projected))
+        assert np.max(np.abs(np.linalg.norm(projected, axis=0)
+                             - sigma[:rank])) <= 1e-13 * sigma[0]
+
+    @pytest.mark.parametrize("beam", BEAMS)
+    def test_off_centre_slit_matches_per_tilt_reference(self, beam):
+        # One slit at -d/2: the proxy nodes are not symmetric about 0, and
+        # the mode weights are complex.
+        grid = GridSpec(-1.2 * LOBE, 1.2 * LOBE, 401)
+        apertures = single_slit_aperture(REF_GEOM, "a")
+        washed = oracle_pattern(beam, apertures, REF_GEOM, grid,
+                                theta_rad=0.4, n_tilts=101)
+        assert washed.meta["washout_modes"] > 1
+        reference = per_tilt_washout(beam, apertures, REF_GEOM, grid.x(),
+                                     0.4, 101)
+        assert np.max(np.abs(washed.intensity - reference / reference.max())) \
+            <= 1e-13
 
 
 class TestPlancherel:

@@ -11,6 +11,16 @@ see which outputs a change moved:
 With ``--against`` the tool prints the ids whose digests differ and the ids
 missing from either side, and exits 1 if any digest differs.
 
+``--dump DIR`` also writes each item's files to ``DIR/<item>/`` (for
+example ``DIR/simulate/oracle_washout/out/pattern_washout.csv``) and the
+listing to ``DIR/digests.json``.  Given such a directory, ``--against``
+also prints, for each CSV that an item changed, every numeric column with
+its largest |after - before| over its peak |before|:
+
+    PYTHONPATH=/path/to/other/checkout/src python3 tools/golden_outputs.py \\
+        --dump before > /dev/null
+    PYTHONPATH=src python3 tools/golden_outputs.py --against before
+
 The tool pins OpenBLAS, OpenMP and MKL to one thread before numpy loads: the
 SVD of an oracle washout rounds differently with more threads, so the
 digests of those items would depend on the host's thread count.
@@ -23,8 +33,10 @@ span several groups of blocks, every sweep parameter, ``check`` with each
 plate error, ``check`` and ``simulate`` on a grid too coarse for the fringes
 and on a far plate whose far-field threshold overflows to inf, ``check`` on a
 plate whose derived screen window is not finite, ``check`` and ``simulate``
-on three plates whose model phases overflow on the grid, and each ``mzi``
-mode with balanced and unbalanced amplitudes.
+on three plates whose model phases overflow on the grid, on two whose model
+washout shifts the grid to a window that is not valid, and on two windows
+too narrow for their points, and each ``mzi`` mode with balanced and
+unbalanced amplitudes.
 """
 
 from __future__ import annotations
@@ -44,6 +56,9 @@ os.environ.update({var: "1" for var in ("OPENBLAS_NUM_THREADS",
                                         "OMP_NUM_THREADS", "MKL_NUM_THREADS")})
 
 from whichway import cli  # noqa: E402
+
+# The listing inside a --dump directory.
+DIGESTS = "digests.json"
 
 PLATE = """\
 wavelength = 632.8nm
@@ -74,6 +89,31 @@ OVERFLOW_PLATES = {
     "overflow_two_pi_d_x": OVERFLOW + "wavelength = 1e-3m\n"
                            "slit_separation = 5e307m\n"
                            "screen_distance = 6e307m\ngrid_points = 20001\n",
+}
+
+# A model washout samples the first model on the grid shifted by up to
+# D sin(1 rad): the phase overflows on that window, or the window collapses
+# to one float.  Both exit 1 naming washout_theta.
+WASHOUT = "spot_width = 1um\nwashout_theta = 1\nwashout_tilts = 3\n"
+WASHOUT_WINDOWS = {
+    "washout_window_overflow": "wavelength = 1e150m\nslit_width = 1e153m\n"
+                               "slit_separation = 1e154m\n"
+                               "screen_distance = 2e154m\n"
+                               "grid_min = -1e152m\ngrid_max = 1e152m\n"
+                               "grid_points = 4001\n" + WASHOUT,
+    "washout_window_collapse": "wavelength = 1e-300m\nslit_width = 1m\n"
+                               "slit_separation = 1e10m\n"
+                               "screen_distance = 1e11m\n"
+                               "grid_min = -1e-297m\ngrid_max = 1e-297m\n"
+                               + WASHOUT,
+}
+# Windows too narrow for their points in floating point (not distinct, or
+# not evenly spaced): exit 1 naming grid_points.
+NARROW_GRIDS = {
+    "narrow_grid": "grid_min = 1m\ngrid_max = 1.0000000000000004m\n"
+                   "grid_points = 5\n",
+    "uneven_grid": "grid_min = 1m\ngrid_max = 1.0000001m\n"
+                   "grid_points = 11\n",
 }
 
 
@@ -139,6 +179,8 @@ SIMULATE = {
     "coarse_grid": COARSE_GRID,
     "far_plate": FAR_PLATE,
     **OVERFLOW_PLATES,
+    **WASHOUT_WINDOWS,
+    **NARROW_GRIDS,
 }
 
 # name -> (config lines added to PLATE, --param, --values).
@@ -184,7 +226,8 @@ CHECK = {
     # grid_min.
     "infinite_window": "wavelength = 1e308\nslit_width = 1um\n"
                        "slit_separation = 1e308\nscreen_distance = 1.5e308\n",
-    **{name: with_plate(extra) for name, extra in OVERFLOW_PLATES.items()},
+    **{name: with_plate(extra) for name, extra in
+       {**OVERFLOW_PLATES, **WASHOUT_WINDOWS, **NARROW_GRIDS}.items()},
 }
 
 MZI_MODES = ("open", "blocked", "marker", "knockout", "asymmetric")
@@ -215,8 +258,10 @@ def items() -> list[tuple[str, list[str], str | None]]:
     return out
 
 
-def digest(argv: list[str], config: str | None) -> str:
-    """sha256 of one item's exit code, stdout, stderr and written files."""
+def run(argv: list[str], config: str | None
+        ) -> tuple[str, dict[str, bytes]]:
+    """Run one item: the sha256 of its exit code, stdout, stderr and
+    written files, and those files by path (``out`` or ``out/<name>``)."""
     with tempfile.TemporaryDirectory() as tmp:
         root = Path(tmp)
         cfg_path, out_path = root / "scenario.cfg", root / "out"
@@ -231,21 +276,82 @@ def digest(argv: list[str], config: str | None) -> str:
         h = hashlib.sha256()
         for part in (f"exit {code}", stdout.getvalue(), stderr.getvalue()):
             h.update(part.encode("utf-8") + b"\0")
-        files = [out_path] if out_path.is_file() \
+        paths = [out_path] if out_path.is_file() \
             else sorted(p for p in out_path.rglob("*") if p.is_file())
-        for path in files:
-            h.update(path.relative_to(root).as_posix().encode("utf-8") + b"\0")
-            h.update(path.read_bytes() + b"\0")
-        return h.hexdigest()
+        files = {}
+        for path in paths:
+            name = path.relative_to(root).as_posix()
+            files[name] = path.read_bytes()
+            h.update(name.encode("utf-8") + b"\0")
+            h.update(files[name] + b"\0")
+        return h.hexdigest(), files
+
+
+def digest(argv: list[str], config: str | None) -> str:
+    """sha256 of one item's exit code, stdout, stderr and written files."""
+    return run(argv, config)[0]
+
+
+def dump(directory: Path, digests: dict[str, str],
+         files: dict[str, dict[str, bytes]]) -> None:
+    """Write ``digests.json`` and each item's files under ``<item>/``."""
+    directory.mkdir(parents=True, exist_ok=True)
+    (directory / DIGESTS).write_text(json.dumps(digests, indent=2) + "\n",
+                                     encoding="utf-8")
+    for item_id, item_files in files.items():
+        for name, data in item_files.items():
+            path = directory / item_id / name
+            path.parent.mkdir(parents=True, exist_ok=True)
+            path.write_bytes(data)
+
+
+def column_changes(before: bytes, after: bytes) -> dict[str, float | str]:
+    """For two CSV texts with one header: each numeric column's largest
+    |after - before| over its peak |before| value, or a note when the
+    tables do not line up.  A column is numeric when every cell that is
+    not empty parses as a float."""
+    old = [line.split(",") for line in before.decode("ascii").splitlines()]
+    new = [line.split(",") for line in after.decode("ascii").splitlines()]
+    if old[0] != new[0] or len(old) != len(new):
+        return {"": "header or row count differs"}
+    out: dict[str, float | str] = {}
+    for col, name in enumerate(old[0]):
+        pairs = [(a[col], b[col]) for a, b in zip(old[1:], new[1:])]
+        try:
+            values = [(float(a), float(b)) for a, b in pairs if a or b]
+        except ValueError:
+            if any(a != b for a, b in pairs):
+                out[name] = "text differs"
+            continue
+        peak = max((abs(a) for a, _ in values), default=0.0)
+        change = max((abs(b - a) for a, b in values), default=0.0)
+        out[name] = change / peak if peak else change
+    return out
 
 
 def compare(digests: dict[str, str], before: dict[str, str],
-            before_name: str) -> int:
+            before_name: str,
+            files: dict[str, dict[str, bytes]] | None = None,
+            before_dir: Path | None = None) -> int:
     """Print the ids whose digests differ or that only one side has; 1 if
-    any shared id differs."""
+    any shared id differs.  With ``files`` and a dump in ``before_dir``,
+    also print each differing CSV's column changes."""
     differ = [i for i in digests if i in before and digests[i] != before[i]]
     for item_id in differ:
         print(f"differs: {item_id}")
+        if files is None or before_dir is None:
+            continue
+        for name, data in files[item_id].items():
+            old_path = before_dir / item_id / name
+            if name.endswith(".json") or not old_path.is_file():
+                continue
+            old = old_path.read_bytes()
+            if old == data:
+                continue
+            for column, change in column_changes(old, data).items():
+                shown = (change if isinstance(change, str)
+                         else f"{change:.2g}")
+                print(f"  {name} {column}: {shown}")
     for item_id in sorted(before.keys() - digests.keys()):
         print(f"missing here: {item_id}")
     for item_id in sorted(digests.keys() - before.keys()):
@@ -257,14 +363,28 @@ def compare(digests: dict[str, str], before: dict[str, str],
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--against", metavar="BEFORE_JSON",
-                        help="compare with a listing written earlier")
+    parser.add_argument("--against", metavar="BEFORE",
+                        help="compare with a listing or a --dump directory "
+                             "written earlier")
+    parser.add_argument("--dump", metavar="DIR", type=Path,
+                        help="also write each item's files to DIR/<item>/")
     args = parser.parse_args()
-    digests = {item_id: digest(argv, config)
-               for item_id, argv, config in items()}
-    if args.against is not None:
-        before = json.loads(Path(args.against).read_text(encoding="utf-8"))
-        return compare(digests, before, args.against)
+    against = None if args.against is None else Path(args.against)
+    before_dir = against if against and against.is_dir() else None
+    # Only a dump and a comparison with a dump read the files themselves.
+    files = {} if args.dump is not None or before_dir is not None else None
+    digests = {}
+    for item_id, argv, config in items():
+        if files is None:
+            digests[item_id] = digest(argv, config)
+        else:
+            digests[item_id], files[item_id] = run(argv, config)
+    if args.dump is not None:
+        dump(args.dump, digests, files)
+    if against is not None:
+        listing = against / DIGESTS if before_dir else against
+        before = json.loads(listing.read_text(encoding="utf-8"))
+        return compare(digests, before, args.against, files, before_dir)
     json.dump(digests, sys.stdout, indent=2)
     sys.stdout.write("\n")
     return 0
