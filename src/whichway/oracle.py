@@ -18,22 +18,24 @@ taken once per washout from V on a fixed proxy set of nodes, so the mode
 columns are the same functions at every refinement level and refine like
 amplitudes.  The tilts are symmetric by construction, theta (j / h) for
 j = -h..h, and so are the shifts, so W comes from one real SVD of the
-basis [1, sqrt2 cos(k xi s_j), sqrt2 sin(k xi s_j)] (j > 0), which spans
-what V spans (:func:`_coherent_modes`).  The modes are taken in blocks of
-columns sized from ``_BLOCK_BYTES``, so memory does not grow with tilt or
-mode counts.
+basis B = [1, sqrt2 cos(k xi s_j), sqrt2 sin(k xi s_j)] (j > 0), which
+spans what V spans (:func:`_coherent_modes`).  Each level then takes its
+mode phases V W as B Z, where Z = T^H W holds W on that basis and is real
+(:func:`_basis_weights`).  The modes are taken in blocks of columns sized
+from ``_BLOCK_BYTES``, so memory does not grow with tilt or mode counts.
 
 The screen grid is evenly spaced, so a kernel row factors into the row at
 its block's first point times a row of a small step table,
 exp(-i k x_{a+r} xi) = exp(-i k x_a xi) exp(-i k r dx xi).  With blocks of
 about sqrt(N) rows a level takes about 2 sqrt(N) complex exponentials per
 node instead of N; the step table is capped at ``_BLOCK_BYTES``, which
-caps the rows per block.  Full blocks are evaluated in groups whose anchored
-columns fit in ``_GROUP_BYTES``, with one exponential of the group's anchor
-rows, one product with the columns and one stacked matmul per group instead
-of three numpy calls per block.  The ragged last block is evaluated alone.
-Every gemm keeps the shape it has block by block, so grouping moves no
-output bit.
+caps the rows per block.  A level holds its columns column-major, each
+padded to whole blocks, and takes the blocks in spans whose anchor rows and
+their product with one column fit in ``_GROUP_BYTES``: one exponential of a
+span's anchor rows, then for each column one product with them and one gemm
+with the step table, which writes that column's rows of the span in place.
+A column's gemms have the same shapes whatever the other columns are, so
+its bits do not depend on them.
 """
 
 from __future__ import annotations
@@ -52,9 +54,9 @@ from .geometry import SlitGeometry
 # Working-set budget for one block of kernel rows and for one block of
 # washout columns (complex128 entries of 16 bytes each).
 _BLOCK_BYTES = 4 << 20
-# Budget for the anchored columns of one group of kernel row blocks; small
-# enough to stay in cache.  Not _BLOCK_BYTES, which also splits the washout
-# into blocks of mode columns, and with them the summed output bits.
+# Budget for the anchor rows of one span of kernel row blocks and their
+# product with one column; small enough to stay in cache.  Not _BLOCK_BYTES, which also splits the washout into
+# blocks of mode columns, and with them the summed output bits.
 _GROUP_BYTES = 256 << 10
 _COMPLEX_BYTES = 16
 # Screen points may deviate from x_0 + j dx by this many ulps of the grid's
@@ -172,61 +174,93 @@ def _aperture_nodes(apertures: ApertureSet, n: int
     return np.concatenate(xi), np.concatenate(weights)
 
 
-def _mode_phases(k_screen: float, xi: np.ndarray, shifts: np.ndarray,
-                 modes: np.ndarray) -> np.ndarray:
-    """exp(i k xi s) @ modes, one row per node, built in blocks of nodes so
-    that no nodes x shifts matrix outgrows ``_BLOCK_BYTES``."""
-    out = np.empty((xi.size, modes.shape[1]), dtype=complex)
-    rows = max(1, _BLOCK_BYTES // (_COMPLEX_BYTES * shifts.size))
-    for start in range(0, xi.size, rows):
-        phases = np.exp(1j * k_screen * np.outer(xi[start:start + rows],
-                                                  shifts))
-        np.matmul(phases, modes, out=out[start:start + rows])
+def _basis(k_screen: float, xi: np.ndarray, positive: np.ndarray
+           ) -> np.ndarray:
+    """The real basis B = [1, sqrt2 cos(k xi s_j), sqrt2 sin(k xi s_j)]
+    (j > 0), one row per node, of the phases exp(i k xi s) over the
+    antisymmetric shifts s = [-positive[::-1], 0, positive]."""
+    phase = k_screen * np.outer(xi, positive)
+    root2 = math.sqrt(2.0)
+    return np.hstack((np.ones((xi.size, 1)), root2 * np.cos(phase),
+                      root2 * np.sin(phase)))
+
+
+def _basis_weights(modes: np.ndarray) -> np.ndarray:
+    """Z = T^H W, the weights on the rows of :func:`_basis` with B Z = V W,
+    for shift weights W (shifts x R) over an odd, antisymmetric shift set:
+    Z_0 = W_0, Z_cj = (W_j + W_-j) / sqrt2 and Z_sj = i (W_j - W_-j) / sqrt2.
+    Z is real when W_-j = conj(W_j) and W_0 is real, as the weights of
+    :func:`_coherent_modes` are."""
+    half, root2 = modes.shape[0] // 2, math.sqrt(2.0)
+    plus, minus = modes[half + 1:], modes[:half][::-1]
+    z = np.vstack((modes[half:half + 1], (plus + minus) / root2,
+                   1j * (plus - minus) / root2))
+    return z if np.any(z.imag) else z.real
+
+
+def _mode_phases(k_screen: float, xi: np.ndarray, positive: np.ndarray,
+                 weights: np.ndarray) -> np.ndarray:
+    """(B Z)^T for the basis B of :func:`_basis` and weights Z, one column
+    per node, built in blocks of nodes so that no block of B outgrows
+    ``_BLOCK_BYTES``."""
+    out = np.empty((weights.shape[1], xi.size), dtype=weights.dtype)
+    nodes = max(1, _BLOCK_BYTES // (_COMPLEX_BYTES * weights.shape[0]))
+    for start in range(0, xi.size, nodes):
+        basis = _basis(k_screen, xi[start:start + nodes], positive)
+        out[:, start:start + nodes] = (basis @ weights).T
     return out
 
 
 def _amplitude_fixed(beam: BeamProfile, apertures: ApertureSet,
                      geom: SlitGeometry, x: np.ndarray, n: int,
                      shifts: np.ndarray | None = None,
-                     modes: np.ndarray | None = None) -> np.ndarray:
+                     weights: np.ndarray | None = None) -> np.ndarray:
     """Single-pass amplitude with exactly n Gauss-Legendre nodes per interval
     on the evenly spaced points ``x``.
 
     With ``shifts`` the result has one column per shift s, holding the
-    amplitude at x - s; all columns share each block of kernel rows.  With
-    ``modes`` (shifts x R) as well, it has one column per mode instead:
-    the shifted columns times ``modes``.
+    amplitude at x - s.  With ``weights`` Z as well (an odd, antisymmetric
+    ``shifts`` and Z from :func:`_basis_weights`) it has one column per mode
+    instead: the shifted columns times W.  The columns are held
+    column-major, each padded to whole blocks of rows, and the
+    (points x columns) result is a view of them.
     """
     k_screen = 2.0 * math.pi / (geom.wavelength_m * geom.screen_distance_m)
-    xi, weights = _aperture_nodes(apertures, n)
-    f = amplitude_at(beam, xi, geom.wavelength_m) * weights
-    if modes is None:
+    xi, node_weights = _aperture_nodes(apertures, n)
+    f = amplitude_at(beam, xi, geom.wavelength_m) * node_weights
+    if weights is None:
         columns = np.zeros(1) if shifts is None else shifts
-        f = f[:, None] * np.exp(1j * k_screen * np.outer(xi, columns))
+        f = f * np.exp(1j * k_screen * np.outer(columns, xi))
     else:
-        f = f[:, None] * _mode_phases(k_screen, xi, shifts, modes)
+        f = f * _mode_phases(k_screen, xi, shifts[shifts.size // 2 + 1:],
+                             weights)
 
-    # Block of rows r = 0..rows-1 from x[start]: kernel = steps * anchor row.
+    # Block of rows r = 0..rows-1 from x[a]: kernel = anchor row * steps.
     dx = (x[-1] - x[0]) / (x.size - 1) if x.size > 1 else 0.0
     rows = min(math.isqrt(x.size - 1) + 1,
                max(1, _BLOCK_BYTES // (_COMPLEX_BYTES * xi.size)))
-    steps = np.exp(np.multiply.outer(np.arange(rows) * dx, xi)
-                   * (-1j * k_screen))
-    amp = np.empty((x.size, f.shape[1]), dtype=complex)
-    # The ragged last block gets a gemm of its own row count: padded to a
-    # full block, its gemm could round differently.
-    full = x.size - x.size % rows
-    span = rows * max(1, _GROUP_BYTES // (_COMPLEX_BYTES * f.size))
-    for start in range(0, full, span):
-        stop = min(start + span, full)
-        anchors = np.exp(np.multiply.outer((-1j * k_screen)
-                                           * x[start:stop:rows], xi))
-        np.matmul(steps, anchors[:, :, None] * f,
-                  out=amp[start:stop].reshape(-1, rows, f.shape[1]))
-    if full < x.size:
-        anchor = np.exp(xi * (-1j * k_screen * x[full]))
-        np.matmul(steps[:x.size - full], anchor[:, None] * f, out=amp[full:])
-    return amp[:, 0] if shifts is None else amp
+    # Exponentials in place, so that no table is held twice.
+    steps = np.multiply.outer(xi, np.arange(rows) * dx) * (-1j * k_screen)
+    np.exp(steps, out=steps)
+    blocks = -(-x.size // rows)
+    amp = np.empty((f.shape[0], blocks, rows), dtype=complex)
+    # A span of blocks shares one exponential of its anchor rows; then one
+    # gemm per column, of those rows times the column, writes that column's
+    # rows of the span.
+    span = max(1, _GROUP_BYTES // (2 * _COMPLEX_BYTES * xi.size))
+    anchor_rows = np.empty((min(span, blocks), xi.size), dtype=complex)
+    anchored = np.empty_like(anchor_rows)
+    for first in range(0, blocks, span):
+        last = min(first + span, blocks)
+        anchors, left = anchor_rows[:last - first], anchored[:last - first]
+        np.multiply.outer((-1j * k_screen) * x[first * rows:last * rows:rows],
+                          xi, out=anchors)
+        np.exp(anchors, out=anchors)
+        for column, out in zip(f, amp):
+            np.multiply(anchors, column, out=left)
+            np.matmul(left, steps, out=out[first:last])
+    amp = amp.reshape(f.shape[0], -1)[:, :x.size]
+    return amp[0] if shifts is None else amp.T
 
 
 def _coherent_modes(beam: BeamProfile, apertures: ApertureSet,
@@ -249,9 +283,7 @@ def _coherent_modes(beam: BeamProfile, apertures: ApertureSet,
     half, root2 = positive.size, math.sqrt(2.0)
     while True:
         xi, weights = _aperture_nodes(apertures, n)
-        phase = k_screen * np.outer(xi, positive)
-        basis = np.hstack((np.ones((xi.size, 1)), root2 * np.cos(phase),
-                           root2 * np.sin(phase)))
+        basis = _basis(k_screen, xi, positive)
         _, sigma, zt = np.linalg.svd(basis, full_matrices=False)
         rank = int(np.count_nonzero(sigma > _MODE_CUTOFF * sigma[0]))
         if rank < xi.size or rank == basis.shape[1]:
@@ -297,7 +329,10 @@ def fraunhofer_amplitude(beam: BeamProfile, apertures: ApertureSet,
     to the tolerance of its own largest amplitude.
 
     With ``modes`` as well (an (n_shifts, R) array W) the result is the
-    (x, R) array C = A W of coherent-mode columns.  Every mode column must
+    (x, R) array C = A W of coherent-mode columns.  ``shifts_m`` must then
+    be odd in count and antisymmetric, s_{-j} = -s_j, so that the phases
+    V W are B Z on the real cos/sin basis B (:func:`_basis_weights`), a
+    real product when W_{-j} = conj(W_j).  Every mode column must
     agree with its previous estimate to the tolerance of one common scale,
     sqrt(max_x sum_r |C_r|^2 / n_shifts): the root of the washout's peak
     when W has orthonormal columns spanning the tilts.  On failure the
@@ -326,11 +361,15 @@ def fraunhofer_amplitude(beam: BeamProfile, apertures: ApertureSet,
         else np.atleast_1d(np.asarray(shifts_m, dtype=float))
     if not np.all(np.isfinite(shifts)):
         raise ValueError("shifts_m must be finite")
+    weights = None
     if modes is not None:
         modes = np.asarray(modes, dtype=complex)
         if shifts_m is None or modes.ndim != 2 \
                 or modes.shape[0] != shifts.size:
             raise ValueError("modes needs one row per entry of shifts_m")
+        if shifts.size % 2 == 0 or not np.array_equal(shifts, -shifts[::-1]):
+            raise ValueError("modes needs an odd, antisymmetric shifts_m")
+        weights = _basis_weights(modes)
 
     def result(columns: np.ndarray):
         if shifts_m is not None:
@@ -346,12 +385,12 @@ def fraunhofer_amplitude(beam: BeamProfile, apertures: ApertureSet,
     # Columns are compared one at a time so no temporary grows with their
     # count; at most two whole estimates (prev, cur) are alive at once.
     n = quad.nodes_per_interval
-    cur = _amplitude_fixed(beam, apertures, geom, x, n, shifts, modes)
+    cur = _amplitude_fixed(beam, apertures, geom, x, n, shifts, weights)
     history = []
     for _ in range(quad.max_refinements):
         n *= 2
         prev = cur
-        cur = _amplitude_fixed(beam, apertures, geom, x, n, shifts, modes)
+        cur = _amplitude_fixed(beam, apertures, geom, x, n, shifts, weights)
         diff = np.array([np.max(np.abs(c - p)) for c, p in zip(cur.T, prev.T)])
         if modes is None:
             scale = np.array([np.max(np.abs(c)) for c in cur.T])

@@ -283,39 +283,10 @@ class TestFactoredKernel:
             <= 1e-13 * np.max(np.abs(expected))
 
 
-def per_block_amplitude(beam, apertures, geom, x, n, shifts=None,
-                        modes=None):
-    """Reference for the grouped ``_amplitude_fixed``: the same factored
-    kernel, evaluated one block of rows at a time, each block with its own
-    anchor row, product and gemm."""
-    k_screen = 2.0 * math.pi / (geom.wavelength_m * geom.screen_distance_m)
-    xi, weights = oracle_module._aperture_nodes(apertures, n)
-    f = amplitude_at(beam, xi, geom.wavelength_m) * weights
-    if modes is None:
-        columns = np.zeros(1) if shifts is None else shifts
-        f = f[:, None] * np.exp(1j * k_screen * np.outer(xi, columns))
-    else:
-        f = f[:, None] * oracle_module._mode_phases(k_screen, xi, shifts,
-                                                    modes)
-    dx = (x[-1] - x[0]) / (x.size - 1) if x.size > 1 else 0.0
-    rows = min(math.isqrt(x.size - 1) + 1,
-               max(1, oracle_module._BLOCK_BYTES // (16 * xi.size)))
-    steps = np.exp(np.multiply.outer(np.arange(rows) * dx, xi)
-                   * (-1j * k_screen))
-    amp = np.empty((x.size, f.shape[1]), dtype=complex)
-    anchored = np.empty_like(f)
-    for start in range(0, x.size, rows):
-        stop = min(start + rows, x.size)
-        anchor = np.exp(xi * (-1j * k_screen * x[start]))
-        np.multiply(anchor[:, None], f, out=anchored)
-        np.matmul(steps[:stop - start], anchored, out=amp[start:stop])
-    return amp[:, 0] if shifts is None else amp
-
-
 class MatmulSpy:
     """Stands in for numpy in the oracle module and records the operand
     shapes of every matmul whose second operand has ``nodes`` rows: the
-    kernel's products of the step table with anchored columns."""
+    kernel's products of anchored rows with the step table."""
 
     def __init__(self, nodes: int):
         self.nodes = nodes
@@ -338,61 +309,91 @@ def tilt_shifts(geom, theta, n_tilts):
     return positive, np.concatenate((-positive[::-1], [0.0], positive))
 
 
-class TestGroupedKernel:
-    """Full blocks of kernel rows are evaluated in groups, and the ragged
-    last block alone; every output bit is that of the per-block loop, and
-    each group's anchored columns stay within ``_GROUP_BYTES``."""
+class TestColumnKernel:
+    """A level holds its columns column-major and gives each column one gemm
+    per span of row blocks, so a column's bits do not depend on the other
+    columns of its call.  Each gemm's anchored rows stay within
+    ``_GROUP_BYTES`` (with the anchor rows themselves) and the step table
+    within ``_BLOCK_BYTES``."""
 
     BEAM = GaussianBeam(waist_m=3e-6, center_m=REF_GEOM.slit_a_center_m)
     APERTURES = two_slit_apertures(REF_GEOM, phase_b_rad=0.5 * math.pi)
+    SHIFTS = np.array([-2e-3, 0.0, 3.5e-3])
     TILT_POSITIVE, TILT_SHIFTS = tilt_shifts(REF_GEOM, PHI, 101)
 
-    def compare(self, monkeypatch, points, n, columns):
-        if columns == "plain":
-            shifts = modes = None
-        elif columns == "shifted":
-            shifts, modes = np.array([-2e-3, 0.0, 3.5e-3]), None
+    def spied(self, monkeypatch, x, n, shifts=None, weights=None):
+        """``_amplitude_fixed`` and the operand shapes of its kernel gemms,
+        checked against the budgets."""
+        spy = MatmulSpy(nodes=2 * n)
+        monkeypatch.setattr(oracle_module, "np", spy)
+        try:
+            amp = _amplitude_fixed(self.BEAM, self.APERTURES, REF_GEOM, x, n,
+                                   shifts, weights)
+        finally:
+            monkeypatch.undo()
+        for anchored, steps in spy.kernel_calls:
+            one_block = 16 * anchored[-1]
+            assert 16 * math.prod(anchored) \
+                <= max(oracle_module._GROUP_BYTES, one_block)
+            assert 16 * math.prod(steps) <= oracle_module._BLOCK_BYTES
+        return amp, spy.kernel_calls
+
+    # 1 and 2 points; 4001 = 62 blocks of 64 rows and a 33-row tail, padded
+    # to a 63rd block; 4032 = 63 blocks; 10,001 at 512 nodes = 100 blocks of
+    # 101 rows in spans of 16; 40,001 at 2,048 nodes = 313 blocks of 128
+    # rows in spans of 4.
+    @pytest.mark.parametrize("points,n", [(1, 32), (2, 32), (4001, 32),
+                                          (4032, 32), (10_001, 256),
+                                          (40_001, 1024)])
+    @pytest.mark.parametrize("columns", ["shifted", "modes"])
+    def test_columns_do_not_depend_on_each_other(self, monkeypatch, points,
+                                                 n, columns):
+        x = np.linspace(-1.2 * LOBE, 1.2 * LOBE, points)
+        if columns == "shifted":
+            shifts, weights = self.SHIFTS, None
+            width = shifts.size
         else:
+            # A washout level: the mode columns of 101 tilts, through the
+            # real mode phases B Z.
             shifts = self.TILT_SHIFTS
             modes, _ = oracle_module._coherent_modes(
                 self.BEAM, self.APERTURES, REF_GEOM, self.TILT_POSITIVE, 32)
-        x = np.linspace(-1.2 * LOBE, 1.2 * LOBE, points)
-        expected = per_block_amplitude(self.BEAM, self.APERTURES, REF_GEOM,
-                                       x, n, shifts, modes)
-        spy = MatmulSpy(nodes=2 * n)
-        monkeypatch.setattr(oracle_module, "np", spy)
-        grouped = _amplitude_fixed(self.BEAM, self.APERTURES, REF_GEOM, x, n,
-                                   shifts, modes)
-        monkeypatch.undo()
-        assert np.array_equal(grouped, expected)
-        # A group's anchor rows are smaller than its anchored columns.
-        for _, anchored in spy.kernel_calls:
-            one_block = 16 * anchored[-2] * anchored[-1]
-            assert 16 * math.prod(anchored) \
-                <= max(oracle_module._GROUP_BYTES, one_block)
-        return spy.kernel_calls
-
-    # 1 and 2 points; 4032 = 63 blocks of 64 rows; 4001 = 62 blocks of 64
-    # and a 33-row tail; 10,001 at 512 nodes = 99 blocks of 101 rows and a
-    # 2-row tail, in groups of at most 32 blocks.
-    @pytest.mark.parametrize("points,n", [(1, 32), (2, 32), (4032, 32),
-                                          (4001, 32), (10_001, 256)])
-    @pytest.mark.parametrize("columns", ["plain", "shifted", "modes"])
-    def test_matches_per_block_loop(self, monkeypatch, points, n, columns):
-        calls = self.compare(monkeypatch, points, n, columns)
-        rows = math.isqrt(points - 1) + 1
-        blocks = sum(b[0] if len(b) == 3 else 1 for _, b in calls)
-        assert blocks == -(-points // rows)
-        if points == 10_001:
-            assert sum(len(b) == 3 for _, b in calls) > 1
+            weights = oracle_module._basis_weights(modes)
+            width = weights.shape[1]
+            assert width > 1
+        batch, calls = self.spied(monkeypatch, x, n, shifts, weights)
+        assert batch.shape == (points, width)
+        rows = min(math.isqrt(points - 1) + 1,
+                   oracle_module._BLOCK_BYTES // (16 * 2 * n))
+        assert {steps for _, steps in calls} == {(2 * n, rows)}
+        assert sum(anchored[0] for anchored, _ in calls) \
+            == width * -(-points // rows)
+        if weights is not None:
+            # B Z for one weight column is a matrix-vector product that
+            # rounds differently, so each call alone takes its phase row
+            # from the whole set: the kernel alone is under test.
+            phases = oracle_module._mode_phases
+            for j in range(width):
+                monkeypatch.setattr(oracle_module, "_mode_phases",
+                                    lambda *args, j=j: phases(*args)[j:j + 1])
+                alone, _ = self.spied(monkeypatch, x, n, shifts, weights)
+                assert alone.shape == (points, 1)
+                assert np.array_equal(batch[:, j], alone[:, 0])
+            return
+        for j, shift in enumerate(shifts):
+            alone, _ = self.spied(monkeypatch, x, n, np.array([shift]))
+            assert np.array_equal(batch[:, j], alone[:, 0])
+        plain, _ = self.spied(monkeypatch, x, n)
+        assert plain.shape == (points,)
+        assert np.array_equal(plain, batch[:, 1])
 
     def test_rows_capped_by_block_bytes(self, monkeypatch):
         # 2048 nodes cap a block at 4 MB / (16 B x 2048) = 128 rows, under
-        # the sqrt(N) + 1 = 201 of 40,001 points: 312 blocks and a 65-row
-        # tail, in groups of 8.
-        calls = self.compare(monkeypatch, 40_001, 1024, "plain")
-        assert {a[0] for a, _ in calls} == {128, 65}
-        assert sum(len(b) == 3 for _, b in calls) == 39
+        # the sqrt(N) + 1 = 201 of 40,001 points: 313 blocks in 79 spans.
+        x = np.linspace(-1.2 * LOBE, 1.2 * LOBE, 40_001)
+        _, calls = self.spied(monkeypatch, x, 1024)
+        assert {steps for _, steps in calls} == {(2048, 128)}
+        assert [anchored[0] for anchored, _ in calls] == [4] * 78 + [1]
 
 
 def per_shift_columns(beam, apertures, x, shifts, quad=None):
@@ -734,6 +735,53 @@ class TestRealModeBasis:
         assert np.max(np.abs(np.linalg.norm(projected, axis=0)
                              - sigma[:rank])) <= 1e-13 * sigma[0]
 
+    @settings(max_examples=30, deadline=None, derandomize=True,
+              database=None)
+    @given(slit=st.floats(0.5e-6, 10e-6), ratio=st.floats(1.5, 20.0),
+           wavelength=st.floats(400e-9, 1e-6), beam=st.sampled_from(BEAMS),
+           theta=st.floats(1e-4, 1.5),
+           n_tilts=st.integers(1, 500).map(lambda half: 2 * half + 1),
+           nodes=st.sampled_from([8, 32]))
+    def test_mode_phases_are_real(self, slit, ratio, wavelength, beam, theta,
+                                  n_tilts, nodes):
+        # B Z on the nodes of the next level equals exp(i k xi s) W.
+        geom = SlitGeometry(wavelength, slit, ratio * slit, 0.1)
+        apertures = two_slit_apertures(geom)
+        positive, shifts = tilt_shifts(geom, theta, n_tilts)
+        modes, _ = oracle_module._coherent_modes(beam, apertures, geom,
+                                                 positive, nodes)
+        k_screen = 2 * math.pi / (geom.wavelength_m * geom.screen_distance_m)
+        xi, _ = oracle_module._aperture_nodes(apertures, 2 * nodes)
+        phases = oracle_module._mode_phases(
+            k_screen, xi, positive, oracle_module._basis_weights(modes))
+        expected = (np.exp(1j * k_screen * np.outer(xi, shifts)) @ modes).T
+        assert phases.dtype == np.float64
+        assert np.max(np.abs(phases - expected)) \
+            <= 1e-13 * np.max(np.abs(expected))
+
+    def test_any_weights_combine_the_shifted_columns(self):
+        # Weights that are not conjugate-symmetric give complex phases B Z.
+        x = np.linspace(-LOBE, LOBE, 201)
+        apertures = two_slit_apertures(REF_GEOM)
+        positive, shifts = tilt_shifts(REF_GEOM, PHI, 5)
+        rng = np.random.default_rng(7)
+        modes = rng.normal(size=(5, 2)) + 1j * rng.normal(size=(5, 2))
+        assert np.iscomplexobj(oracle_module._basis_weights(modes))
+        combined = fraunhofer_amplitude(PlaneWave(), apertures, REF_GEOM, x,
+                                        shifts_m=shifts, modes=modes)
+        expected = fraunhofer_amplitude(PlaneWave(), apertures, REF_GEOM, x,
+                                        shifts_m=shifts) @ modes
+        assert np.max(np.abs(combined - expected)) \
+            <= 1e-13 * np.max(np.abs(expected))
+
+    @pytest.mark.parametrize("shifts", [[-1e-3, 0.0, 2e-3], [-1e-3, 1e-3]])
+    def test_modes_need_odd_antisymmetric_shifts(self, shifts):
+        with pytest.raises(ValueError, match="odd, antisymmetric"):
+            fraunhofer_amplitude(PlaneWave(), two_slit_apertures(REF_GEOM),
+                                 REF_GEOM, np.linspace(-LOBE, LOBE, 11),
+                                 shifts_m=shifts,
+                                 modes=np.eye(len(shifts), dtype=complex))
+
     @pytest.mark.parametrize("beam", BEAMS)
     def test_off_centre_slit_matches_per_tilt_reference(self, beam):
         # One slit at -d/2: the proxy nodes are not symmetric about 0, and
@@ -805,11 +853,10 @@ class TestConjugateSymmetry:
     """A real aperture field g has A(-x) = conj(A(x)), so I(-x) = I(x); a
     washout over tilts symmetric about 0 keeps the symmetry.  Nothing here
     uses a closed form.  On a symmetric grid, mirrored screen points fall
-    in different kernel blocks, and for a washout's mode columns in
-    different groups of blocks.  Real fields: an untilted plane wave, a
-    Gaussian, a signed Bessel profile, each slit with phase 0 or pi.  (The
-    CLI's focused Bessel beam puts pi/2 on the far slit, which makes the
-    field complex and breaks the symmetry.)"""
+    in different kernel blocks, at different rows of them.  Real fields:
+    an untilted plane wave, a Gaussian, a signed Bessel profile, each slit
+    with phase 0 or pi.  (The CLI's focused Bessel beam puts pi/2 on the
+    far slit, which makes the field complex and breaks the symmetry.)"""
 
     @settings(max_examples=30, deadline=None, derandomize=True,
               database=None)

@@ -28,8 +28,9 @@ digests of those items would depend on the host's thread count.
 An item's digest covers its exit code, stdout, stderr and the name and bytes
 of every file it wrote.  The matrix covers every model, beam, alignment and
 normalization, the model and oracle washouts, an off-centre grid longer
-than two CSV row blocks, an oracle and an oracle washout whose kernel rows
-span several groups of blocks, every sweep parameter, ``check`` with each
+than two CSV row blocks, an oracle and an oracle washout on 10,001 points
+(100 kernel row blocks, the last one padded; the plain oracle's blocks in
+several spans), every sweep parameter, ``check`` with each
 plate error, ``check`` and ``simulate`` on a grid too coarse for the fringes
 and on a far plate whose far-field threshold overflows to inf, ``check`` on a
 plate whose derived screen window is not finite, ``check`` and ``simulate``
@@ -168,9 +169,10 @@ SIMULATE = {
     "offcentre_grid": "grid_min = -1.3mm\ngrid_max = 2.9mm\n"
                       "grid_points = 5001\noracle = true\n"
                       "models = empty_wave_a, standard_two_slit\n",
-    # 10,001 points: 99 kernel blocks of 101 rows and a 2-row tail.  At
-    # 256-512 nodes the plain oracle's full blocks span several groups, as
-    # do the washout's mode columns.
+    # 10,001 points: 99 kernel blocks of 101 rows and a 2-row tail, padded
+    # to a 100th block.  At 256-512 nodes the plain oracle's blocks take
+    # four and seven spans, and at 128 nodes the washout's take two; each
+    # mode column takes its own gemm per span.
     "oracle_10001": "oracle = true\noracle_nodes = 128\n"
                     "grid_points = 10001\n",
     "oracle_washout_10001": "oracle = true\nwashout_theta = 5mrad\n"
