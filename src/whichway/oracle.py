@@ -13,16 +13,17 @@ samples.  The washout sums |A_s(x)|^2 over the tilts, and with the SVD
 V = U S W^H that sum is sum_r |C_r(x)|^2 over the coherent modes C = A W
 (Wolf's coherent-mode representation of partially coherent light).  V has
 low numerical rank (about 10 at the paper's angles, out of 101 tilts), so a
-washout integrates a few mode columns instead of one column per tilt.  W is
-taken once per washout from V on a fixed proxy set of nodes, so the mode
-columns are the same functions at every refinement level and refine like
-amplitudes.  The tilts are symmetric by construction, theta (j / h) for
-j = -h..h, and so are the shifts, so W comes from one real SVD of the
-basis B = [1, sqrt2 cos(k xi s_j), sqrt2 sin(k xi s_j)] (j > 0), which
-spans what V spans (:func:`_coherent_modes`).  Each level then takes its
-mode phases V W as B Z, where Z = T^H W holds W on that basis and is real
-(:func:`_basis_weights`).  The modes are taken in blocks of columns sized
-from ``_BLOCK_BYTES``, so memory does not grow with tilt or mode counts.
+washout integrates a few mode columns instead of one column per tilt.  The
+tilts are symmetric by construction, theta (j / h) for j = -h..h, and so are
+the shifts, so V = B T^H for the real basis
+B = [1, sqrt2 cos(k xi s_j), sqrt2 sin(k xi s_j)] (j > 0) and a unitary T.
+One real SVD B = U S Z^T on a fixed proxy set of nodes gives the mode
+weights Z (:func:`_coherent_modes`), and each level takes its mode phases
+V W = B Z on its own nodes, so the mode columns are the same functions at
+every refinement level and refine like amplitudes.  The plain amplitude is
+the washout of one tilt: no positive shifts, B = [1] and Z = [[1]].  The
+modes are taken in blocks of columns sized from ``_BLOCK_BYTES``, so memory
+does not grow with tilt or mode counts.
 
 The screen grid is evenly spaced, so a kernel row factors into the row at
 its block's first point times a row of a small step table,
@@ -69,9 +70,9 @@ _MODE_CUTOFF = 1e-13
 class ConvergenceError(RuntimeError):
     """Quadrature refinement did not reach the requested tolerance.
 
-    Carries the last two whole-grid estimates and the screen coordinate
-    where they disagree most; for a batch of shifted columns, those of the
-    worst unconverged column and its shift.  ``history`` holds one
+    Carries the last two whole-grid estimates of the worst shift's column
+    (the only column of a plain call), that shift and the screen coordinate
+    where they disagree most.  ``history`` holds one
     ``(nodes_per_interval, max |diff| / scale)`` pair per refinement level,
     the largest ratio over the columns at that level.
     """
@@ -185,25 +186,12 @@ def _basis(k_screen: float, xi: np.ndarray, positive: np.ndarray
                       root2 * np.sin(phase)))
 
 
-def _basis_weights(modes: np.ndarray) -> np.ndarray:
-    """Z = T^H W, the weights on the rows of :func:`_basis` with B Z = V W,
-    for shift weights W (shifts x R) over an odd, antisymmetric shift set:
-    Z_0 = W_0, Z_cj = (W_j + W_-j) / sqrt2 and Z_sj = i (W_j - W_-j) / sqrt2.
-    Z is real when W_-j = conj(W_j) and W_0 is real, as the weights of
-    :func:`_coherent_modes` are."""
-    half, root2 = modes.shape[0] // 2, math.sqrt(2.0)
-    plus, minus = modes[half + 1:], modes[:half][::-1]
-    z = np.vstack((modes[half:half + 1], (plus + minus) / root2,
-                   1j * (plus - minus) / root2))
-    return z if np.any(z.imag) else z.real
-
-
 def _mode_phases(k_screen: float, xi: np.ndarray, positive: np.ndarray,
                  weights: np.ndarray) -> np.ndarray:
     """(B Z)^T for the basis B of :func:`_basis` and weights Z, one column
     per node, built in blocks of nodes so that no block of B outgrows
     ``_BLOCK_BYTES``."""
-    out = np.empty((weights.shape[1], xi.size), dtype=weights.dtype)
+    out = np.empty((weights.shape[1], xi.size))
     nodes = max(1, _BLOCK_BYTES // (_COMPLEX_BYTES * weights.shape[0]))
     for start in range(0, xi.size, nodes):
         basis = _basis(k_screen, xi[start:start + nodes], positive)
@@ -213,27 +201,18 @@ def _mode_phases(k_screen: float, xi: np.ndarray, positive: np.ndarray,
 
 def _amplitude_fixed(beam: BeamProfile, apertures: ApertureSet,
                      geom: SlitGeometry, x: np.ndarray, n: int,
-                     shifts: np.ndarray | None = None,
-                     weights: np.ndarray | None = None) -> np.ndarray:
-    """Single-pass amplitude with exactly n Gauss-Legendre nodes per interval
-    on the evenly spaced points ``x``.
-
-    With ``shifts`` the result has one column per shift s, holding the
-    amplitude at x - s.  With ``weights`` Z as well (an odd, antisymmetric
-    ``shifts`` and Z from :func:`_basis_weights`) it has one column per mode
-    instead: the shifted columns times W.  The columns are held
-    column-major, each padded to whole blocks of rows, and the
-    (points x columns) result is a view of them.
+                     positive: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """Single-pass mode columns with exactly n Gauss-Legendre nodes per
+    interval on the evenly spaced points ``x``: one column per column of
+    the real weights Z, each the amplitude with the phases (B Z)^T of
+    :func:`_mode_phases` over the shifts [-positive[::-1], 0, positive].
+    The columns are held column-major, each padded to whole blocks of rows,
+    and the (points x columns) result is a view of them.
     """
     k_screen = 2.0 * math.pi / (geom.wavelength_m * geom.screen_distance_m)
     xi, node_weights = _aperture_nodes(apertures, n)
     f = amplitude_at(beam, xi, geom.wavelength_m) * node_weights
-    if weights is None:
-        columns = np.zeros(1) if shifts is None else shifts
-        f = f * np.exp(1j * k_screen * np.outer(columns, xi))
-    else:
-        f = f * _mode_phases(k_screen, xi, shifts[shifts.size // 2 + 1:],
-                             weights)
+    f = f * _mode_phases(k_screen, xi, positive, weights)
 
     # Block of rows r = 0..rows-1 from x[a]: kernel = anchor row * steps.
     dx = (x[-1] - x[0]) / (x.size - 1) if x.size > 1 else 0.0
@@ -259,28 +238,24 @@ def _amplitude_fixed(beam: BeamProfile, apertures: ApertureSet,
         for column, out in zip(f, amp):
             np.multiply(anchors, column, out=left)
             np.matmul(left, steps, out=out[first:last])
-    amp = amp.reshape(f.shape[0], -1)[:, :x.size]
-    return amp[0] if shifts is None else amp.T
+    return amp.reshape(f.shape[0], -1)[:, :x.size].T
 
 
 def _coherent_modes(beam: BeamProfile, apertures: ApertureSet,
                     geom: SlitGeometry, positive: np.ndarray, n: int
                     ) -> tuple[np.ndarray, float]:
-    """Mode weights W (shifts x R) of a washout over the shifts
-    s = [-positive[::-1], 0, positive], and its truncation bound.
+    """Real mode weights Z (2 positive.size + 1 by R) of a washout over the
+    shifts s = [-positive[::-1], 0, positive], and its truncation bound.
 
-    s is antisymmetric, s_{-j} = -s_j.  On a proxy of n nodes per interval,
-    V = exp(i k xi s) is then B T^H with T unitary and
-    B = [1, sqrt2 cos(k xi s_j), sqrt2 sin(k xi s_j)] (j > 0) real, so one
-    real SVD B = U S Z^T gives V's sigma and its modes W = T Z: W_0 = Z_0
-    and W_{+-j} = (Z_cj -+ i Z_sj) / sqrt2, with V W = B Z = U S.  The kept
-    modes are those with sigma_r > ``_MODE_CUTOFF`` sigma_1.  While R fills
-    the proxy (and is short of the shift count), the proxy is too coarse to
-    span the tilt phases, so n doubles.  The bound is
+    On a proxy of n nodes per interval, V = exp(i k xi s) is B T^H for the
+    real basis B of :func:`_basis` and a unitary T, so one real SVD
+    B = U S Z^T gives V's sigma and its modes W = T Z, with V W = B Z = U S.
+    The kept modes are those with sigma_r > ``_MODE_CUTOFF`` sigma_1.
+    While R fills the proxy (and is short of the shift count), the proxy is
+    too coarse to span the tilt phases, so n doubles.  The bound is
     sigma_{R+1}^2 sum |f|^2 over the proxy nodes, 0 when no mode is dropped.
     """
     k_screen = 2.0 * math.pi / (geom.wavelength_m * geom.screen_distance_m)
-    half, root2 = positive.size, math.sqrt(2.0)
     while True:
         xi, weights = _aperture_nodes(apertures, n)
         basis = _basis(k_screen, xi, positive)
@@ -293,54 +268,51 @@ def _coherent_modes(beam: BeamProfile, apertures: ApertureSet,
     if rank < sigma.size:
         f = amplitude_at(beam, xi, geom.wavelength_m) * weights
         bound = float(sigma[rank] ** 2 * np.sum(np.abs(f) ** 2))
-    cos, sin = zt[:rank, 1:half + 1].T, zt[:rank, half + 1:].T
-    modes = np.empty((basis.shape[1], rank), dtype=complex)
-    modes[half] = zt[:rank, 0]
-    modes[half + 1:] = (cos - 1j * sin) / root2
-    modes[:half] = ((cos + 1j * sin) / root2)[::-1]
-    return modes, bound
+    return zt[:rank].T, bound
 
 
-def _worst_shift(delta: np.ndarray, modes: np.ndarray) -> int:
-    """Index j of the shifted column (delta @ modes^H)_j with the largest
-    magnitude, built in blocks of rows."""
-    to_shifts = modes.conj().T
+def _worst_shift(delta: np.ndarray, modes: np.ndarray
+                 ) -> tuple[int, np.ndarray]:
+    """Index j into the shifts [-positive[::-1], 0, positive] of the largest
+    shifted column delta W_j^*, built in blocks of rows, and W_j, for
+    W = T Z: W_0 = Z_0 and W_{+-j} = (Z_cj -+ i Z_sj) / sqrt2."""
+    half, root2 = modes.shape[0] // 2, math.sqrt(2.0)
+    cos, sin = modes[1:half + 1], modes[half + 1:]
+    shift_weights = np.vstack((((cos + 1j * sin) / root2)[::-1], modes[:1],
+                               (cos - 1j * sin) / root2))
+    to_shifts = shift_weights.conj().T
     rows = max(1, _BLOCK_BYTES // (_COMPLEX_BYTES * to_shifts.shape[1]))
     largest = np.zeros(to_shifts.shape[1])
     for start in range(0, delta.shape[0], rows):
         block = np.abs(delta[start:start + rows] @ to_shifts)
         np.maximum(largest, np.max(block, axis=0), out=largest)
-    return int(np.argmax(largest))
+    worst = int(np.argmax(largest))
+    return worst, shift_weights[worst]
 
 
 def fraunhofer_amplitude(beam: BeamProfile, apertures: ApertureSet,
                          geom: SlitGeometry, x_m,
-                         quad: QuadratureSpec | None = None, shifts_m=None,
+                         quad: QuadratureSpec | None = None, positive_m=None,
                          modes=None, min_scale: float = 0.0):
-    """Far-field amplitude at screen coordinate(s) ``x_m``.
+    """Far-field amplitude at screen coordinate(s) ``x_m``; the amplitude
+    at a moved point x - s is this function at ``x_m - s``.
 
-    Node count doubles until two successive estimates agree to the requested
-    relative tolerance (measured against the largest amplitude on the grid);
-    raises :class:`ConvergenceError` otherwise.
+    With ``modes``, a real (2 len(positive_m) + 1, R) array Z from
+    :func:`_coherent_modes`, the result is the (x, R) array of a washout's
+    coherent-mode columns C = A W over the shifts
+    s = [-positive_m[::-1], 0, positive_m], where A_j is the amplitude at
+    x - s_j and W = T Z; each level takes their phases V W as B Z
+    (:func:`_mode_phases`).  A plain call is the washout of one tilt: no
+    positive shifts and Z = [[1]].
 
-    With ``shifts_m`` (a 1-D array) the result is an (x, shift) array whose
-    column j is the amplitude A_j at ``x_m - shifts_m[j]``.  All columns
-    refine together until every column agrees with its previous estimate
-    to the tolerance of its own largest amplitude.
-
-    With ``modes`` as well (an (n_shifts, R) array W) the result is the
-    (x, R) array C = A W of coherent-mode columns.  ``shifts_m`` must then
-    be odd in count and antisymmetric, s_{-j} = -s_j, so that the phases
-    V W are B Z on the real cos/sin basis B (:func:`_basis_weights`), a
-    real product when W_{-j} = conj(W_j).  Every mode column must
-    agree with its previous estimate to the tolerance of one common scale,
-    sqrt(max_x sum_r |C_r|^2 / n_shifts): the root of the washout's peak
-    when W has orthonormal columns spanning the tilts.  On failure the
-    shifted columns of the last two estimates are rebuilt as C W^H to name
-    the worst shift.
-
-    Every scale is raised to at least ``min_scale``, which lets a call that
-    holds only some of a washout's modes use the peak of the others.
+    Node count doubles until every column agrees with its previous estimate
+    to ``quad.relative_tolerance`` of one scale, sqrt(max_x sum_r |C_r|^2 /
+    n_shifts) raised to at least ``min_scale``: the largest amplitude of a
+    plain call, and the root of a washout's peak when W has orthonormal
+    columns spanning the tilts (``min_scale`` lets a call that holds only
+    some of the modes use the peak of the others).  Otherwise this raises
+    :class:`ConvergenceError` with the worst shift's columns of the last two
+    estimates, rebuilt as C W^H.
 
     ``x_m`` must be evenly spaced, ``x_0 + j dx`` to within a few ulps of its
     largest magnitude (any scalar or pair of points is); otherwise this
@@ -357,63 +329,51 @@ def fraunhofer_amplitude(beam: BeamProfile, apertures: ApertureSet,
             * max(abs(x[0]), abs(x[-1]))
         if not np.all(np.abs(x - ramp) <= tolerance):
             raise ValueError("x_m must be evenly spaced")
-    shifts = np.zeros(1) if shifts_m is None \
-        else np.atleast_1d(np.asarray(shifts_m, dtype=float))
-    if not np.all(np.isfinite(shifts)):
-        raise ValueError("shifts_m must be finite")
-    weights = None
-    if modes is not None:
-        modes = np.asarray(modes, dtype=complex)
-        if shifts_m is None or modes.ndim != 2 \
-                or modes.shape[0] != shifts.size:
-            raise ValueError("modes needs one row per entry of shifts_m")
-        if shifts.size % 2 == 0 or not np.array_equal(shifts, -shifts[::-1]):
-            raise ValueError("modes needs an odd, antisymmetric shifts_m")
-        weights = _basis_weights(modes)
+    positive = np.zeros(0) if positive_m is None \
+        else np.atleast_1d(np.asarray(positive_m, dtype=float))
+    if not np.all(np.isfinite(positive)):
+        raise ValueError("positive_m must be finite")
+    weights = np.ones((1, 1)) if modes is None else np.asarray(modes)
+    if weights.ndim != 2 or weights.shape[0] != 2 * positive.size + 1 \
+            or not np.isrealobj(weights):
+        raise ValueError("modes must be real, with 2 len(positive_m) + 1 rows")
 
     def result(columns: np.ndarray):
-        if shifts_m is not None:
+        if modes is not None:
             return columns
         if np.ndim(x_m) == 0:
             return complex(columns[0, 0])
         return columns[:, 0]
 
-    width = shifts.size if modes is None else modes.shape[1]
-    if x.size == 0 or width == 0:
-        return result(np.zeros((x.size, width), dtype=complex))
+    if x.size == 0 or weights.shape[1] == 0:
+        return result(np.zeros((x.size, weights.shape[1]), dtype=complex))
 
     # Columns are compared one at a time so no temporary grows with their
     # count; at most two whole estimates (prev, cur) are alive at once.
     n = quad.nodes_per_interval
-    cur = _amplitude_fixed(beam, apertures, geom, x, n, shifts, weights)
+    cur = _amplitude_fixed(beam, apertures, geom, x, n, positive, weights)
     history = []
     for _ in range(quad.max_refinements):
         n *= 2
         prev = cur
-        cur = _amplitude_fixed(beam, apertures, geom, x, n, shifts, weights)
-        diff = np.array([np.max(np.abs(c - p)) for c, p in zip(cur.T, prev.T)])
-        if modes is None:
-            scale = np.array([np.max(np.abs(c)) for c in cur.T])
-        else:
-            energy = np.zeros(x.size)
-            for c in cur.T:
-                energy += c.real ** 2 + c.imag ** 2
-            scale = np.full(width, math.sqrt(np.max(energy) / shifts.size))
-        scale = np.maximum(scale, min_scale)
-        scale[scale == 0.0] = 1.0
-        if np.all(diff <= quad.relative_tolerance * scale):
+        cur = _amplitude_fixed(beam, apertures, geom, x, n, positive, weights)
+        diff = np.max([np.max(np.abs(c - p)) for c, p in zip(cur.T, prev.T)])
+        energy = np.zeros(x.size)
+        for c in cur.T:
+            energy += c.real ** 2 + c.imag ** 2
+        # |C|^2 underflows to 0 where |C| < 1e-162; max |C| does not.
+        scale = math.sqrt(np.max(energy) / weights.shape[0]) \
+            or np.max(np.abs(cur)) / math.sqrt(weights.shape[0])
+        scale = max(scale, min_scale) or 1.0
+        if diff <= quad.relative_tolerance * scale:
             return result(cur)
-        history.append((n, float(np.max(diff / scale))))
+        history.append((n, float(diff / scale)))
 
-    if modes is None:
-        worst = int(np.argmax(diff / scale))
-        last, prev = cur[:, worst].copy(), prev[:, worst].copy()
-    else:
-        # One common scale, so the worst shift has the largest |diff|.
-        worst = _worst_shift(cur - prev, modes)
-        last, prev = cur @ modes[worst].conj(), prev @ modes[worst].conj()
+    # One common scale, so the worst shift has the largest |diff|.
+    worst, shift_weights = _worst_shift(cur - prev, weights)
+    last, prev = cur @ shift_weights.conj(), prev @ shift_weights.conj()
     worst_x = float(x[int(np.argmax(np.abs(last - prev)))])
-    shift = float(shifts[worst])
+    shift = float(np.concatenate((-positive[::-1], [0.0], positive))[worst])
     raise ConvergenceError(
         f"quadrature did not converge to {quad.relative_tolerance:.1e} "
         f"after {quad.max_refinements} refinements ({n} nodes/interval) "
@@ -457,25 +417,25 @@ def oracle_pattern(beam: BeamProfile, apertures: ApertureSet,
     if quad is None:
         quad = QuadratureSpec()
     x = grid.x()
-    # D sin t of the positive tilts, mirrored: s_{-j} = -s_j exactly.
+    # D sin t of the positive tilts; the washout mirrors them, s_{-j} = -s_j.
     tilts = tilt_angles(theta_rad, n_tilts)
     positive = geom.screen_distance_m * np.sin(tilts[tilts.size // 2 + 1:])
-    shifts = np.concatenate((-positive[::-1], [0.0], positive))
-    modes, bound = None, 0.0
-    if shifts.size > 1:
+    modes, bound = np.ones((1, 1)), 0.0
+    if positive.size:
         modes, bound = _coherent_modes(beam, apertures, geom, positive,
                                        quad.nodes_per_interval)
-    columns = shifts.size if modes is None else modes.shape[1]
+    columns = modes.shape[1]
     width = max(1, _BLOCK_BYTES // (_COMPLEX_BYTES * x.size))
     intensity = np.zeros(x.size)
     for block in np.array_split(np.arange(columns), -(-columns // width)):
         # Later blocks converge against the peak of the modes before them.
-        intensity += np.sum(np.abs(fraunhofer_amplitude(
-            beam, apertures, geom, x, quad, shifts_m=shifts,
-            modes=None if modes is None else modes[:, block],
-            min_scale=math.sqrt(np.max(intensity) / shifts.size))) ** 2,
-            axis=1)
-    intensity /= shifts.size
+        amp = fraunhofer_amplitude(
+            beam, apertures, geom, x, quad, positive_m=positive,
+            modes=modes[:, block],
+            min_scale=math.sqrt(np.max(intensity) / tilts.size))
+        for c in amp.T:
+            intensity += np.abs(c) ** 2
+    intensity /= tilts.size
     peak = float(np.max(intensity))
     if peak <= 0.0:
         raise ValueError("oracle pattern is identically zero")
