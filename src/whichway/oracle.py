@@ -412,7 +412,8 @@ def oracle_pattern(beam: BeamProfile, apertures: ApertureSet,
     ``washout_modes`` and the truncation bound on the summed intensity as
     ``washout_truncation_bound``.
 
-    The absolute peak intensity is recorded in ``meta['peak_abs']``.
+    The absolute peak intensity is recorded in ``meta['peak_abs']``; it
+    underflows to 0 for a field below about 1e-162, the pattern does not.
     """
     if quad is None:
         quad = QuadratureSpec()
@@ -427,14 +428,19 @@ def oracle_pattern(beam: BeamProfile, apertures: ApertureSet,
     columns = modes.shape[1]
     width = max(1, _BLOCK_BYTES // (_COMPLEX_BYTES * x.size))
     intensity = np.zeros(x.size)
+    # |C|^2 in units of a power of two from the first column's peak, so
+    # that a faint field does not underflow; other patterns keep their bits.
+    unit = 1.0
     for block in np.array_split(np.arange(columns), -(-columns // width)):
         # Later blocks converge against the peak of the modes before them.
         amp = fraunhofer_amplitude(
             beam, apertures, geom, x, quad, positive_m=positive,
             modes=modes[:, block],
-            min_scale=math.sqrt(np.max(intensity) / tilts.size))
+            min_scale=unit * math.sqrt(np.max(intensity) / tilts.size))
+        if block[0] == 0:
+            unit = math.ldexp(0.5, math.frexp(np.max(np.abs(amp[:, 0])))[1])
         for c in amp.T:
-            intensity += np.abs(c) ** 2
+            intensity += (np.abs(c) / unit) ** 2
     intensity /= tilts.size
     peak = float(np.max(intensity))
     if peak <= 0.0:
@@ -443,7 +449,7 @@ def oracle_pattern(beam: BeamProfile, apertures: ApertureSet,
         "model": "oracle",
         "geometry": geom,
         "unit_scale": 1.0,
-        "peak_abs": peak,
+        "peak_abs": peak * unit * unit,
         "beam": type(beam).__name__,
     }
     if theta_rad > 0.0:

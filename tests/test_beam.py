@@ -1,4 +1,5 @@
 import cmath
+import decimal
 import math
 
 import numpy as np
@@ -114,6 +115,39 @@ class TestBesselJ0:
         assert isinstance(out, np.ndarray)
         assert out[0] == 1.0
         assert isinstance(bessel_j0(1.0), float)
+
+
+def j0_decimal(x: float) -> float:
+    """J0(x) from its power series, summed in decimal at 60 digits.  The
+    terms reach about 1e41 at x = 100, so the sum keeps about 1e-19; the
+    loop runs past the largest term until the terms fall below 1e-30."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 60
+        t = decimal.Decimal(x) ** 2 / 4
+        term = total = decimal.Decimal(1)
+        k = 0
+        while k <= x or abs(term) > decimal.Decimal("1e-30"):
+            k += 1
+            term = -term * t / (k * k)
+            total += term
+        return float(total)
+
+
+class TestBesselJ0Reference:
+    def test_reference_series_known_values(self):
+        assert j0_decimal(0.0) == 1.0
+        # J0(1) and J0(100) from mpmath at 50 digits, rounded to double
+        assert j0_decimal(1.0) == pytest.approx(0.7651976865579666, abs=1e-16)
+        assert j0_decimal(100.0) == pytest.approx(0.019985850304223122,
+                                                  abs=1e-16)
+        assert abs(j0_decimal(BESSEL_J0_FIRST_ZERO)) < 1e-15
+
+    def test_within_2e_15_on_0_to_100(self):
+        # 2,001 even points and the switch at 30, both sides
+        x = np.concatenate((np.linspace(0.0, 100.0, 2001),
+                            30.0 + np.arange(-4, 5) * 2.0**-48))
+        reference = np.array([j0_decimal(float(v)) for v in x])
+        assert np.max(np.abs(bessel_j0(x) - reference)) <= 2e-15
 
 
 class TestBesselBeamGeometry:

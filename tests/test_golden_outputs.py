@@ -1,6 +1,6 @@
 """tools/golden_outputs.py: a digest does not depend on the BLAS thread
 count of the environment that runs the tool, and a dumped listing gives
-each changed CSV column's relative change."""
+each changed CSV column's and JSON leaf's relative change."""
 
 import os
 import subprocess
@@ -78,5 +78,24 @@ def test_dump_and_compare_report_column_changes(tmp_path, monkeypatch,
         "  out/p.csv intensity: 0.001",
         "  out/p.csv flag: text differs",
         "  out/p.csv note: 0",
+        "  out/s.json : documents do not line up",
         "1 of 2 shared items identical",
     ]
+
+
+def test_json_changes_name_each_moved_leaf(monkeypatch):
+    golden = import_tool(monkeypatch)
+    before = (b'{"tool": "whichway", "grid": {"points": 401}, "patterns": '
+              b'[{"model": "a", "v": 0.5, "ok": true}, {"v": 0.0}]}')
+    after = (b'{"tool": "whichway", "grid": {"points": 401}, "patterns": '
+             b'[{"model": "b", "v": 0.505, "ok": false}, {"v": 1e-17}]}')
+    assert golden.json_changes(before, after) == {
+        "patterns[0].model": "differs",
+        "patterns[0].v": pytest.approx(1e-2),
+        "patterns[0].ok": "differs",
+        "patterns[1].v": 1e-17}
+    assert golden.json_changes(before, before) == {}
+    for moved in (b'{"tool": "whichway"}', b'{"patterns": []}', b'[]',
+                  before.replace(b'{"v": 0.0}', b'0.0')):
+        assert golden.json_changes(before, moved) == {
+            "": "documents do not line up"}

@@ -1026,6 +1026,26 @@ class TestOraclePattern:
         assert pattern.meta["peak_abs"] > 0.0
         assert pattern.meta["model"] == "oracle"
 
+    @pytest.mark.parametrize("theta", [0.0, PHI / 10, PHI])
+    def test_faint_field_is_not_zero(self, theta):
+        # A Gaussian tail of about 1e-175 on the slits: |A|^2 underflows to
+        # 0, the pattern must not.
+        beam = GaussianBeam(waist_m=1e-6, center_m=26.6e-6)
+        grid = GridSpec(-1.2 * LOBE, 1.2 * LOBE, 401)
+        apertures = two_slit_apertures(REF_GEOM)
+        pattern = oracle_pattern(beam, apertures, REF_GEOM, grid,
+                                 theta_rad=theta)
+        assert pattern.intensity.max() == 1.0
+        assert pattern.meta["peak_abs"] == 0.0
+        n_tilts = 101 if theta else 1
+        shifts = REF_GEOM.screen_distance_m * np.sin(
+            np.linspace(-theta, theta, n_tilts))
+        amp = direct_amplitude(beam, apertures, REF_GEOM, grid.x(), 64,
+                               shifts)
+        reference = np.sum(np.abs(amp / np.max(np.abs(amp))) ** 2, axis=1)
+        assert np.max(np.abs(pattern.intensity - reference / reference.max())) \
+            <= 1e-13
+
     def test_low_visibility_for_focused_gaussian(self):
         grid = GridSpec(REF_GEOM.slit_a_center_m - 1.2 * LOBE,
                         REF_GEOM.slit_a_center_m + 1.2 * LOBE, 4001)

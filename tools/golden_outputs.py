@@ -15,7 +15,10 @@ missing from either side, and exits 1 if any digest differs.
 example ``DIR/simulate/oracle_washout/out/pattern_washout.csv``) and the
 listing to ``DIR/digests.json``.  Given such a directory, ``--against``
 also prints, for each CSV that an item changed, every numeric column with
-its largest |after - before| over its peak |before|:
+its largest |after - before| over its peak |before|, and for each JSON file
+that an item changed, every leaf that moved, by its path (for example
+``patterns[2].visibility_fringe_local``), with |after - before| / |before|
+for a number:
 
     PYTHONPATH=/path/to/other/checkout/src python3 tools/golden_outputs.py \\
         --dump before > /dev/null
@@ -331,13 +334,54 @@ def column_changes(before: bytes, after: bytes) -> dict[str, float | str]:
     return out
 
 
+def _leaves(path: str, old, new):
+    """(path, before, after) for each pair of leaves of two JSON values;
+    raises ValueError where they do not line up."""
+    if isinstance(old, dict) and isinstance(new, dict) \
+            and old.keys() == new.keys():
+        for key in old:
+            yield from _leaves(f"{path}.{key}" if path else key, old[key],
+                               new[key])
+    elif isinstance(old, list) and isinstance(new, list) \
+            and len(old) == len(new):
+        for i, pair in enumerate(zip(old, new)):
+            yield from _leaves(f"{path}[{i}]", *pair)
+    elif isinstance(old, (dict, list)) or isinstance(new, (dict, list)):
+        raise ValueError(f"documents differ in shape at {path!r}")
+    else:
+        yield path, old, new
+
+
+def json_changes(before: bytes, after: bytes) -> dict[str, float | str]:
+    """For two JSON documents of one shape: each leaf that differs, by its
+    path, with |after - before| / |before| for numbers (|after - before|
+    where before is 0) and "differs" for other values; or a note when the
+    documents do not line up (keys, lengths or kinds)."""
+    old_doc, new_doc = json.loads(before), json.loads(after)
+    try:
+        leaves = list(_leaves("", old_doc, new_doc))
+    except ValueError:
+        return {"": "documents do not line up"}
+    out: dict[str, float | str] = {}
+    for path, old, new in leaves:
+        if old == new:
+            continue
+        if all(isinstance(v, (int, float)) and not isinstance(v, bool)
+               for v in (old, new)):
+            out[path] = abs(new - old) / abs(old) if old else abs(new - old)
+        else:
+            out[path] = "differs"
+    return out
+
+
 def compare(digests: dict[str, str], before: dict[str, str],
             before_name: str,
             files: dict[str, dict[str, bytes]] | None = None,
             before_dir: Path | None = None) -> int:
     """Print the ids whose digests differ or that only one side has; 1 if
     any shared id differs.  With ``files`` and a dump in ``before_dir``,
-    also print each differing CSV's column changes."""
+    also print each differing CSV's column changes and each differing JSON
+    file's leaf changes."""
     differ = [i for i in digests if i in before and digests[i] != before[i]]
     for item_id in differ:
         print(f"differs: {item_id}")
@@ -345,12 +389,14 @@ def compare(digests: dict[str, str], before: dict[str, str],
             continue
         for name, data in files[item_id].items():
             old_path = before_dir / item_id / name
-            if name.endswith(".json") or not old_path.is_file():
+            if not old_path.is_file():
                 continue
             old = old_path.read_bytes()
             if old == data:
                 continue
-            for column, change in column_changes(old, data).items():
+            changes = json_changes if name.endswith(".json") \
+                else column_changes
+            for column, change in changes(old, data).items():
                 shown = (change if isinstance(change, str)
                          else f"{change:.2g}")
                 print(f"  {name} {column}: {shown}")
