@@ -21,7 +21,7 @@ from .analytic import (PEAK_SINGLE_SLIT, UNIT_INTEGRAL, GridSpec,
                        pure_fringe, sample_pattern, single_slit_intensity,
                        standard_focused_a, standard_two_slit)
 from .oracle import (ApertureSet, ConvergenceError, QuadratureSpec,
-                     fraunhofer_amplitude, oracle_pattern,
+                     fraunhofer_amplitude, oracle_pattern, oracle_patterns,
                      single_slit_aperture, two_slit_apertures,
                      washout_pattern)
 from .metrics import (DISTINGUISHABILITY, PREDICTABILITY, DualityReport,
@@ -49,7 +49,8 @@ __all__ = [
     "standard_focused_a", "pure_fringe",
     # oracle
     "ApertureSet", "QuadratureSpec", "ConvergenceError",
-    "fraunhofer_amplitude", "oracle_pattern", "single_slit_aperture",
+    "fraunhofer_amplitude", "oracle_pattern", "oracle_patterns",
+    "single_slit_aperture",
     "two_slit_apertures", "washout_pattern",
     # metrics
     "PREDICTABILITY", "DISTINGUISHABILITY", "DualityReport",

@@ -28,11 +28,12 @@ from .metrics import (PREDICTABILITY, ResolutionError, check_resolution,
                       duality_report, pattern_divergence, predictability,
                       visibility_fringe_local, visibility_global)
 from .mzi import MziConfig, MziMode, asymmetric_duality, mzi_duality
-# fraunhofer_amplitude is not called here but stays bound: perfbench/spans.py
-# wraps the oracle names this module binds.
+# fraunhofer_amplitude and oracle_pattern are not called here but stay
+# bound: perfbench/spans.py wraps the oracle names this module binds, and
+# its install fails on a name that is missing.
 from .oracle import (ApertureSet, ConvergenceError, QuadratureSpec,
-                     fraunhofer_amplitude, oracle_pattern, tilt_angles,
-                     two_slit_apertures, washout_pattern)
+                     fraunhofer_amplitude, oracle_pattern, oracle_patterns,
+                     tilt_angles, two_slit_apertures, washout_pattern)
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -547,17 +548,18 @@ def _compare(cfg: ScenarioConfig, oracle_theta_rad: float, csv: bool
         patterns[kind.value] = pat
         order.append((kind.value, "model"))
     if cfg.oracle_enabled:
-        beam = build_beam(cfg)
-        apertures = build_apertures(cfg)
-        patterns["oracle"] = oracle_pattern(beam, apertures, geom, grid,
-                                            cfg.quadrature, oracle_theta_rad,
-                                            cfg.washout_tilts)
+        # The oracle and its washout share one kernel pass per level.
+        thetas = [oracle_theta_rad]
+        if cfg.washout_theta_rad is not None:
+            thetas.append(cfg.washout_theta_rad)
+        oracles = oracle_patterns(build_beam(cfg), build_apertures(cfg), geom,
+                                  grid, cfg.quadrature, thetas,
+                                  cfg.washout_tilts)
+        patterns["oracle"] = oracles[0]
         order.append(("oracle", "oracle"))
     if cfg.washout_theta_rad is not None:
         if cfg.oracle_enabled:
-            patterns["washout"] = oracle_pattern(
-                beam, apertures, geom, grid, cfg.quadrature,
-                cfg.washout_theta_rad, cfg.washout_tilts)
+            patterns["washout"] = oracles[1]
         else:
             patterns["washout"] = washout_pattern(
                 _washout_base(cfg, grid), cfg.washout_theta_rad,

@@ -27,16 +27,25 @@ does not grow with tilt or mode counts.
 
 The screen grid is evenly spaced, so a kernel row factors into the row at
 its block's first point times a row of a small step table,
-exp(-i k x_{a+r} xi) = exp(-i k x_a xi) exp(-i k r dx xi).  With blocks of
-about sqrt(N) rows a level takes about 2 sqrt(N) complex exponentials per
-node instead of N; the step table is capped at ``_BLOCK_BYTES``, which
-caps the rows per block.  A level holds its columns column-major, each
-padded to whole blocks, and takes the blocks in spans whose anchor rows and
-their product with one column fit in ``_GROUP_BYTES``: one exponential of a
-span's anchor rows, then for each column one product with them and one gemm
-with the step table, which writes that column's rows of the span in place.
-A column's gemms have the same shapes whatever the other columns are, so
-its bits do not depend on them.
+exp(-i k x_{a+r} xi) = exp(-i k x_a xi) exp(-i k r dx xi), with blocks of
+about sqrt(N) rows; the step table is capped at ``_BLOCK_BYTES``, which
+caps the rows per block.  Both tables are geometric in their index, so each
+is again a coarse table times a fine one of about N^(1/4) rows
+(:func:`_kernel_factors`): a level takes about 4 N^(1/4) complex
+exponentials per node, and one complex product per table entry, instead of
+N.  A level holds its columns column-major, each padded to whole blocks,
+and takes the blocks in spans whose anchor rows and their product with one
+column fit in ``_GROUP_BYTES``: the span's anchor rows from their two
+tables, then for each column one product with them and one gemm with the
+step table, which writes that column's rows of the span in place.  A
+column's gemms have the same shapes whatever the other columns are, so its
+bits do not depend on them.
+
+The columns of one call come in groups, each with its own shifts, mode
+weights, scale and convergence (:func:`fraunhofer_amplitude`): the plain
+amplitude and the first block of a washout's modes share each level's beam
+samples and kernel tables (:func:`oracle_patterns`), and each keeps the bits
+of its own call.
 """
 
 from __future__ import annotations
@@ -72,9 +81,10 @@ class ConvergenceError(RuntimeError):
 
     Carries the last two whole-grid estimates of the worst shift's column
     (the only column of a plain call), that shift and the screen coordinate
-    where they disagree most.  ``history`` holds one
+    where they disagree most, all of the column group that failed (the
+    first, when several did).  ``history`` holds that group's
     ``(nodes_per_interval, max |diff| / scale)`` pair per refinement level,
-    the largest ratio over the columns at that level.
+    the largest ratio over its columns at that level.
     """
 
     def __init__(self, message: str, last_estimate=None,
@@ -199,42 +209,83 @@ def _mode_phases(k_screen: float, xi: np.ndarray, positive: np.ndarray,
     return out
 
 
+def _kernel_table(a: np.ndarray, b: np.ndarray, k_screen: float
+                  ) -> np.ndarray:
+    """The kernel entries exp(-i k a_j b_m) of every pair, one row per a_j,
+    taken in place."""
+    table = np.multiply.outer(a, b) * (-1j * k_screen)
+    return np.exp(table, out=table)
+
+
+def _factored_rows(coarse: np.ndarray, fine: np.ndarray, first: int,
+                   out: np.ndarray) -> None:
+    """Rows m = first, first + 1, ... of a factored table into ``out``: row
+    m = c h + f is coarse[c] * fine[f], for h = len(fine)."""
+    h, last = len(fine), first + len(out)
+    for c in range(first // h, -(-last // h)):
+        start, stop = max(first, c * h), min(last, c * h + h)
+        np.multiply(coarse[c], fine[start - c * h:stop - c * h],
+                    out=out[start - first:stop - first])
+
+
+def _kernel_factors(x: np.ndarray, xi: np.ndarray, k_screen: float,
+                    rows: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The step table exp(-i k r dx xi) for r = 0..rows-1, one row per
+    node, and the coarse and fine tables (:func:`_factored_rows`) of the
+    anchor rows exp(-i k x[b rows] xi) of the blocks b of ``rows`` points.
+
+    Each table is a coarse one times a fine one of about sqrt entries:
+    step r = u g + v is step u g times step v, and block b = c h + f's
+    anchor row is the row at the grid's own x[c h rows] times the step
+    f h rows, for g and h the ceiling square roots of the row and block
+    counts.  That takes about 4 N^(1/4) exponentials per node instead of
+    the 2 sqrt(N) of direct tables.
+    """
+    dx = (x[-1] - x[0]) / (x.size - 1) if x.size > 1 else 0.0
+    blocks = -(-x.size // rows)
+    g, h = math.isqrt(rows - 1) + 1, math.isqrt(blocks - 1) + 1
+    # Built one step per row; the gemm takes its transpose as it stands.
+    steps = np.empty((rows, xi.size), dtype=complex)
+    _factored_rows(_kernel_table(np.arange(0, rows, g) * dx, xi, k_screen),
+                   _kernel_table(np.arange(g) * dx, xi, k_screen), 0, steps)
+    return (steps.T, _kernel_table(x[::h * rows], xi, k_screen),
+            _kernel_table(np.arange(0, h * rows, rows) * dx, xi, k_screen))
+
+
 def _amplitude_fixed(beam: BeamProfile, apertures: ApertureSet,
                      geom: SlitGeometry, x: np.ndarray, n: int,
-                     positive: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """Single-pass mode columns with exactly n Gauss-Legendre nodes per
-    interval on the evenly spaced points ``x``: one column per column of
-    the real weights Z, each the amplitude with the phases (B Z)^T of
-    :func:`_mode_phases` over the shifts [-positive[::-1], 0, positive].
-    The columns are held column-major, each padded to whole blocks of rows,
-    and the (points x columns) result is a view of them.
+                     *groups: np.ndarray) -> np.ndarray:
+    """Single-pass columns with exactly n Gauss-Legendre nodes per interval
+    on the evenly spaced points ``x``.  ``groups`` holds one pair
+    (positive, weights) per column group: each column of the real weights
+    Z is the amplitude with the phases (B Z)^T of :func:`_mode_phases` over
+    the shifts [-positive[::-1], 0, positive].  The groups share the beam
+    samples and the kernel tables; the columns are held column-major, each
+    padded to whole blocks of rows, and the (points x columns) result, the
+    groups' columns in order, is a view of them.
     """
     k_screen = 2.0 * math.pi / (geom.wavelength_m * geom.screen_distance_m)
     xi, node_weights = _aperture_nodes(apertures, n)
-    f = amplitude_at(beam, xi, geom.wavelength_m) * node_weights
-    f = f * _mode_phases(k_screen, xi, positive, weights)
+    field = amplitude_at(beam, xi, geom.wavelength_m) * node_weights
+    f = np.vstack([field * _mode_phases(k_screen, xi, positive, weights)
+                   for positive, weights in zip(groups[::2], groups[1::2])])
 
     # Block of rows r = 0..rows-1 from x[a]: kernel = anchor row * steps.
-    dx = (x[-1] - x[0]) / (x.size - 1) if x.size > 1 else 0.0
     rows = min(math.isqrt(x.size - 1) + 1,
                max(1, _BLOCK_BYTES // (_COMPLEX_BYTES * xi.size)))
-    # Exponentials in place, so that no table is held twice.
-    steps = np.multiply.outer(xi, np.arange(rows) * dx) * (-1j * k_screen)
-    np.exp(steps, out=steps)
     blocks = -(-x.size // rows)
+    steps, coarse, fine = _kernel_factors(x, xi, k_screen, rows)
     amp = np.empty((f.shape[0], blocks, rows), dtype=complex)
-    # A span of blocks shares one exponential of its anchor rows; then one
-    # gemm per column, of those rows times the column, writes that column's
-    # rows of the span.
+    # A span of blocks takes its anchor rows from the two anchor tables;
+    # then one gemm per column, of those rows times the column, writes that
+    # column's rows of the span.
     span = max(1, _GROUP_BYTES // (2 * _COMPLEX_BYTES * xi.size))
     anchor_rows = np.empty((min(span, blocks), xi.size), dtype=complex)
     anchored = np.empty_like(anchor_rows)
     for first in range(0, blocks, span):
         last = min(first + span, blocks)
         anchors, left = anchor_rows[:last - first], anchored[:last - first]
-        np.multiply.outer((-1j * k_screen) * x[first * rows:last * rows:rows],
-                          xi, out=anchors)
-        np.exp(anchors, out=anchors)
+        _factored_rows(coarse, fine, first, anchors)
         for column, out in zip(f, amp):
             np.multiply(anchors, column, out=left)
             np.matmul(left, steps, out=out[first:last])
@@ -290,10 +341,25 @@ def _worst_shift(delta: np.ndarray, modes: np.ndarray
     return worst, shift_weights[worst]
 
 
+def _column_group(positive_m=None, modes=None, min_scale: float = 0.0
+                  ) -> tuple[np.ndarray, np.ndarray, float]:
+    """A column group (positive shifts, real weights Z, min_scale), checked;
+    no shifts and modes give the plain group, Z = [[1]]."""
+    positive = np.zeros(0) if positive_m is None \
+        else np.atleast_1d(np.asarray(positive_m, dtype=float))
+    if not np.all(np.isfinite(positive)):
+        raise ValueError("positive_m must be finite")
+    weights = np.ones((1, 1)) if modes is None else np.asarray(modes)
+    if weights.ndim != 2 or weights.shape[0] != 2 * positive.size + 1 \
+            or not np.isrealobj(weights):
+        raise ValueError("modes must be real, with 2 len(positive_m) + 1 rows")
+    return positive, weights, min_scale
+
+
 def fraunhofer_amplitude(beam: BeamProfile, apertures: ApertureSet,
                          geom: SlitGeometry, x_m,
                          quad: QuadratureSpec | None = None, positive_m=None,
-                         modes=None, min_scale: float = 0.0):
+                         modes=None, min_scale: float = 0.0, groups=None):
     """Far-field amplitude at screen coordinate(s) ``x_m``; the amplitude
     at a moved point x - s is this function at ``x_m - s``.
 
@@ -314,6 +380,16 @@ def fraunhofer_amplitude(beam: BeamProfile, apertures: ApertureSet,
     :class:`ConvergenceError` with the worst shift's columns of the last two
     estimates, rebuilt as C W^H.
 
+    ``groups``, a sequence of (positive_m, modes, min_scale) column groups
+    (``([], [[1]], 0.0)`` is the plain one), takes several such calls in
+    one pass per level: one set of beam samples and kernel tables serves
+    all their columns.  The result is then a list of one (x, R) array per
+    group.  Each group keeps its own scale and convergence, and a group
+    that has converged keeps that level's columns and leaves the later
+    levels; a column's kernel gemms do not depend on the other columns, so
+    each group's bits are those of its own call.  If groups do not
+    converge, the error is the first of them's, as its own call raises it.
+
     ``x_m`` must be evenly spaced, ``x_0 + j dx`` to within a few ulps of its
     largest magnitude (any scalar or pair of points is); otherwise this
     raises ``ValueError``.
@@ -329,47 +405,71 @@ def fraunhofer_amplitude(beam: BeamProfile, apertures: ApertureSet,
             * max(abs(x[0]), abs(x[-1]))
         if not np.all(np.abs(x - ramp) <= tolerance):
             raise ValueError("x_m must be evenly spaced")
-    positive = np.zeros(0) if positive_m is None \
-        else np.atleast_1d(np.asarray(positive_m, dtype=float))
-    if not np.all(np.isfinite(positive)):
-        raise ValueError("positive_m must be finite")
-    weights = np.ones((1, 1)) if modes is None else np.asarray(modes)
-    if weights.ndim != 2 or weights.shape[0] != 2 * positive.size + 1 \
-            or not np.isrealobj(weights):
-        raise ValueError("modes must be real, with 2 len(positive_m) + 1 rows")
+    if groups is None:
+        members = [_column_group(positive_m, modes, min_scale)]
+    elif positive_m is not None or modes is not None or min_scale:
+        raise ValueError("groups replace positive_m, modes and min_scale")
+    else:
+        members = [_column_group(*group) for group in groups]
 
-    def result(columns: np.ndarray):
-        if modes is not None:
+    def result(columns: list[np.ndarray]):
+        if groups is not None:
             return columns
+        if modes is not None:
+            return columns[0]
         if np.ndim(x_m) == 0:
-            return complex(columns[0, 0])
-        return columns[:, 0]
+            return complex(columns[0][0, 0])
+        return columns[0][:, 0]
 
-    if x.size == 0 or weights.shape[1] == 0:
-        return result(np.zeros((x.size, weights.shape[1]), dtype=complex))
+    # Empty groups are done at once; the others refine.
+    done = [None if x.size and weights.shape[1]
+            else np.zeros((x.size, weights.shape[1]), dtype=complex)
+            for _, weights, _ in members]
+    active = [g for g, columns in enumerate(done) if columns is None]
+    if not active:
+        return result(done)
+
+    def level(n: int) -> list[np.ndarray]:
+        """One pass of the groups still refining, one view per group."""
+        amp = _amplitude_fixed(beam, apertures, geom, x, n, *[
+            a for g in active for a in members[g][:2]])
+        widths = [members[g][1].shape[1] for g in active]
+        return np.split(amp, np.cumsum(widths)[:-1], axis=1)
 
     # Columns are compared one at a time so no temporary grows with their
-    # count; at most two whole estimates (prev, cur) are alive at once.
+    # count; besides the converged groups' columns, at most two whole
+    # estimates (prev, cur) are alive at once.
     n = quad.nodes_per_interval
-    cur = _amplitude_fixed(beam, apertures, geom, x, n, positive, weights)
-    history = []
+    cur = level(n)
+    history = [[] for _ in members]
     for _ in range(quad.max_refinements):
         n *= 2
         prev = cur
-        cur = _amplitude_fixed(beam, apertures, geom, x, n, positive, weights)
-        diff = np.max([np.max(np.abs(c - p)) for c, p in zip(cur.T, prev.T)])
-        energy = np.zeros(x.size)
-        for c in cur.T:
-            energy += c.real ** 2 + c.imag ** 2
-        # |C|^2 underflows to 0 where |C| < 1e-162; max |C| does not.
-        scale = math.sqrt(np.max(energy) / weights.shape[0]) \
-            or np.max(np.abs(cur)) / math.sqrt(weights.shape[0])
-        scale = max(scale, min_scale) or 1.0
-        if diff <= quad.relative_tolerance * scale:
-            return result(cur)
-        history.append((n, float(diff / scale)))
+        cur = level(n)
+        refining = []
+        for g, c, p in zip(active, cur, prev):
+            weights, floor = members[g][1:]
+            diff = np.max([np.max(np.abs(a - b)) for a, b in zip(c.T, p.T)])
+            energy = np.zeros(x.size)
+            for a in c.T:
+                energy += a.real ** 2 + a.imag ** 2
+            # |C|^2 underflows to 0 where |C| < 1e-162; max |C| does not.
+            scale = math.sqrt(np.max(energy) / weights.shape[0]) \
+                or np.max(np.abs(c)) / math.sqrt(weights.shape[0])
+            scale = max(scale, floor) or 1.0
+            if diff <= quad.relative_tolerance * scale:
+                done[g] = c
+            else:
+                history[g].append((n, float(diff / scale)))
+                refining.append((g, c, p))
+        if not refining:
+            return result(done)
+        active, cur, prev = (list(t) for t in zip(*refining))
 
-    # One common scale, so the worst shift has the largest |diff|.
+    # The first group that failed; one common scale over its columns, so
+    # the worst shift has the largest |diff|.
+    g, cur, prev = active[0], cur[0], prev[0]
+    positive, weights, _ = members[g]
     worst, shift_weights = _worst_shift(cur - prev, weights)
     last, prev = cur @ shift_weights.conj(), prev @ shift_weights.conj()
     worst_x = float(x[int(np.argmax(np.abs(last - prev)))])
@@ -379,7 +479,7 @@ def fraunhofer_amplitude(beam: BeamProfile, apertures: ApertureSet,
         f"after {quad.max_refinements} refinements ({n} nodes/interval) "
         f"at shift {shift:.6g} m; worst disagreement at x = {worst_x:.6g} m",
         last_estimate=last, previous_estimate=prev, worst_x_m=worst_x,
-        shift_m=shift, history=tuple(history))
+        shift_m=shift, history=tuple(history[g]))
 
 
 def tilt_angles(theta_rad: float, n_tilts: int) -> np.ndarray:
@@ -401,67 +501,100 @@ def oracle_pattern(beam: BeamProfile, apertures: ApertureSet,
                    quad: QuadratureSpec | None = None,
                    theta_rad: float = 0.0,
                    n_tilts: int = 101) -> IntensityPattern:
-    """|amplitude|^2 on a grid, normalized to its own peak.
+    """|amplitude|^2 on a grid, normalized to its own peak, washed out over
+    ``n_tilts`` tilts in [-theta, theta] when ``theta_rad`` > 0: the
+    one-spread case of :func:`oracle_patterns`."""
+    return oracle_patterns(beam, apertures, geom, grid, quad, (theta_rad,),
+                           n_tilts)[0]
 
-    With ``theta_rad`` > 0 the pattern is washed out over ``n_tilts`` (odd)
+
+def oracle_patterns(beam: BeamProfile, apertures: ApertureSet,
+                    geom: SlitGeometry, grid: GridSpec,
+                    quad: QuadratureSpec | None = None,
+                    thetas_rad=(0.0,), n_tilts: int = 101
+                    ) -> list[IntensityPattern]:
+    """One pattern per angular spread in ``thetas_rad``, on one beam,
+    aperture set and grid: |amplitude|^2, normalized to its own peak.
+
+    With theta > 0 the pattern is washed out over ``n_tilts`` (odd)
     illumination tilts uniform in [-theta, theta]: a tilt t shifts the far
     field by D sin t, the members' absolute intensities are averaged, and
     the average is normalized once by its own peak.  The average is taken
     over the tilts' coherent modes (:func:`_coherent_modes`), in column
     blocks sized from ``_BLOCK_BYTES``; ``meta`` records their count as
     ``washout_modes`` and the truncation bound on the summed intensity as
-    ``washout_truncation_bound``.
+    ``washout_truncation_bound``.  The absolute peak intensity is recorded
+    in ``meta['peak_abs']``; it underflows to 0 for a field below about
+    1e-162, the pattern does not.
 
-    The absolute peak intensity is recorded in ``meta['peak_abs']``; it
-    underflows to 0 for a field below about 1e-162, the pattern does not.
+    The first block of every spread (all of a plain pattern) is one column
+    group of a single :func:`fraunhofer_amplitude` call, which builds each
+    level's beam samples and kernel tables once for all of them; a spread's
+    later blocks converge against the peak of the blocks before them, one
+    call each.  So each pattern has the bits of its own call, and a joint
+    failure is the first spread's whose first block does not converge.
     """
     if quad is None:
         quad = QuadratureSpec()
     x = grid.x()
-    # D sin t of the positive tilts; the washout mirrors them, s_{-j} = -s_j.
-    tilts = tilt_angles(theta_rad, n_tilts)
-    positive = geom.screen_distance_m * np.sin(tilts[tilts.size // 2 + 1:])
-    modes, bound = np.ones((1, 1)), 0.0
-    if positive.size:
-        modes, bound = _coherent_modes(beam, apertures, geom, positive,
-                                       quad.nodes_per_interval)
-    columns = modes.shape[1]
     width = max(1, _BLOCK_BYTES // (_COMPLEX_BYTES * x.size))
-    intensity = np.zeros(x.size)
-    # |C|^2 in units of a power of two from the first column's peak, so
-    # that a faint field does not underflow; other patterns keep their bits.
-    unit = 1.0
-    for block in np.array_split(np.arange(columns), -(-columns // width)):
-        # Later blocks converge against the peak of the modes before them.
-        amp = fraunhofer_amplitude(
-            beam, apertures, geom, x, quad, positive_m=positive,
-            modes=modes[:, block],
-            min_scale=unit * math.sqrt(np.max(intensity) / tilts.size))
-        if block[0] == 0:
-            unit = math.ldexp(0.5, math.frexp(np.max(np.abs(amp[:, 0])))[1])
-        for c in amp.T:
-            intensity += (np.abs(c) / unit) ** 2
-    intensity /= tilts.size
-    peak = float(np.max(intensity))
-    if peak <= 0.0:
-        raise ValueError("oracle pattern is identically zero")
-    meta = {
-        "model": "oracle",
-        "geometry": geom,
-        "unit_scale": 1.0,
-        "peak_abs": peak * unit * unit,
-        "beam": type(beam).__name__,
-    }
-    if theta_rad > 0.0:
-        meta.update({
-            "washout_theta_rad": theta_rad,
-            "washout_tilts": n_tilts,
-            "washout_modes": columns,
-            "washout_truncation_bound": bound,
-            "model": "washout(oracle)",
-        })
-    return IntensityPattern(x_m=x, intensity=intensity / peak,
-                            normalization=PEAK_SINGLE_SLIT, meta=meta)
+    spreads = []
+    for theta_rad in thetas_rad:
+        # D sin t of the positive tilts; the washout mirrors them,
+        # s_{-j} = -s_j.
+        tilts = tilt_angles(theta_rad, n_tilts)
+        positive = geom.screen_distance_m * np.sin(tilts[tilts.size // 2 + 1:])
+        modes, bound = np.ones((1, 1)), 0.0
+        if positive.size:
+            modes, bound = _coherent_modes(beam, apertures, geom, positive,
+                                           quad.nodes_per_interval)
+        columns = modes.shape[1]
+        blocks = np.array_split(np.arange(columns), -(-columns // width))
+        spreads.append((theta_rad, tilts.size, positive, modes, bound, blocks))
+    firsts = fraunhofer_amplitude(
+        beam, apertures, geom, x, quad,
+        groups=[(positive, modes[:, blocks[0]], 0.0)
+                for _, _, positive, modes, _, blocks in spreads])
+
+    patterns = []
+    for (theta_rad, count, positive, modes, bound, blocks), amp \
+            in zip(spreads, firsts):
+        # |C|^2 in units of a power of two from the first column's peak, so
+        # that a faint field does not underflow; other patterns keep their
+        # bits.
+        unit = math.ldexp(0.5, math.frexp(np.max(np.abs(amp[:, 0])))[1])
+        intensity = np.zeros(x.size)
+        for block in blocks:
+            if block[0]:
+                amp = fraunhofer_amplitude(
+                    beam, apertures, geom, x, quad, positive_m=positive,
+                    modes=modes[:, block],
+                    min_scale=unit * math.sqrt(np.max(intensity) / count))
+            for c in amp.T:
+                intensity += (np.abs(c) / unit) ** 2
+        intensity /= count
+        peak = float(np.max(intensity))
+        if peak <= 0.0:
+            raise ValueError("oracle pattern is identically zero")
+        meta = {
+            "model": "oracle",
+            "geometry": geom,
+            "unit_scale": 1.0,
+            "peak_abs": peak * unit * unit,
+            "beam": type(beam).__name__,
+        }
+        if theta_rad > 0.0:
+            meta.update({
+                "washout_theta_rad": theta_rad,
+                "washout_tilts": n_tilts,
+                "washout_modes": modes.shape[1],
+                "washout_truncation_bound": bound,
+                "model": "washout(oracle)",
+            })
+        patterns.append(IntensityPattern(x_m=x, intensity=intensity / peak,
+                                         normalization=PEAK_SINGLE_SLIT,
+                                         meta=meta))
+    return patterns
 
 
 def washout_pattern(base: Callable[[float], IntensityPattern],

@@ -431,6 +431,52 @@ class TestColumnKernel:
         assert [anchored[0] for anchored, _ in calls] == [4] * 78 + [1]
 
 
+class TestKernelFactors:
+    """Each kernel table is a coarse table times a fine one; every entry of
+    the step table and of the anchor rows is within a few rounding errors
+    of the phase of its direct exponential.  Both the direct and the
+    factored entry round an argument of up to max |k x xi| rad, and the
+    coarse anchor rows are taken at the grid's own x, so the bound is
+    4 eps (1 + that phase) per unit-modulus entry: 2.4e-14 here, where the
+    entries read up to 1.3e-14 for anchors and 4e-16 for steps."""
+
+    K = 2 * math.pi / LAM_D
+
+    # The rows of 4001 and 4032 points at 32 nodes per interval and of
+    # 40,001 at 1,024, as the kernel takes them, and row and block counts
+    # that are not squares: 63 rows, 10 rows in 404 blocks, 201 in 200.
+    @pytest.mark.parametrize("points,rows,n", [
+        (1, 1, 32), (2, 2, 32), (4001, 64, 32), (4001, 63, 32),
+        (4032, 64, 32), (4032, 10, 32), (40_001, 128, 1024),
+        (40_001, 201, 32)])
+    def test_entries_match_direct_exponentials(self, points, rows, n):
+        x = np.linspace(-1.2 * LOBE, 1.2 * LOBE, points)
+        xi, _ = oracle_module._aperture_nodes(two_slit_apertures(REF_GEOM), n)
+        steps, coarse, fine = oracle_module._kernel_factors(x, xi, self.K,
+                                                            rows)
+        blocks = -(-points // rows)
+        anchors = np.empty((blocks, xi.size), dtype=complex)
+        oracle_module._factored_rows(coarse, fine, 0, anchors)
+        dx = (x[-1] - x[0]) / (points - 1) if points > 1 else 0.0
+        step_phase = np.multiply.outer(xi, np.arange(rows) * dx) * self.K
+        anchor_phase = np.multiply.outer(x[::rows], xi) * self.K
+        for table, phase in ((steps, step_phase), (anchors, anchor_phase)):
+            assert table.shape == phase.shape
+            bound = 4 * np.finfo(float).eps * (1 + np.max(np.abs(phase)))
+            assert np.max(np.abs(table - np.exp(-1j * phase))) <= bound
+        # about 2 sqrt(blocks) exponential anchor rows, not blocks
+        assert len(coarse) + len(fine) < 2 * math.sqrt(blocks) + 2
+
+    def test_rows_from_any_first_row(self):
+        # a span of anchor rows that starts and ends inside coarse rows
+        coarse = np.arange(1.0, 6.0)[:, None] * np.ones((1, 3))
+        fine = np.array([1.0, 10.0, 100.0])[:, None] * np.ones((1, 3))
+        out = np.empty((7, 3))
+        oracle_module._factored_rows(coarse, fine, 4, out)
+        assert out[:, 0].tolist() == [20.0, 200.0, 3.0, 30.0, 300.0, 4.0,
+                                      40.0]
+
+
 def per_shift_columns(beam, apertures, x, shifts, quad=None):
     return np.stack([fraunhofer_amplitude(beam, apertures, REF_GEOM, x - s,
                                           quad) for s in shifts], axis=1)
@@ -698,6 +744,135 @@ class TestCoherentModeWashout:
             column = estimates[n][:, worst]
             assert np.max(np.abs(estimate - column)) \
                 <= 1e-13 * np.max(np.abs(column))
+
+
+def level_widths(monkeypatch):
+    """Spy on ``_amplitude_fixed``: the (nodes per interval, columns) of
+    every level a call takes."""
+    levels = []
+    fixed = oracle_module._amplitude_fixed
+
+    def spy(beam, apertures, geom, x, n, *groups):
+        amp = fixed(beam, apertures, geom, x, n, *groups)
+        levels.append((n, amp.shape[1]))
+        return amp
+
+    monkeypatch.setattr(oracle_module, "_amplitude_fixed", spy)
+    return levels
+
+
+@st.composite
+def aligned_beams(draw):
+    """A plane wave, or a Gaussian or Bessel beam centred on the plate or
+    on either slit."""
+    kind = draw(st.sampled_from(["plane", "gaussian", "bessel"]))
+    if kind == "plane":
+        return PlaneWave(tilt_rad=draw(st.floats(-1e-3, 1e-3)))
+    centre = draw(st.sampled_from([0.0, REF_GEOM.slit_a_center_m,
+                                   REF_GEOM.slit_b_center_m]))
+    if kind == "gaussian":
+        return GaussianBeam(waist_m=draw(st.floats(2e-6, 2e-5)),
+                            center_m=centre)
+    return BesselBeam(radial_wavenumber_per_m=draw(st.floats(5e5, 3e6)),
+                      center_m=centre)
+
+
+class TestColumnGroups:
+    """``oracle_patterns`` takes the first mode block of every spread as one
+    column group of a single ``fraunhofer_amplitude`` call; each pattern
+    must be the bits of its own ``oracle_pattern`` call."""
+
+    GRID = GridSpec(-1.2 * LOBE, 1.2 * LOBE, 401)
+    APERTURES = two_slit_apertures(REF_GEOM)
+
+    def assert_own_calls(self, beam, thetas, n_tilts, quad=None,
+                         grid=GRID):
+        joint = oracle_module.oracle_patterns(beam, self.APERTURES, REF_GEOM,
+                                              grid, quad, thetas, n_tilts)
+        assert len(joint) == len(thetas)
+        for theta, pattern in zip(thetas, joint):
+            alone = oracle_pattern(beam, self.APERTURES, REF_GEOM, grid, quad,
+                                   theta, n_tilts)
+            assert np.array_equal(pattern.x_m, alone.x_m)
+            assert np.array_equal(pattern.intensity, alone.intensity)
+            assert pattern.meta == alone.meta
+
+    @settings(max_examples=30, deadline=None)
+    @given(beam=aligned_beams(),
+           thetas=st.lists(st.sampled_from([0.0, PHI / 10, PHI, 0.4, 1.2]),
+                           min_size=1, max_size=3),
+           n_tilts=st.sampled_from([1, 3, 11, 101]),
+           nodes=st.sampled_from([8, 16, 32]))
+    def test_joint_patterns_are_their_own_calls(self, beam, thetas, n_tilts,
+                                                nodes):
+        self.assert_own_calls(beam, thetas, n_tilts,
+                              QuadratureSpec(nodes_per_interval=nodes),
+                              GridSpec(-1.2 * LOBE, 1.2 * LOBE, 201))
+
+    def test_one_group_is_the_plain_call(self):
+        x = self.GRID.x()
+        plain = fraunhofer_amplitude(PlaneWave(), self.APERTURES, REF_GEOM, x)
+        [grouped] = fraunhofer_amplitude(PlaneWave(), self.APERTURES,
+                                         REF_GEOM, x,
+                                         groups=[([], np.ones((1, 1)), 0.0)])
+        assert grouped.shape == (x.size, 1)
+        assert np.array_equal(grouped[:, 0], plain)
+        with pytest.raises(ValueError, match="groups replace"):
+            fraunhofer_amplitude(PlaneWave(), self.APERTURES, REF_GEOM, x,
+                                 modes=np.ones((1, 1)),
+                                 groups=[([], np.ones((1, 1)), 0.0)])
+
+    def test_groups_converge_at_different_levels(self, monkeypatch):
+        # From 16 nodes the plain group converges at 32, and the 46 modes
+        # of 101 tilts at 1.2 rad refine on alone to 64.
+        quad = QuadratureSpec(nodes_per_interval=16)
+        levels = level_widths(monkeypatch)
+        joint = oracle_module.oracle_patterns(PlaneWave(), self.APERTURES,
+                                              REF_GEOM, self.GRID, quad,
+                                              (0.0, 1.2))
+        assert joint[1].meta["washout_modes"] == 46
+        assert levels == [(16, 47), (32, 47), (64, 46)]
+        self.assert_own_calls(PlaneWave(), (0.0, 1.2), 101, quad)
+
+    def test_washout_of_several_blocks(self, monkeypatch):
+        # Five mode columns per block: only the first block joins the plain
+        # group; the later ones converge against the blocks before them.
+        monkeypatch.setattr(oracle_module, "_BLOCK_BYTES",
+                            16 * 5 * self.GRID.points)
+        beam = GaussianBeam(waist_m=3e-6, center_m=REF_GEOM.slit_a_center_m)
+        levels = level_widths(monkeypatch)
+        joint = oracle_module.oracle_patterns(beam, self.APERTURES, REF_GEOM,
+                                              self.GRID, None, (0.0, 1.2),
+                                              1001)
+        modes = joint[1].meta["washout_modes"]
+        assert modes > 3 * 5
+        assert levels[:2] == [(32, 1 + 5), (64, 1 + 5)]
+        assert sum(width for _, width in levels[2:]) == 2 * (modes - 5)
+        self.assert_own_calls(beam, (0.0, 1.2), 1001)
+
+    @pytest.mark.parametrize("grid,failing", [
+        # far off axis both groups fail, and the plain one is reported
+        (GridSpec(-0.05, 0.04, 181), 0.0),
+        # near the axis only the shifts of 0.4 rad fail
+        (GridSpec(-0.01, 0.01, 181), 0.4)])
+    def test_failure_is_the_first_failing_groups(self, grid, failing):
+        quad = QuadratureSpec(nodes_per_interval=8, max_refinements=1)
+        with pytest.raises(ConvergenceError) as joint:
+            oracle_module.oracle_patterns(PlaneWave(), self.APERTURES,
+                                          REF_GEOM, grid, quad, (0.0, 0.4), 11)
+        with pytest.raises(ConvergenceError) as alone:
+            oracle_pattern(PlaneWave(), self.APERTURES, REF_GEOM, grid, quad,
+                           failing, 11)
+        if failing:
+            # the plain group converges on its own
+            oracle_pattern(PlaneWave(), self.APERTURES, REF_GEOM, grid, quad)
+        joint, alone = joint.value, alone.value
+        assert str(joint) == str(alone)
+        assert joint.shift_m == alone.shift_m
+        assert joint.history == alone.history
+        assert joint.worst_x_m == alone.worst_x_m
+        assert np.array_equal(joint.last_estimate, alone.last_estimate)
+        assert np.array_equal(joint.previous_estimate, alone.previous_estimate)
 
 
 class TestTiltAngles:

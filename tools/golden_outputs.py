@@ -30,7 +30,8 @@ digests of those items would depend on the host's thread count.
 
 An item's digest covers its exit code, stdout, stderr and the name and bytes
 of every file it wrote.  The matrix covers every model, beam, alignment and
-normalization, the model and oracle washouts, an off-centre grid longer
+normalization, the model and oracle washouts (one whose plain and washout
+column groups converge at different levels), an off-centre grid longer
 than two CSV row blocks, an oracle and an oracle washout on 10,001 points
 (100 kernel row blocks, the last one padded; the plain oracle's blocks in
 several spans), every sweep parameter, ``check`` with each
@@ -164,6 +165,10 @@ SIMULATE = {
                               "alignment = focus_a\noracle = true\n"
                               + FOCUS_MODELS
                               + "washout_theta = 1mrad\nwashout_tilts = 31\n",
+    # From 16 nodes the plain oracle converges at 32 and the washout's 46
+    # modes at 64: the two column groups of the shared pass part ways.
+    "oracle_washout_levels": "oracle = true\noracle_nodes = 16\n"
+                             "washout_theta = 1.2\n",
     "custom_grid": "grid_min = -2mm\ngrid_max = 3mm\ngrid_points = 1201\n"
                    "csv_prefix = run\nfocusing_angle = 4mrad\n"
                    "spot_width = 20um\nmodels = standard_two_slit, pure_fringe\n",
