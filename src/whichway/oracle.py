@@ -46,6 +46,15 @@ weights, scale and convergence (:func:`fraunhofer_amplitude`): the plain
 amplitude and the first block of a washout's modes share each level's beam
 samples and kernel tables (:func:`oracle_patterns`), and each keeps the bits
 of its own call.
+
+The canonical plate is mirror-symmetric, and two symmetries follow.  A real
+aperture field (no aperture phase; a Gaussian, a Bessel or an untilted
+plane-wave beam) has a Hermitian far field, C(-x) = conj C(x), and so has
+every mode column, whose phases B Z are real: on a grid with
+x[0] == -x[-1], :func:`oracle_patterns` integrates only x >= 0 and mirrors
+the even intensity.  And on proxy nodes mirror-symmetric about 0, B's
+1 and cos columns are even in xi and its sin columns odd, so its SVD splits
+into one per parity (:func:`_basis_svd`).
 """
 
 from __future__ import annotations
@@ -58,7 +67,8 @@ from typing import Callable
 import numpy as np
 
 from .analytic import (PEAK_SINGLE_SLIT, GridSpec, IntensityPattern)
-from .beam import BeamProfile, amplitude_at
+from .beam import (BeamProfile, BesselBeam, GaussianBeam, PlaneWave,
+                   amplitude_at)
 from .geometry import SlitGeometry
 
 # Working-set budget for one block of kernel rows and for one block of
@@ -79,12 +89,15 @@ _MODE_CUTOFF = 1e-13
 class ConvergenceError(RuntimeError):
     """Quadrature refinement did not reach the requested tolerance.
 
-    Carries the last two whole-grid estimates of the worst shift's column
-    (the only column of a plain call), that shift and the screen coordinate
-    where they disagree most, all of the column group that failed (the
-    first, when several did).  ``history`` holds that group's
-    ``(nodes_per_interval, max |diff| / scale)`` pair per refinement level,
-    the largest ratio over its columns at that level.
+    Carries the last two estimates of the worst shift's column (the only
+    column of a plain call) on the points the call integrated, that shift
+    and the screen coordinate where they disagree most, all of the column
+    group that failed (the first, when several did).  A call of
+    :func:`oracle_patterns` that folds the screen integrates only the
+    x.size - x.size // 2 points x >= 0 of its grid, so it names one of
+    those.  ``history`` holds that group's ``(nodes_per_interval,
+    max |diff| / scale)`` pair per refinement level, the largest ratio over
+    its columns at that level.
     """
 
     def __init__(self, message: str, last_estimate=None,
@@ -292,6 +305,37 @@ def _amplitude_fixed(beam: BeamProfile, apertures: ApertureSet,
     return amp.reshape(f.shape[0], -1)[:, :x.size].T
 
 
+def _basis_svd(k_screen: float, xi: np.ndarray, positive: np.ndarray
+               ) -> tuple[np.ndarray, np.ndarray]:
+    """sigma, descending, and Z^T of the real SVD B = U S Z^T of the basis
+    of :func:`_basis` on the nodes ``xi``.
+
+    On nodes mirror-symmetric about 0 with none at 0, the rows
+    (B(xi) +- B(-xi)) / sqrt2 of the nodes xi > 0 are an orthogonal
+    transform of B's rows, and they split it by parity: sqrt2 [1, sqrt2 cos]
+    on the columns of 1 and cos, 2 sin on those of sin.  Each block takes
+    its own SVD, a quarter of the whole one, and their sigma merge in
+    descending order (the even block's first on ties), so each row of Z^T
+    is zero on the other block's columns.  Other node sets take one SVD.
+    """
+    ordered = np.sort(xi)
+    if not (np.all(ordered) and np.array_equal(ordered, -ordered[::-1])):
+        _, sigma, zt = np.linalg.svd(_basis(k_screen, xi, positive),
+                                     full_matrices=False)
+        return sigma, zt
+    basis = math.sqrt(2.0) * _basis(k_screen, ordered[xi.size // 2:],
+                                    positive)
+    cut = positive.size + 1
+    _, even, even_zt = np.linalg.svd(basis[:, :cut], full_matrices=False)
+    _, odd, odd_zt = np.linalg.svd(basis[:, cut:], full_matrices=False)
+    sigma = np.concatenate((even, odd))
+    zt = np.zeros((sigma.size, basis.shape[1]))
+    zt[:even.size, :cut] = even_zt
+    zt[even.size:, cut:] = odd_zt
+    order = np.argsort(-sigma, kind="stable")
+    return sigma[order], zt[order]
+
+
 def _coherent_modes(beam: BeamProfile, apertures: ApertureSet,
                     geom: SlitGeometry, positive: np.ndarray, n: int
                     ) -> tuple[np.ndarray, float]:
@@ -300,7 +344,8 @@ def _coherent_modes(beam: BeamProfile, apertures: ApertureSet,
 
     On a proxy of n nodes per interval, V = exp(i k xi s) is B T^H for the
     real basis B of :func:`_basis` and a unitary T, so one real SVD
-    B = U S Z^T gives V's sigma and its modes W = T Z, with V W = B Z = U S.
+    B = U S Z^T (:func:`_basis_svd`, split by parity on a mirror-symmetric
+    plate) gives V's sigma and its modes W = T Z, with V W = B Z = U S.
     The kept modes are those with sigma_r > ``_MODE_CUTOFF`` sigma_1.
     While R fills the proxy (and is short of the shift count), the proxy is
     too coarse to span the tilt phases, so n doubles.  The bound is
@@ -309,10 +354,9 @@ def _coherent_modes(beam: BeamProfile, apertures: ApertureSet,
     k_screen = 2.0 * math.pi / (geom.wavelength_m * geom.screen_distance_m)
     while True:
         xi, weights = _aperture_nodes(apertures, n)
-        basis = _basis(k_screen, xi, positive)
-        _, sigma, zt = np.linalg.svd(basis, full_matrices=False)
+        sigma, zt = _basis_svd(k_screen, xi, positive)
         rank = int(np.count_nonzero(sigma > _MODE_CUTOFF * sigma[0]))
-        if rank < xi.size or rank == basis.shape[1]:
+        if rank < xi.size or rank == zt.shape[1]:
             break
         n *= 2
     bound = 0.0
@@ -533,11 +577,29 @@ def oracle_patterns(beam: BeamProfile, apertures: ApertureSet,
     later blocks converge against the peak of the blocks before them, one
     call each.  So each pattern has the bits of its own call, and a joint
     failure is the first spread's whose first block does not converge.
+
+    When every aperture phase is 0, the beam is real (a Gaussian, a Bessel
+    beam or an untilted plane wave) and the grid has x[0] == -x[-1], the
+    calls integrate only the points x[x.size // 2:], which are x >= 0 (an
+    odd grid's middle point is 0 to within an ulp of its ends), and the
+    even intensity is mirrored onto the others: their values are taken at
+    -x of the integrated points, within a few ulps of the grid's own.  A
+    failure of such a call then names one of the integrated points, and
+    its estimates cover those x.size - x.size // 2 points.  The mode column
+    blocks are still sized from the whole grid, so a washout sums the same
+    blocks folded or not.
     """
     if quad is None:
         quad = QuadratureSpec()
     x = grid.x()
     width = max(1, _BLOCK_BYTES // (_COMPLEX_BYTES * x.size))
+    # A real field's far field is Hermitian, C(-x) = conj C(x), and so is
+    # each mode column's, whose phases B Z are real: fold the screen.
+    real = not any(apertures.phases_rad) and (
+        isinstance(beam, (GaussianBeam, BesselBeam))
+        or isinstance(beam, PlaneWave) and not beam.tilt_rad)
+    cut = x.size // 2 if real and x[0] == -x[-1] else 0
+    integrated = x[cut:]
     spreads = []
     for theta_rad in thetas_rad:
         # D sin t of the positive tilts; the washout mirrors them,
@@ -552,7 +614,7 @@ def oracle_patterns(beam: BeamProfile, apertures: ApertureSet,
         blocks = np.array_split(np.arange(columns), -(-columns // width))
         spreads.append((theta_rad, tilts.size, positive, modes, bound, blocks))
     firsts = fraunhofer_amplitude(
-        beam, apertures, geom, x, quad,
+        beam, apertures, geom, integrated, quad,
         groups=[(positive, modes[:, blocks[0]], 0.0)
                 for _, _, positive, modes, _, blocks in spreads])
 
@@ -563,15 +625,16 @@ def oracle_patterns(beam: BeamProfile, apertures: ApertureSet,
         # that a faint field does not underflow; other patterns keep their
         # bits.
         unit = math.ldexp(0.5, math.frexp(np.max(np.abs(amp[:, 0])))[1])
-        intensity = np.zeros(x.size)
+        intensity = np.zeros(integrated.size)
         for block in blocks:
             if block[0]:
                 amp = fraunhofer_amplitude(
-                    beam, apertures, geom, x, quad, positive_m=positive,
-                    modes=modes[:, block],
+                    beam, apertures, geom, integrated, quad,
+                    positive_m=positive, modes=modes[:, block],
                     min_scale=unit * math.sqrt(np.max(intensity) / count))
             for c in amp.T:
                 intensity += (np.abs(c) / unit) ** 2
+        intensity = np.concatenate((intensity[::-1][:cut], intensity))
         intensity /= count
         peak = float(np.max(intensity))
         if peak <= 0.0:

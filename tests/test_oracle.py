@@ -981,6 +981,79 @@ class TestRealModeBasis:
             <= 1e-13
 
 
+class TestParitySplitModes:
+    """On a plate mirror-symmetric about 0 the basis B splits by parity into
+    an even block (1, cos) and an odd one (sin), each with its own SVD; one
+    SVD of the whole B, doubled by the rule ``_coherent_modes`` keeps, is
+    the reference."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True,
+              database=None)
+    @given(slit=st.floats(0.5e-6, 10e-6), ratio=st.floats(1.5, 20.0),
+           wavelength=st.floats(400e-9, 1e-6), beam=st.sampled_from(BEAMS),
+           theta=st.floats(1e-4, 1.5),
+           n_tilts=st.integers(1, 200).map(lambda half: 2 * half + 1),
+           nodes=st.sampled_from([8, 16, 32, 64]))
+    def test_matches_one_svd(self, slit, ratio, wavelength, beam, theta,
+                             n_tilts, nodes):
+        geom = SlitGeometry(wavelength, slit, ratio * slit, 0.1)
+        apertures = two_slit_apertures(geom)
+        positive, _ = tilt_shifts(geom, theta, n_tilts)
+        z, bound = oracle_module._coherent_modes(beam, apertures, geom,
+                                                 positive, nodes)
+        k_screen = 2 * math.pi / (geom.wavelength_m * geom.screen_distance_m)
+        while True:
+            xi, weights = oracle_module._aperture_nodes(apertures, nodes)
+            basis = oracle_module._basis(k_screen, xi, positive)
+            sigma = np.linalg.svd(basis, compute_uv=False)
+            rank = int(np.count_nonzero(sigma > 1e-13 * sigma[0]))
+            if rank < xi.size or rank == basis.shape[1]:
+                break
+            nodes *= 2
+        assert z.shape == (basis.shape[1], rank)
+        split, _ = oracle_module._basis_svd(k_screen, xi, positive)
+        assert np.max(np.abs(split - sigma)) <= 1e-13 * sigma[0]
+        # The bound is sigma_{R+1}^2 sum |f|^2 of the split sigma.  Either
+        # SVD resolves sigma_{R+1} < 1e-13 sigma_1 only to a few ulps of
+        # sigma_1, so the whole SVD's bound is matched to within a change
+        # of 1e-15 sigma_1 in sigma_{R+1}.
+        if rank == sigma.size:
+            assert bound == 0.0
+        else:
+            energy = np.sum(np.abs(amplitude_at(beam, xi, geom.wavelength_m)
+                                   * weights) ** 2)
+            assert bound == pytest.approx(split[rank] ** 2 * energy,
+                                          rel=1e-12, abs=0.0)
+            ulps = 1e-15 * sigma[0]
+            assert abs(bound - sigma[rank] ** 2 * energy) \
+                <= (2 * sigma[rank] + ulps) * ulps * energy
+        # each mode is even or odd: zero on the other block's rows of Z
+        even = np.any(z[:positive.size + 1] != 0.0, axis=0)
+        odd = np.any(z[positive.size + 1:] != 0.0, axis=0)
+        assert np.all(even != odd)
+        assert np.max(np.abs(z.T @ z - np.eye(rank))) <= 1e-13
+        assert np.max(np.abs(np.linalg.norm(basis @ z, axis=0)
+                             - sigma[:rank])) <= 1e-13 * sigma[0]
+
+    def test_only_a_mirror_symmetric_plate_splits(self, monkeypatch):
+        shapes = []
+        svd = np.linalg.svd
+
+        def spy(a, *args, **kwargs):
+            shapes.append(a.shape)
+            return svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", spy)
+        positive, _ = tilt_shifts(REF_GEOM, 0.4, 11)
+        for apertures in (single_slit_aperture(REF_GEOM, "a"),
+                          two_slit_apertures(REF_GEOM)):
+            oracle_module._coherent_modes(PlaneWave(), apertures, REF_GEOM,
+                                          positive, 32)
+        # one slit: the whole (32 x 11) basis; two: the even (1, cos) and
+        # odd (sin) blocks on the 32 nodes xi > 0
+        assert shapes == [(32, 11), (32, 6), (32, 5)]
+
+
 class TestPlancherel:
     """Plancherel: A(x) is the Fourier transform of the aperture field g at
     x / (lambda D), so the screen energy is lambda D times the aperture
@@ -1064,6 +1137,129 @@ class TestConjugateSymmetry:
                                  theta_rad=theta, n_tilts=21)
         assert np.max(np.abs(pattern.intensity
                              - pattern.intensity[::-1])) <= 1e-12
+
+
+def whole_grid_pattern(beam, apertures, x, theta, n_tilts):
+    """The intensity ``oracle_pattern`` would give from every point of x:
+    |C|^2 summed over the columns of one ``fraunhofer_amplitude`` call on
+    the whole grid, in the units and order ``oracle_patterns`` sums them,
+    over the tilt count, normalized to its peak."""
+    positive, _ = tilt_shifts(REF_GEOM, theta, n_tilts)
+    modes = np.ones((1, 1))
+    if positive.size:
+        modes, _ = oracle_module._coherent_modes(beam, apertures, REF_GEOM,
+                                                 positive, 32)
+    amp = fraunhofer_amplitude(beam, apertures, REF_GEOM, x,
+                               positive_m=positive, modes=modes)
+    unit = math.ldexp(0.5, math.frexp(np.max(np.abs(amp[:, 0])))[1])
+    intensity = np.zeros(x.size)
+    for c in amp.T:
+        intensity += (np.abs(c) / unit) ** 2
+    intensity /= oracle_module.tilt_angles(theta, n_tilts).size
+    return intensity / np.max(intensity)
+
+
+@st.composite
+def real_beams(draw):
+    """Beams with a real field on an unphased plate: Gaussian beams centred
+    on the plate or a slit, Bessel beams centred on the plate with or
+    without ring flips (|J0| only where it has no kink on the slits), and
+    the untilted plane wave."""
+    kind = draw(st.sampled_from(["plane", "gaussian", "bessel"]))
+    if kind == "plane":
+        return PlaneWave()
+    if kind == "gaussian":
+        return GaussianBeam(
+            waist_m=draw(st.floats(2e-6, 2e-5)),
+            center_m=draw(st.sampled_from([0.0, REF_GEOM.slit_a_center_m,
+                                           REF_GEOM.slit_b_center_m])))
+    flips = draw(st.booleans())
+    return BesselBeam(
+        radial_wavenumber_per_m=draw(st.floats(2e5, 3e6) if flips
+                                     else st.floats(1e5, 3e5)),
+        ring_phase_flips=flips)
+
+
+class TestFoldedScreen:
+    """A real aperture field has A(-x) = conj A(x), and so has every mode
+    column, so on a grid with x[0] == -x[-1] ``oracle_patterns`` integrates
+    only x >= 0 and mirrors the intensity; the reference integrates every
+    point of the grid."""
+
+    GRID_HALF_WIDTH = 1.2 * LOBE
+
+    @settings(max_examples=80, deadline=None, derandomize=True,
+              database=None)
+    @given(beam=real_beams(),
+           theta=st.sampled_from([0.0, PHI / 2, 0.4]),
+           n_tilts=st.sampled_from([11, 101]),
+           points=st.sampled_from([400, 401, 1000, 1001]))
+    def test_folded_pattern_is_even_and_matches_the_whole_grid(
+            self, beam, theta, n_tilts, points):
+        apertures = two_slit_apertures(REF_GEOM)
+        grid = GridSpec(-self.GRID_HALF_WIDTH, self.GRID_HALF_WIDTH, points)
+        [pattern] = oracle_module.oracle_patterns(beam, apertures, REF_GEOM,
+                                                  grid, None, (theta,),
+                                                  n_tilts)
+        intensity = pattern.intensity
+        assert np.array_equal(intensity, intensity[::-1])
+        reference = whole_grid_pattern(beam, apertures, grid.x(), theta,
+                                       n_tilts)
+        assert np.max(np.abs(intensity - reference)) <= 1e-13
+
+    @pytest.mark.parametrize("theta", [0.0, PHI])
+    @pytest.mark.parametrize("beam,phases,grid", [
+        # a tilted plane wave is complex on the plate
+        (PlaneWave(tilt_rad=1e-3), (0.0, 0.0),
+         GridSpec(-1.2 * LOBE, 1.2 * LOBE, 401)),
+        # the CLI's signed-ring Bessel focus_a: pi/2 on the far slit
+        (BesselBeam(radial_wavenumber_per_m=1.2e6,
+                    center_m=REF_GEOM.slit_a_center_m), (0.0, 0.5 * math.pi),
+         GridSpec(-1.2 * LOBE, 1.2 * LOBE, 400)),
+        # a real field on a grid that is not symmetric about 0
+        (GaussianBeam(waist_m=3e-6, center_m=REF_GEOM.slit_a_center_m),
+         (0.0, 0.0), GridSpec(-1.2 * LOBE, 1.1 * LOBE, 401)),
+    ])
+    def test_unfolded_pattern_is_the_whole_grid(self, beam, phases, grid,
+                                                theta):
+        apertures = two_slit_apertures(REF_GEOM, *phases)
+        pattern = oracle_pattern(beam, apertures, REF_GEOM, grid,
+                                 theta_rad=theta, n_tilts=101)
+        reference = whole_grid_pattern(beam, apertures, grid.x(), theta, 101)
+        assert np.array_equal(pattern.intensity, reference)
+
+    @pytest.mark.parametrize("points", [400, 401])
+    def test_folded_levels_integrate_x_ge_0(self, monkeypatch, points):
+        grid = GridSpec(-self.GRID_HALF_WIDTH, self.GRID_HALF_WIDTH, points)
+        seen = []
+        fixed = oracle_module._amplitude_fixed
+
+        def spy(beam, apertures, geom, x, n, *groups):
+            seen.append(x)
+            return fixed(beam, apertures, geom, x, n, *groups)
+
+        monkeypatch.setattr(oracle_module, "_amplitude_fixed", spy)
+        oracle_module.oracle_patterns(BEAMS[1], two_slit_apertures(REF_GEOM),
+                                      REF_GEOM, grid, None, (0.0, PHI))
+        half = grid.x()[points // 2:]
+        assert seen and all(np.array_equal(x, half) for x in seen)
+        # an odd grid's middle point is 0 to within an ulp
+        assert half[0] >= -np.spacing(half[-1])
+
+    @pytest.mark.parametrize("points", [180, 181])
+    def test_failure_names_an_integrated_point(self, points):
+        # Mirror points disagree equally but for rounding; a folded call
+        # integrates only x >= 0, so it names the non-negative one.
+        quad = QuadratureSpec(nodes_per_interval=8, max_refinements=1)
+        grid = GridSpec(-0.05, 0.05, points)
+        with pytest.raises(ConvergenceError) as excinfo:
+            oracle_pattern(PlaneWave(), two_slit_apertures(REF_GEOM),
+                           REF_GEOM, grid, quad, theta_rad=0.4, n_tilts=11)
+        err = excinfo.value
+        half = grid.x()[points // 2:]
+        assert err.worst_x_m >= 0.0 and err.worst_x_m in half
+        assert err.last_estimate.shape == err.previous_estimate.shape \
+            == (points - points // 2,)
 
 
 class TestFarFieldRule:

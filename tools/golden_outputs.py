@@ -31,7 +31,8 @@ digests of those items would depend on the host's thread count.
 An item's digest covers its exit code, stdout, stderr and the name and bytes
 of every file it wrote.  The matrix covers every model, beam, alignment and
 normalization, the model and oracle washouts (one whose plain and washout
-column groups converge at different levels), an off-centre grid longer
+column groups converge at different levels, and one on a symmetric grid with
+no point at x = 0, whose oracle mirrors x > 0), an off-centre grid longer
 than two CSV row blocks, an oracle and an oracle washout on 10,001 points
 (100 kernel row blocks, the last one padded; the plain oracle's blocks in
 several spans), every sweep parameter, ``check`` with each
@@ -150,6 +151,9 @@ SIMULATE = {
                       "alignment = focus_b\noracle = true\n"
                       "models = empty_wave_b\n",
     # |J0| has kinks inside slit B, so this run exits 2 (no convergence).
+    # The field is real, so the oracle integrates only x >= 0 of the
+    # symmetric grid, and the worst point it names is x = 0.0358857 m
+    # rather than whichever of +-x rounding favours.
     "bessel_focus_b_no_flips": "beam = bessel\nradial_wavenumber = 3e6\n"
                                "alignment = focus_b\nring_phase_flips = false\n"
                                "oracle = true\nmodels = empty_wave_b\n",
@@ -165,6 +169,11 @@ SIMULATE = {
                               "alignment = focus_a\noracle = true\n"
                               + FOCUS_MODELS
                               + "washout_theta = 1mrad\nwashout_tilts = 31\n",
+    # 4,000 points have no x = 0: the folded oracle integrates the 2,000
+    # points x > 0 and mirrors them onto the others.
+    "oracle_washout_even": "beam = gaussian\nwaist = 3um\n"
+                           "alignment = focus_a\noracle = true\n"
+                           "washout_theta = 5mrad\ngrid_points = 4000\n",
     # From 16 nodes the plain oracle converges at 32 and the washout's 46
     # modes at 64: the two column groups of the shared pass part ways.
     "oracle_washout_levels": "oracle = true\noracle_nodes = 16\n"
