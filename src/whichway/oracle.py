@@ -89,11 +89,12 @@ _MODE_CUTOFF = 1e-13
 class ConvergenceError(RuntimeError):
     """Quadrature refinement did not reach the requested tolerance.
 
-    Carries the last two estimates of the worst shift's column (the only
-    column of a plain call) on the points the call integrated, that shift
-    and the screen coordinate where they disagree most, all of the column
-    group that failed (the first, when several did).  A call of
-    :func:`oracle_patterns` that folds the screen integrates only the
+    Carries, for the column group of :func:`fraunhofer_amplitude` that
+    failed (the first, when several did), the last two estimates of its
+    worst shift's column on the points the call integrated, rebuilt from
+    the mode columns as C W^H (the plain group's one column is its own),
+    that shift and the screen coordinate where they disagree most.  A call
+    of :func:`oracle_patterns` that folds the screen integrates only the
     x.size - x.size // 2 points x >= 0 of its grid, so it names one of
     those.  ``history`` holds that group's ``(nodes_per_interval,
     max |diff| / scale)`` pair per refinement level, the largest ratio over
@@ -350,6 +351,8 @@ def _coherent_modes(beam: BeamProfile, apertures: ApertureSet,
     While R fills the proxy (and is short of the shift count), the proxy is
     too coarse to span the tilt phases, so n doubles.  The bound is
     sigma_{R+1}^2 sum |f|^2 over the proxy nodes, 0 when no mode is dropped.
+    An SVD resolves sigma_{R+1} < 1e-13 sigma_1 only to a few ulps of
+    sigma_1, so only the bound's first significant digits are meaningful.
     """
     k_screen = 2.0 * math.pi / (geom.wavelength_m * geom.screen_distance_m)
     while True:
@@ -385,15 +388,13 @@ def _worst_shift(delta: np.ndarray, modes: np.ndarray
     return worst, shift_weights[worst]
 
 
-def _column_group(positive_m=None, modes=None, min_scale: float = 0.0
+def _column_group(positive_m, modes, min_scale: float
                   ) -> tuple[np.ndarray, np.ndarray, float]:
-    """A column group (positive shifts, real weights Z, min_scale), checked;
-    no shifts and modes give the plain group, Z = [[1]]."""
-    positive = np.zeros(0) if positive_m is None \
-        else np.atleast_1d(np.asarray(positive_m, dtype=float))
+    """A column group (positive shifts, real weights Z, min_scale), checked."""
+    positive = np.atleast_1d(np.asarray(positive_m, dtype=float))
     if not np.all(np.isfinite(positive)):
         raise ValueError("positive_m must be finite")
-    weights = np.ones((1, 1)) if modes is None else np.asarray(modes)
+    weights = np.asarray(modes)
     if weights.ndim != 2 or weights.shape[0] != 2 * positive.size + 1 \
             or not np.isrealobj(weights):
         raise ValueError("modes must be real, with 2 len(positive_m) + 1 rows")
@@ -402,37 +403,34 @@ def _column_group(positive_m=None, modes=None, min_scale: float = 0.0
 
 def fraunhofer_amplitude(beam: BeamProfile, apertures: ApertureSet,
                          geom: SlitGeometry, x_m,
-                         quad: QuadratureSpec | None = None, positive_m=None,
-                         modes=None, min_scale: float = 0.0, groups=None):
+                         quad: QuadratureSpec | None = None, groups=None):
     """Far-field amplitude at screen coordinate(s) ``x_m``; the amplitude
     at a moved point x - s is this function at ``x_m - s``.
 
-    With ``modes``, a real (2 len(positive_m) + 1, R) array Z from
-    :func:`_coherent_modes`, the result is the (x, R) array of a washout's
-    coherent-mode columns C = A W over the shifts
-    s = [-positive_m[::-1], 0, positive_m], where A_j is the amplitude at
-    x - s_j and W = T Z; each level takes their phases V W as B Z
-    (:func:`_mode_phases`).  A plain call is the washout of one tilt: no
-    positive shifts and Z = [[1]].
+    ``groups`` is a sequence of column groups (positive_m, modes,
+    min_scale), and the result a list of one (x, R) array per group.  With
+    modes a real (2 len(positive_m) + 1, R) array Z from
+    :func:`_coherent_modes`, a group's columns are a washout's coherent-mode
+    columns C = A W over the shifts s = [-positive_m[::-1], 0, positive_m],
+    where A_j is the amplitude at x - s_j and W = T Z; each level takes
+    their phases V W as B Z (:func:`_mode_phases`).  The plain group
+    ``([], [[1]], 0.0)`` is the washout of one tilt, the amplitude itself;
+    without ``groups`` the call takes it alone and returns a complex
+    scalar for a scalar ``x_m`` and a 1-D array otherwise.
 
-    Node count doubles until every column agrees with its previous estimate
-    to ``quad.relative_tolerance`` of one scale, sqrt(max_x sum_r |C_r|^2 /
-    n_shifts) raised to at least ``min_scale``: the largest amplitude of a
-    plain call, and the root of a washout's peak when W has orthonormal
-    columns spanning the tilts (``min_scale`` lets a call that holds only
-    some of the modes use the peak of the others).  Otherwise this raises
-    :class:`ConvergenceError` with the worst shift's columns of the last two
-    estimates, rebuilt as C W^H.
-
-    ``groups``, a sequence of (positive_m, modes, min_scale) column groups
-    (``([], [[1]], 0.0)`` is the plain one), takes several such calls in
-    one pass per level: one set of beam samples and kernel tables serves
-    all their columns.  The result is then a list of one (x, R) array per
-    group.  Each group keeps its own scale and convergence, and a group
-    that has converged keeps that level's columns and leaves the later
-    levels; a column's kernel gemms do not depend on the other columns, so
-    each group's bits are those of its own call.  If groups do not
-    converge, the error is the first of them's, as its own call raises it.
+    The groups share one pass per level: one set of beam samples and
+    kernel tables serves all their columns.  A group's node count doubles
+    until every column agrees with its previous estimate to
+    ``quad.relative_tolerance`` of one scale, sqrt(max_x sum_r |C_r|^2 /
+    n_shifts) raised to at least min_scale: the largest amplitude of the
+    plain group, and the root of a washout's peak when W has orthonormal
+    columns spanning the tilts (min_scale lets a group that holds only some
+    of the modes use the peak of the others).  A group that has converged
+    keeps that level's columns and leaves the later levels; a column's
+    kernel gemms do not depend on the other columns, so each group's bits
+    are those of a call of it alone.  Otherwise this raises
+    :class:`ConvergenceError` for the first group that failed, as a call of
+    it alone would.
 
     ``x_m`` must be evenly spaced, ``x_0 + j dx`` to within a few ulps of its
     largest magnitude (any scalar or pair of points is); otherwise this
@@ -449,18 +447,13 @@ def fraunhofer_amplitude(beam: BeamProfile, apertures: ApertureSet,
             * max(abs(x[0]), abs(x[-1]))
         if not np.all(np.abs(x - ramp) <= tolerance):
             raise ValueError("x_m must be evenly spaced")
-    if groups is None:
-        members = [_column_group(positive_m, modes, min_scale)]
-    elif positive_m is not None or modes is not None or min_scale:
-        raise ValueError("groups replace positive_m, modes and min_scale")
-    else:
-        members = [_column_group(*group) for group in groups]
+    plain = groups is None
+    members = [_column_group(*group) for group in
+               ([([], np.ones((1, 1)), 0.0)] if plain else groups)]
 
     def result(columns: list[np.ndarray]):
-        if groups is not None:
+        if not plain:
             return columns
-        if modes is not None:
-            return columns[0]
         if np.ndim(x_m) == 0:
             return complex(columns[0][0, 0])
         return columns[0][:, 0]
@@ -530,8 +523,8 @@ def tilt_angles(theta_rad: float, n_tilts: int) -> np.ndarray:
     """Tilts theta (j / h), j = -h..h, uniform in [-theta, theta] and
     antisymmetric bit for bit, with 0.0 in the middle and +-theta at the
     ends; just the untilted one at theta 0 or for a single tilt."""
-    if theta_rad < 0.0:
-        raise ValueError("theta_rad must be >= 0")
+    if not 0.0 <= theta_rad < math.inf:
+        raise ValueError("theta_rad must be finite and >= 0")
     if n_tilts < 1 or n_tilts % 2 == 0:
         raise ValueError("n_tilts must be a positive odd count")
     if theta_rad == 0.0 or n_tilts == 1:
@@ -567,9 +560,10 @@ def oracle_patterns(beam: BeamProfile, apertures: ApertureSet,
     over the tilts' coherent modes (:func:`_coherent_modes`), in column
     blocks sized from ``_BLOCK_BYTES``; ``meta`` records their count as
     ``washout_modes`` and the truncation bound on the summed intensity as
-    ``washout_truncation_bound``.  The absolute peak intensity is recorded
-    in ``meta['peak_abs']``; it underflows to 0 for a field below about
-    1e-162, the pattern does not.
+    ``washout_truncation_bound``, of which only the first significant
+    digits are meaningful (:func:`_coherent_modes`).  The absolute peak
+    intensity is recorded in ``meta['peak_abs']``; it underflows to 0 for a
+    field below about 1e-162, the pattern does not.
 
     The first block of every spread (all of a plain pattern) is one column
     group of a single :func:`fraunhofer_amplitude` call, which builds each
@@ -628,10 +622,10 @@ def oracle_patterns(beam: BeamProfile, apertures: ApertureSet,
         intensity = np.zeros(integrated.size)
         for block in blocks:
             if block[0]:
-                amp = fraunhofer_amplitude(
-                    beam, apertures, geom, integrated, quad,
-                    positive_m=positive, modes=modes[:, block],
-                    min_scale=unit * math.sqrt(np.max(intensity) / count))
+                [amp] = fraunhofer_amplitude(
+                    beam, apertures, geom, integrated, quad, groups=[(
+                        positive, modes[:, block],
+                        unit * math.sqrt(np.max(intensity) / count))])
             for c in amp.T:
                 intensity += (np.abs(c) / unit) ** 2
         intensity = np.concatenate((intensity[::-1][:cut], intensity))

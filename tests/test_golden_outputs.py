@@ -35,9 +35,11 @@ def test_oracle_washout_digest_does_not_depend_on_blas_threads():
     # The washout's coherent-mode SVD rounds differently with two threads;
     # the mode phases and the kernel gemms, one per mode column, which the
     # plain oracle takes too, must not, also where the plain and washout
-    # groups converge at different levels.
+    # groups converge at different levels, and where later mode blocks
+    # converge against the peak of the blocks before them.
     for item in ("simulate/oracle_washout", "simulate/oracle_washout_10001",
-                 "simulate/oracle_10001", "simulate/oracle_washout_levels"):
+                 "simulate/oracle_10001", "simulate/oracle_washout_levels",
+                 "simulate/oracle_washout_blocks"):
         assert digest_with_threads(item, 2) == digest_with_threads(item, 1)
 
 

@@ -246,10 +246,10 @@ class TestFraunhoferAmplitude:
                                    REF_GEOM, np.array([]))
         assert amp.shape == (0,)
         assert amp.dtype == np.complex128
-        batch = fraunhofer_amplitude(PlaneWave(),
-                                     two_slit_apertures(REF_GEOM), REF_GEOM,
-                                     np.array([]), positive_m=[1e-3],
-                                     modes=np.eye(3)[:, :2])
+        [batch] = fraunhofer_amplitude(PlaneWave(),
+                                       two_slit_apertures(REF_GEOM), REF_GEOM,
+                                       np.array([]),
+                                       groups=[([1e-3], np.eye(3)[:, :2], 0.0)])
         assert batch.shape == (0, 2)
 
     def test_deterministic(self):
@@ -498,29 +498,19 @@ class TestShiftedColumns:
         positive, shifts = tilt_shifts(REF_GEOM, 0.025, 7)
         apertures = two_slit_apertures(REF_GEOM, phase_b_rad=0.5 * math.pi)
         identity = np.eye(shifts.size)
-        batch = fraunhofer_amplitude(beam, apertures, REF_GEOM, x,
-                                     positive_m=positive, modes=identity)
+        [batch] = fraunhofer_amplitude(beam, apertures, REF_GEOM, x,
+                                       groups=[(positive, identity, 0.0)])
         expected = per_shift_columns(beam, apertures, x, shifts) \
             @ shift_weights(identity)
         assert batch.shape == (x.size, shifts.size)
         scale = np.max(np.abs(expected))
         assert np.max(np.abs(batch - expected)) <= 1e-13 * scale
 
-    def test_single_shift_is_the_plain_call(self):
-        # one tilt: no positive shifts and Z = [[1]]
-        x = np.linspace(-LOBE, LOBE, 301)
-        apertures = two_slit_apertures(REF_GEOM)
-        plain = fraunhofer_amplitude(PlaneWave(), apertures, REF_GEOM, x)
-        batch = fraunhofer_amplitude(PlaneWave(), apertures, REF_GEOM, x,
-                                     positive_m=[], modes=np.ones((1, 1)))
-        assert batch.shape == (x.size, 1)
-        assert np.array_equal(batch[:, 0], plain)
-
     def test_unconverged_column_names_shift_and_x(self):
         with pytest.raises(ConvergenceError) as excinfo:
             fraunhofer_amplitude(PlaneWave(), two_slit_apertures(REF_GEOM),
                                  REF_GEOM, np.array([0.0, 1e-3]),
-                                 positive_m=[2e-3, 100.0], modes=np.eye(5))
+                                 groups=[([2e-3, 100.0], np.eye(5), 0.0)])
         err = excinfo.value
         assert err.shift_m == -100.0
         assert err.worst_x_m in (0.0, 1e-3)
@@ -549,9 +539,9 @@ class TestShiftedColumns:
     def test_rejects_non_finite_shift(self):
         with pytest.raises(ValueError, match="positive_m must be finite"):
             fraunhofer_amplitude(PlaneWave(), two_slit_apertures(REF_GEOM),
-                                 REF_GEOM, np.zeros(3),
-                                 positive_m=[1e-3, float("inf")],
-                                 modes=np.ones((5, 1)))
+                                 REF_GEOM, np.zeros(3), groups=[(
+                                     [1e-3, float("inf")], np.ones((5, 1)),
+                                     0.0)])
 
     @settings(max_examples=25, deadline=None)
     @given(st.floats(min_value=-0.4, max_value=0.4))
@@ -810,6 +800,7 @@ class TestColumnGroups:
                               GridSpec(-1.2 * LOBE, 1.2 * LOBE, 201))
 
     def test_one_group_is_the_plain_call(self):
+        # one tilt: no positive shifts and Z = [[1]]; no groups, no columns
         x = self.GRID.x()
         plain = fraunhofer_amplitude(PlaneWave(), self.APERTURES, REF_GEOM, x)
         [grouped] = fraunhofer_amplitude(PlaneWave(), self.APERTURES,
@@ -817,10 +808,8 @@ class TestColumnGroups:
                                          groups=[([], np.ones((1, 1)), 0.0)])
         assert grouped.shape == (x.size, 1)
         assert np.array_equal(grouped[:, 0], plain)
-        with pytest.raises(ValueError, match="groups replace"):
-            fraunhofer_amplitude(PlaneWave(), self.APERTURES, REF_GEOM, x,
-                                 modes=np.ones((1, 1)),
-                                 groups=[([], np.ones((1, 1)), 0.0)])
+        assert fraunhofer_amplitude(PlaneWave(), self.APERTURES, REF_GEOM, x,
+                                    groups=[]) == []
 
     def test_groups_converge_at_different_levels(self, monkeypatch):
         # From 16 nodes the plain group converges at 32, and the 46 modes
@@ -890,6 +879,19 @@ class TestTiltAngles:
         assert tilts[0] == -theta and tilts[-1] == theta
         assert np.max(np.abs(tilts - np.linspace(-theta, theta, n_tilts))) \
             <= 3 * math.ulp(theta)
+
+    @pytest.mark.parametrize("theta", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_spread(self, theta):
+        grid = GridSpec(-LOBE, LOBE, 101)
+        calls = []
+        with pytest.raises(ValueError, match="must be finite and >= 0"):
+            oracle_module.tilt_angles(theta, 11)
+        with pytest.raises(ValueError, match="must be finite and >= 0"):
+            oracle_pattern(PlaneWave(), two_slit_apertures(REF_GEOM),
+                           REF_GEOM, grid, theta_rad=theta, n_tilts=11)
+        with pytest.raises(ValueError, match="must be finite and >= 0"):
+            washout_pattern(calls.append, theta, 11)
+        assert calls == []
 
 
 def complex_modes(apertures, geom, shifts, n):
@@ -964,7 +966,7 @@ class TestRealModeBasis:
         with pytest.raises(ValueError, match="modes must be real"):
             fraunhofer_amplitude(PlaneWave(), two_slit_apertures(REF_GEOM),
                                  REF_GEOM, np.linspace(-LOBE, LOBE, 11),
-                                 positive_m=positive, modes=modes)
+                                 groups=[(positive, modes, 0.0)])
 
     @pytest.mark.parametrize("beam", BEAMS)
     def test_off_centre_slit_matches_per_tilt_reference(self, beam):
@@ -1149,8 +1151,8 @@ def whole_grid_pattern(beam, apertures, x, theta, n_tilts):
     if positive.size:
         modes, _ = oracle_module._coherent_modes(beam, apertures, REF_GEOM,
                                                  positive, 32)
-    amp = fraunhofer_amplitude(beam, apertures, REF_GEOM, x,
-                               positive_m=positive, modes=modes)
+    [amp] = fraunhofer_amplitude(beam, apertures, REF_GEOM, x,
+                                 groups=[(positive, modes, 0.0)])
     unit = math.ldexp(0.5, math.frexp(np.max(np.abs(amp[:, 0])))[1])
     intensity = np.zeros(x.size)
     for c in amp.T:

@@ -35,7 +35,8 @@ column groups converge at different levels, and one on a symmetric grid with
 no point at x = 0, whose oracle mirrors x > 0), an off-centre grid longer
 than two CSV row blocks, an oracle and an oracle washout on 10,001 points
 (100 kernel row blocks, the last one padded; the plain oracle's blocks in
-several spans), every sweep parameter, ``check`` with each
+several spans), an oracle washout whose modes take three column blocks,
+every sweep parameter, ``check`` with each
 plate error, ``check`` and ``simulate`` on a grid too coarse for the fringes
 and on a far plate whose far-field threshold overflows to inf, ``check`` on a
 plate whose derived screen window is not finite, ``check`` and ``simulate``
@@ -194,6 +195,11 @@ SIMULATE = {
                     "grid_points = 10001\n",
     "oracle_washout_10001": "oracle = true\nwashout_theta = 5mrad\n"
                             "grid_points = 10001\n",
+    # 20,001 points leave room for 13 mode columns per block, so the 32
+    # modes at 0.4 rad take 3 blocks (11, 11 and 10 columns): the later two
+    # converge against the peak of the blocks before them, one call each.
+    "oracle_washout_blocks": "oracle = true\nwashout_theta = 0.4\n"
+                             "grid_points = 20001\n",
     "config_error": "alpha = plenty\n",
     "coarse_grid": COARSE_GRID,
     "far_plate": FAR_PLATE,
