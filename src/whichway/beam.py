@@ -177,7 +177,8 @@ def amplitude_at(beam: BeamProfile, xi_m, wavelength_m: float):
         out = np.exp(1j * k * math.sin(beam.tilt_rad) * xi)
     elif isinstance(beam, GaussianBeam):
         u = (xi - beam.center_m) / beam.waist_m
-        out = np.exp(-u * u).astype(complex)
+        with np.errstate(over="ignore"):  # u * u = inf gives exp(-inf) = 0
+            out = np.exp(-u * u).astype(complex)
     elif isinstance(beam, BesselBeam):
         field = bessel_j0(beam.radial_wavenumber_per_m * (xi - beam.center_m))
         if not beam.ring_phase_flips:

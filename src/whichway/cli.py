@@ -7,6 +7,7 @@ Exit codes: 0 success, 1 configuration error, 2 numerical non-convergence,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import math
@@ -31,9 +32,10 @@ from .mzi import MziConfig, MziMode, asymmetric_duality, mzi_duality
 # fraunhofer_amplitude and oracle_pattern are not called here but stay
 # bound: perfbench/spans.py wraps the oracle names this module binds, and
 # its install fails on a name that is missing.
-from .oracle import (ApertureSet, ConvergenceError, QuadratureSpec,
-                     fraunhofer_amplitude, oracle_pattern, oracle_patterns,
-                     tilt_angles, two_slit_apertures, washout_pattern)
+from .oracle import (ApertureSet, ConvergenceError, DarkPatternError,
+                     QuadratureSpec, fraunhofer_amplitude, oracle_pattern,
+                     oracle_patterns, tilt_angles, two_slit_apertures,
+                     washout_pattern)
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -61,14 +63,8 @@ _ALIGNMENTS = {
 }
 ALIGNMENTS = tuple(_ALIGNMENTS)
 BEAM_KINDS = ("plane", "gaussian", "bessel")
-
-# CLI-facing mode names (the enum values are more explicit).
-_MZI_MODE_NAMES = {
-    "open": MziMode.OPEN,
-    "blocked": MziMode.BLOCKED_B,
-    "marker": MziMode.MARKER,
-    "knockout": MziMode.KNOCKOUT_B,
-}
+# The key that sets the spatial scale of each beam kind with a finite spot.
+_BEAM_SCALE_KEYS = {"gaussian": "waist", "bessel": "radial_wavenumber"}
 
 
 class ConfigError(ValueError):
@@ -225,8 +221,7 @@ class ScenarioConfig:
         for key, spec in _KEYS.items():  # SlitGeometry checks the plate
             if not spec.plate:
                 spec.check(key, getattr(self, spec.field))
-        scale = {"gaussian": "waist",
-                 "bessel": "radial_wavenumber"}.get(self.beam_kind)
+        scale = _BEAM_SCALE_KEYS.get(self.beam_kind)
         if scale and getattr(self, _KEYS[scale].field) is None:
             raise ConfigError(f"{self.beam_kind} beam requires '{scale}'",
                               key=scale)
@@ -552,9 +547,14 @@ def _compare(cfg: ScenarioConfig, oracle_theta_rad: float, csv: bool
         thetas = [oracle_theta_rad]
         if cfg.washout_theta_rad is not None:
             thetas.append(cfg.washout_theta_rad)
-        oracles = oracle_patterns(build_beam(cfg), build_apertures(cfg), geom,
-                                  grid, cfg.quadrature, thetas,
-                                  cfg.washout_tilts)
+        try:
+            oracles = oracle_patterns(build_beam(cfg), build_apertures(cfg),
+                                      geom, grid, cfg.quadrature, thetas,
+                                      cfg.washout_tilts)
+        except DarkPatternError as exc:
+            # The spot is too small to light any node: name its scale.
+            raise ConfigError(str(exc), key=_BEAM_SCALE_KEYS.get(
+                cfg.beam_kind)) from None
         patterns["oracle"] = oracles[0]
         order.append(("oracle", "oracle"))
     if cfg.washout_theta_rad is not None:
@@ -633,14 +633,17 @@ def run_scenario(cfg: ScenarioConfig,
                 write_pattern_csv(patterns[entry["model"]], path,
                                   x_text=x_text)
             json_path = out_dir / "summary.json"
+            written.append(json_path)
             write_summary_json(text, json_path)
         except BaseException:
-            for path in written:
-                path.unlink(missing_ok=True)
+            for path in written:  # a failed removal must not hide the cause
+                with contextlib.suppress(OSError):
+                    path.unlink()
             raise
 
+    # written ends with summary.json; csv_paths lists the CSVs only.
     return ComparisonReport(summary=summary, summary_text=text,
-                            patterns=patterns, csv_paths=tuple(written),
+                            patterns=patterns, csv_paths=tuple(written[:-1]),
                             json_path=json_path)
 
 
@@ -859,12 +862,12 @@ def _cmd_check(args: argparse.Namespace) -> int:
 
 def _cmd_mzi(args: argparse.Namespace) -> int:
     for key, value in (("--a", args.a), ("--b", args.b)):
-        if value < 0:
-            raise ConfigError("amplitudes must be >= 0", key=key)
+        if not 0.0 <= value < math.inf:
+            raise ConfigError("amplitudes must be finite and >= 0", key=key)
     if args.mode == "asymmetric":
         report = asymmetric_duality(args.a, args.b)
     else:
-        cfg = MziConfig(args.a, args.b, mode=_MZI_MODE_NAMES[args.mode])
+        cfg = MziConfig(args.a, args.b, mode=MziMode(args.mode))
         report = mzi_duality(cfg)
     print(_json_text({
         "mode": args.mode,
@@ -917,7 +920,7 @@ def _parser() -> argparse.ArgumentParser:
     p_mzi = sub.add_parser("mzi", help="two-path interferometer duality "
                                        "report")
     p_mzi.add_argument("--mode", required=True,
-                       choices=list(_MZI_MODE_NAMES) + ["asymmetric"])
+                       choices=[m.value for m in MziMode] + ["asymmetric"])
     p_mzi.add_argument("--a", type=float, default=math.sqrt(0.5))
     p_mzi.add_argument("--b", type=float, default=math.sqrt(0.5))
     p_mzi.set_defaults(func=_cmd_mzi)

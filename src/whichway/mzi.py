@@ -2,12 +2,12 @@
 
 The interferometer mirrors the two-slit logic with clean algebra: two path
 amplitudes a (arm A) and b (arm B), a scanned relative phase, and one output
-port.  Modes:
+port.  Modes, named by their values (the ``mzi --mode`` names):
 
-Open       both arms open, nothing measured in between.
-BlockedB   arm B absorbed; the detected particles all came via A.
-Marker     a which-way marker tags arm B; the cross term is erased.
-KnockoutB  arm-B events are vetoed after the fact: the cross term is kept
+open       both arms open, nothing measured in between.
+blocked    arm B absorbed; the detected particles all came via A.
+marker     a which-way marker tags arm B; the cross term is erased.
+knockout   arm-B events are vetoed after the fact: the cross term is kept
            for the surviving half of the particles.  This is the mode whose
            report combines full path knowledge with full fringe contrast.
 
@@ -28,18 +28,17 @@ _COHERENCE_NOTE = "assumes perfectly coherent, lossless paths"
 
 class MziMode(enum.Enum):
     OPEN = "open"
-    BLOCKED_B = "blocked_b"
+    BLOCKED_B = "blocked"
     MARKER = "marker"
-    KNOCKOUT_B = "knockout_b"
+    KNOCKOUT_B = "knockout"
 
 
 @dataclass(frozen=True)
 class MziConfig:
-    """Path amplitudes, static phase offset, and operating mode."""
+    """Path amplitudes and operating mode."""
 
     amplitude_a: float
     amplitude_b: float
-    relative_phase_rad: float = 0.0
     mode: MziMode = MziMode.OPEN
 
     def __post_init__(self) -> None:
@@ -47,8 +46,6 @@ class MziConfig:
         _check_amplitudes(a, b)
         if a * a + b * b > 1.0 + 1e-12:
             raise ValueError("amplitudes must satisfy a^2 + b^2 <= 1")
-        if not math.isfinite(self.relative_phase_rad):
-            raise ValueError("relative_phase_rad must be finite")
         if not isinstance(self.mode, MziMode):
             raise ValueError(f"unknown mode {self.mode!r}")
 
@@ -58,66 +55,48 @@ def output_intensity(cfg: MziConfig, phase_rad: float, port: int = 0) -> float:
 
     Port 0 combines the arms as (a + b e^{i phi}) / sqrt(2), port 1 with the
     opposite sign, so the two ports always account for a^2 + b^2 together.
-    BlockedB detects only the a^2 stream (flat in phase); KnockoutB keeps the
+    blocked detects only the a^2 stream (flat in phase); knockout keeps the
     interference of the open configuration at half the particle rate.
     """
     if port not in (0, 1):
         raise ValueError("port must be 0 or 1")
     a, b = cfg.amplitude_a, cfg.amplitude_b
-    phi = cfg.relative_phase_rad + phase_rad
     sign = 1.0 if port == 0 else -1.0
-    cross = 2.0 * a * b * math.cos(phi)
+    cross = 2.0 * a * b * math.cos(phase_rad)
     if cfg.mode is MziMode.OPEN:
         return 0.5 * (a * a + b * b + sign * cross)
     if cfg.mode is MziMode.BLOCKED_B:
         return a * a if port == 0 else 0.0
     if cfg.mode is MziMode.MARKER:
         return 0.5 * (a * a + b * b)
-    # KnockoutB: open-style interference for half the events.
+    # knockout: open-style interference for half the events.
     return 0.25 * (a * a + b * b + sign * cross)
-
-
-def detected_fraction(cfg: MziConfig) -> float:
-    """Fraction of launched particles that reach the detectors at all."""
-    a, b = cfg.amplitude_a, cfg.amplitude_b
-    if cfg.mode in (MziMode.BLOCKED_B, MziMode.KNOCKOUT_B):
-        return a * a / (a * a + b * b)
-    return 1.0
 
 
 def mzi_duality(cfg: MziConfig) -> DualityReport:
     """Which-way value, fringe visibility, and their quadrature sum.
 
-    Visibility is the closed-form contrast of :func:`output_intensity` over
-    the scanned phase: 2ab / (a^2 + b^2) where the cross term survives (Open,
-    KnockoutB) and 0 where it does not, whatever the static phase offset.
-    The which-way value is the predictability of the detected sub-ensemble,
-    except in Marker mode where the marker makes the path fully
-    distinguishable (kind D).
+    open is :func:`asymmetric_duality`'s report.  In the other modes every
+    detected particle has a known path: the which-way value is 1, of kind D
+    for marker.  Visibility is the contrast of :func:`output_intensity` over
+    the scanned phase, 2ab / (a^2 + b^2) for knockout and 0 otherwise.
+    ``meta["detected_fraction"]`` is the share of launched particles that
+    reach the detectors: a^2 / (a^2 + b^2) for blocked and knockout, else 1.
     """
     a, b = cfg.amplitude_a, cfg.amplitude_b
-    fringed = cfg.mode in (MziMode.OPEN, MziMode.KNOCKOUT_B)
-    visibility = _contrast(a, b) if fringed else 0.0
-
     if cfg.mode is MziMode.OPEN:
-        kind = PREDICTABILITY
-        which_way = abs(a * a - b * b) / (a * a + b * b)
-    elif cfg.mode is MziMode.MARKER:
-        kind = DISTINGUISHABILITY
-        which_way = 1.0
+        return asymmetric_duality(a, b)
+    if cfg.mode is MziMode.MARKER:
+        kind, detected = DISTINGUISHABILITY, 1.0
+    elif a == 0.0:
+        raise ValueError(f"{cfg.mode.value} needs amplitude_a > 0")
     else:
-        # BlockedB / KnockoutB: every detected particle came via arm A.
-        if a == 0.0:
-            raise ValueError(f"{cfg.mode.value} needs amplitude_a > 0")
-        kind = PREDICTABILITY
-        which_way = 1.0
-
-    meta = {
-        "mode": cfg.mode.value,
-        "detected_fraction": detected_fraction(cfg),
-        "assumption": _COHERENCE_NOTE,
-    }
-    return duality_report(kind, which_way, visibility, meta=meta)
+        # blocked / knockout: every detected particle came via arm A.
+        kind, detected = PREDICTABILITY, a * a / (a * a + b * b)
+    visibility = _contrast(a, b) if cfg.mode is MziMode.KNOCKOUT_B else 0.0
+    return duality_report(kind, 1.0, visibility, meta={
+        "mode": cfg.mode.value, "detected_fraction": detected,
+        "assumption": _COHERENCE_NOTE})
 
 
 def asymmetric_duality(amplitude_a: float, amplitude_b: float) -> DualityReport:

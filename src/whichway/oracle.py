@@ -113,6 +113,11 @@ class ConvergenceError(RuntimeError):
         self.history = history
 
 
+class DarkPatternError(ValueError):
+    """The oracle pattern is identically zero: the beam lights no quadrature
+    node in the open slits."""
+
+
 @dataclass(frozen=True)
 class QuadratureSpec:
     """Gauss-Legendre settings: starting nodes per interval, relative
@@ -632,7 +637,7 @@ def oracle_patterns(beam: BeamProfile, apertures: ApertureSet,
         intensity /= count
         peak = float(np.max(intensity))
         if peak <= 0.0:
-            raise ValueError("oracle pattern is identically zero")
+            raise DarkPatternError("oracle pattern is identically zero")
         meta = {
             "model": "oracle",
             "geometry": geom,

@@ -1,10 +1,12 @@
 """Tests for the command-line layer: unit parsing, config files, scenario
 runs with CSV/JSON outputs, parameter sweeps, and exit codes."""
 
+import errno
 import json
 import math
 import re
 import tracemalloc
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -929,12 +931,27 @@ class TestMain:
          "wavelength"),
         (["mzi", "--mode", "open", "--a", "0.5", "--b", "-0.5"], None, "--b"),
         (["mzi", "--mode", "open", "--a", "-0.5", "--b", "0.5"], None, "--a"),
+        (["mzi", "--mode", "open", "--a", "nan"], None, "--a"),
+        (["mzi", "--mode", "knockout", "--b", "inf"], None, "--b"),
+        # A spot far narrower than the node spacing lights no node, so the
+        # oracle pattern is identically zero; at 1e-300 m, (xi / w)^2
+        # overflows to inf first.
+        (["simulate"], "beam = gaussian\nalignment = focus_a\n"
+                       "waist = 1e-30m\noracle = true\n", "waist"),
+        (["simulate"], "beam = gaussian\nalignment = focus_a\n"
+                       "waist = 1e-300m\noracle = true\n", "waist"),
     ])
     def test_error_names_its_own_key(self, tmp_path, capsys, argv, extra,
                                      key):
         if extra is not None:
             argv = argv + ["--config", str(self.write_config(tmp_path, extra))]
-        assert main(argv) == EXIT_CONFIG
+        # pytest records warnings instead of printing them, so catch them
+        # here: a failing run prints its error and nothing else.
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(argv) == EXIT_CONFIG
+        assert [w for w in caught if issubclass(w.category, RuntimeWarning)] \
+            == []
         err = capsys.readouterr().err
         assert err.startswith("error: ")
         assert f"(key '{key}'" in err
@@ -1038,6 +1055,33 @@ class TestMain:
                      "--out-dir", str(out)]) == EXIT_IO
         capsys.readouterr()
         assert list(out.glob("*.csv")) == []
+
+    def test_failed_summary_write_leaves_no_summary(self, tmp_path, capsys,
+                                                    monkeypatch):
+        def full_disk(text, path):
+            Path(path).write_text(text[:10], encoding="ascii")
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        monkeypatch.setattr(cli, "write_summary_json", full_disk)
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(self.write_config(tmp_path)),
+                     "--out-dir", str(out)]) == EXIT_IO
+        assert "No space left" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("beam,key", [
+        ("beam = gaussian\nwaist = 3um\n", "waist"),
+        ("beam = bessel\nradial_wavenumber = 1e6\n", "radial_wavenumber"),
+    ])
+    def test_dark_oracle_names_the_beam_scale(self, monkeypatch, beam, key):
+        def dark(*args, **kwargs):
+            raise oracle.DarkPatternError("oracle pattern is identically zero")
+
+        monkeypatch.setattr(cli, "oracle_patterns", dark)
+        cfg = parse_config(BASE_CONFIG + beam + "oracle = true\n")
+        with pytest.raises(ConfigError, match="identically zero") as info:
+            run_scenario(cfg)
+        assert info.value.key == key
 
 
 def powers_of_ten(lo: int, hi: int):

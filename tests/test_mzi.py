@@ -12,7 +12,6 @@ from whichway.mzi import (
     MziConfig,
     MziMode,
     asymmetric_duality,
-    detected_fraction,
     mzi_duality,
     output_intensity,
 )
@@ -25,8 +24,8 @@ amplitude = st.floats(min_value=1e-3, max_value=0.7)
 
 def swept_visibility(cfg: MziConfig, samples: int = 720) -> float:
     """Numeric reference for the visibility: (max - min) / (max + min) of
-    the port-0 rate over a phase sweep that includes the extremes 0 and pi
-    (the static offset must be 0 for that)."""
+    the port-0 rate over a phase sweep that includes the extremes 0 and
+    pi."""
     rates = [output_intensity(cfg, 2.0 * math.pi * k / samples)
              for k in range(samples)]
     hi, lo = max(rates), min(rates)
@@ -44,11 +43,6 @@ class TestOutputIntensity:
         assert output_intensity(cfg, math.pi) == pytest.approx(0.0, abs=1e-16)
         assert output_intensity(cfg, math.pi, port=1) == pytest.approx(
             0.5, abs=1e-16)
-
-    def test_static_phase_offset_shifts_fringe(self):
-        cfg = MziConfig(BALANCED, BALANCED, relative_phase_rad=math.pi,
-                        mode=MziMode.OPEN)
-        assert output_intensity(cfg, 0.0) == pytest.approx(0.0, abs=1e-16)
 
     @pytest.mark.parametrize("phase", PHASES)
     def test_blocked_is_flat(self, phase):
@@ -90,15 +84,21 @@ class TestOutputIntensity:
 
 
 class TestDetectedFraction:
-    def test_open_and_marker_detect_all(self):
-        assert detected_fraction(MziConfig(BALANCED, BALANCED)) == 1.0
-        assert detected_fraction(
-            MziConfig(BALANCED, BALANCED, mode=MziMode.MARKER)) == 1.0
+    @staticmethod
+    def detected(mode: MziMode, b: float = BALANCED) -> float:
+        return mzi_duality(MziConfig(BALANCED, b, mode=mode)
+                           ).meta["detected_fraction"]
 
-    def test_balanced_veto_halves_rate(self):
+    def test_open_and_marker_detect_all(self):
+        for mode in (MziMode.OPEN, MziMode.MARKER):
+            assert self.detected(mode) == 1.0
+            assert self.detected(mode, b=0.3) == 1.0
+
+    def test_veto_detects_arm_a_share(self):
         for mode in (MziMode.BLOCKED_B, MziMode.KNOCKOUT_B):
-            assert detected_fraction(
-                MziConfig(BALANCED, BALANCED, mode=mode)) == 0.5
+            assert self.detected(mode) == 0.5
+            assert self.detected(mode, b=0.3) \
+                == BALANCED**2 / (BALANCED**2 + 0.3**2)
 
 
 class TestMziDuality:
@@ -128,7 +128,7 @@ class TestMziDuality:
         assert report.duality_sum == 1.0
         assert report.meta["detected_fraction"] == 1.0
 
-    def test_knockout_breaks_the_bound(self):
+    def test_knockout_exceeds_the_bound(self):
         # Post-selected veto keeps full fringe contrast while every detected
         # particle has a known path: the quadrature sum reaches 2.
         report = mzi_duality(
@@ -146,31 +146,14 @@ class TestMziDuality:
             MziConfig(BALANCED, 0.3, mode=MziMode.KNOCKOUT_B)).visibility
         assert veto_v == open_v
 
-    @pytest.mark.parametrize("offset", PHASES)
-    def test_blocked_report_ignores_static_phase(self, offset):
-        base = mzi_duality(MziConfig(BALANCED, BALANCED, mode=MziMode.BLOCKED_B))
-        shifted = mzi_duality(MziConfig(BALANCED, BALANCED,
-                                        relative_phase_rad=offset,
-                                        mode=MziMode.BLOCKED_B))
-        assert shifted.duality_sum == base.duality_sum
-        assert shifted.visibility == base.visibility
-
-    @pytest.mark.parametrize("offset", PHASES)
-    def test_open_balanced_saturates_exactly(self, offset):
-        report = mzi_duality(MziConfig(BALANCED, BALANCED,
-                                       relative_phase_rad=offset))
+    def test_open_balanced_saturates_exactly(self):
+        report = mzi_duality(MziConfig(BALANCED, BALANCED))
         assert report.visibility == 1.0
         assert report.duality_sum == 1.0
 
-    @given(a=amplitude, b=amplitude,
-           offset=st.floats(min_value=-10.0, max_value=10.0),
-           mode=st.sampled_from(MziMode))
-    def test_visibility_ignores_static_phase(self, a, b, offset, mode):
-        base = mzi_duality(MziConfig(a, b, mode=mode))
-        shifted = mzi_duality(MziConfig(a, b, relative_phase_rad=offset,
-                                        mode=mode))
-        assert shifted.visibility == base.visibility
-        assert shifted.duality_sum == base.duality_sum
+    @given(a=amplitude, b=amplitude)
+    def test_open_is_the_asymmetric_report(self, a, b):
+        assert mzi_duality(MziConfig(a, b)) == asymmetric_duality(a, b)
 
     @given(a=amplitude, b=amplitude, mode=st.sampled_from(MziMode))
     def test_closed_form_matches_phase_sweep(self, a, b, mode):
@@ -183,9 +166,18 @@ class TestMziDuality:
         assert report.meta["mode"] == "open"
         assert "coherent" in report.meta["assumption"]
 
+    @pytest.mark.parametrize("mode,name", [
+        (MziMode.OPEN, "open"), (MziMode.BLOCKED_B, "blocked"),
+        (MziMode.MARKER, "marker"), (MziMode.KNOCKOUT_B, "knockout")])
+    def test_meta_mode_is_the_cli_name(self, mode, name):
+        assert MziMode(name) is mode
+        report = mzi_duality(MziConfig(BALANCED, 0.3, mode=mode))
+        assert report.meta["mode"] == name
+
     @pytest.mark.parametrize("mode", [MziMode.BLOCKED_B, MziMode.KNOCKOUT_B])
     def test_veto_modes_need_arm_a(self, mode):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError,
+                           match=f"^{mode.value} needs amplitude_a > 0$"):
             mzi_duality(MziConfig(0.0, BALANCED, mode=mode))
 
 
@@ -207,8 +199,6 @@ class TestMziConfig:
     def test_rejects_nonfinite(self):
         with pytest.raises(ValueError):
             MziConfig(math.nan, 0.5)
-        with pytest.raises(ValueError):
-            MziConfig(0.5, 0.5, relative_phase_rad=math.inf)
 
     def test_rejects_mode_string(self):
         with pytest.raises(ValueError):

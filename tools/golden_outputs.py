@@ -42,8 +42,9 @@ and on a far plate whose far-field threshold overflows to inf, ``check`` on a
 plate whose derived screen window is not finite, ``check`` and ``simulate``
 on three plates whose model phases overflow on the grid, on two whose model
 washout shifts the grid to a window that is not valid, and on two windows
-too narrow for their points, and each ``mzi`` mode with balanced and
-unbalanced amplitudes.
+too narrow for their points, a focused Gaussian too narrow to light any
+quadrature node, and each ``mzi`` mode with balanced, unbalanced and
+non-finite amplitudes.
 """
 
 from __future__ import annotations
@@ -200,6 +201,10 @@ SIMULATE = {
     # converge against the peak of the blocks before them, one call each.
     "oracle_washout_blocks": "oracle = true\nwashout_theta = 0.4\n"
                              "grid_points = 20001\n",
+    # A waist far below the node spacing lights no node: the oracle pattern
+    # is identically zero, and the run exits 1 naming waist.
+    "gaussian_dark_nodes": "beam = gaussian\nalignment = focus_a\n"
+                           "waist = 1e-300m\noracle = true\n",
     "config_error": "alpha = plenty\n",
     "coarse_grid": COARSE_GRID,
     "far_plate": FAR_PLATE,
@@ -256,7 +261,8 @@ CHECK = {
 }
 
 MZI_MODES = ("open", "blocked", "marker", "knockout", "asymmetric")
-MZI_AMPLITUDES = {"balanced": [], "unbalanced": ["--a", "0.8", "--b", "0.45"]}
+MZI_AMPLITUDES = {"balanced": [], "unbalanced": ["--a", "0.8", "--b", "0.45"],
+                  "nonfinite": ["--a", "nan"]}
 
 
 def items() -> list[tuple[str, list[str], str | None]]:
