@@ -132,7 +132,8 @@ _J0_HANKEL_Q = [(-1) ** m * a for m, a in enumerate(_J0_HANKEL_A[1::2])][::-1]
 
 
 def _j0_asymptotic(x: np.ndarray) -> np.ndarray:
-    z2 = 1.0 / (x * x)
+    with np.errstate(over="ignore"):  # x * x = inf gives z2 = 0
+        z2 = 1.0 / (x * x)
     p = np.polyval(_J0_HANKEL_P, z2)
     q = np.polyval(_J0_HANKEL_Q, z2) / x
     w = x - 0.25 * math.pi

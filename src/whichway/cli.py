@@ -864,11 +864,17 @@ def _cmd_mzi(args: argparse.Namespace) -> int:
     for key, value in (("--a", args.a), ("--b", args.b)):
         if not 0.0 <= value < math.inf:
             raise ConfigError("amplitudes must be finite and >= 0", key=key)
-    if args.mode == "asymmetric":
-        report = asymmetric_duality(args.a, args.b)
-    else:
-        cfg = MziConfig(args.a, args.b, mode=MziMode(args.mode))
-        report = mzi_duality(cfg)
+    try:
+        if args.mode == "asymmetric":
+            report = asymmetric_duality(args.a, args.b)
+        else:
+            report = mzi_duality(MziConfig(args.a, args.b,
+                                           mode=MziMode(args.mode)))
+    except ValueError as exc:
+        # What is left involves --a: a^2 + b^2 in (0, 1], or the veto
+        # modes' a > 0.  A joint rule names the first key, as alpha and
+        # beta do.
+        raise ConfigError(str(exc), key="--a") from None
     print(_json_text({
         "mode": args.mode,
         "amplitude_a": args.a,

@@ -1,6 +1,7 @@
 import cmath
 import decimal
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -109,6 +110,15 @@ class TestBesselJ0:
             bessel_j0(float("nan"))
         with pytest.raises(ValueError):
             bessel_j0(float("inf"))
+
+    def test_huge_argument_warns_nothing(self):
+        # x * x overflows above about 1.3e154; the Hankel form's 1 / x^2
+        # is then 0, and |J0(x)| <= sqrt(2 / (pi x)) is about 8e-81
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = bessel_j0(np.array([1e160]))
+        assert np.isfinite(out[0])
+        assert abs(out[0]) <= math.sqrt(2.0 / (math.pi * 1e160))
 
     def test_array_input(self):
         out = bessel_j0(np.array([0.0, 1.0, 30.0]))

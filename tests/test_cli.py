@@ -152,7 +152,7 @@ class TestParseConfig:
             "alignment = focus_a\n"
             "models = empty_wave_a, standard_focused_a\n"
             "oracle = yes\n"
-            "oracle_nodes = 16\n"
+            "oracle_nodes = 64\n"
             "oracle_rtol = 1e-10\n"
             "oracle_refinements = 5\n"
             "focusing_angle = 2mrad\n"
@@ -172,7 +172,7 @@ class TestParseConfig:
         assert cfg.models == (ModelKind.EMPTY_WAVE_A,
                               ModelKind.STANDARD_FOCUSED_A)
         assert cfg.oracle_enabled
-        assert cfg.quadrature.nodes_per_interval == 16
+        assert cfg.quadrature.nodes_per_interval == 64
         assert cfg.quadrature.relative_tolerance == 1e-10
         assert cfg.quadrature.max_refinements == 5
         assert cfg.focusing_angle_rad == pytest.approx(2e-3)
@@ -578,6 +578,48 @@ class TestCsvMemory:
         assert peak < self.LIMIT_BYTES
 
 
+class TestOracleStart:
+    """The oracle starts at the default nodes per interval, and the bench's
+    beams on the HeNe plate still converge at its first doubling: the
+    cheap start costs no extra level."""
+
+    @pytest.mark.parametrize("beam", [
+        "beam = plane\n",
+        "beam = gaussian\nwaist = 2um\nalignment = focus_a\n",
+        "beam = gaussian\nwaist = 4um\nalignment = focus_a\n",
+        "beam = bessel\nradial_wavenumber = 1.2e6\nalignment = focus_a\n",
+        "beam = bessel\nradial_wavenumber = 3e6\nalignment = focus_a\n",
+    ], ids=["plane", "gaussian_2um", "gaussian_4um", "bessel_1.2e6",
+            "bessel_3e6"])
+    def test_bench_beams_converge_at_the_first_doubling(self, monkeypatch,
+                                                        beam):
+        cfg = make_config(beam + "oracle = true\n")
+        phi = half_fringe_angle(cfg.geometry)
+        thetas = (0.0, phi / 10, phi / 2, phi)
+        args = (build_beam(cfg), build_apertures(cfg), cfg.geometry,
+                shared_grid(cfg))
+        levels = []
+        fixed = oracle._amplitude_fixed
+
+        def spy(beam, apertures, geom, x, n, *groups):
+            levels.append(n)
+            return fixed(beam, apertures, geom, x, n, *groups)
+
+        monkeypatch.setattr(oracle, "_amplitude_fixed", spy)
+        patterns = oracle.oracle_patterns(*args, cfg.quadrature, thetas,
+                                          cfg.washout_tilts)
+        start = oracle.QuadratureSpec().nodes_per_interval
+        assert cfg.quadrature.nodes_per_interval == start
+        assert levels == [start, 2 * start]
+        references = oracle.oracle_patterns(
+            *args, oracle.QuadratureSpec(nodes_per_interval=128), thetas,
+            cfg.washout_tilts)
+        for pattern, reference in zip(patterns, references):
+            peak = np.max(pattern.intensity)
+            assert np.max(np.abs(pattern.intensity - reference.intensity)) \
+                <= 1e-14 * peak
+
+
 class TestSweepScenario:
     def test_theta_sweep_washes_out_oracle(self):
         cfg = make_config("oracle = true\nwashout_tilts = 21\n")
@@ -799,8 +841,10 @@ class TestMain:
         assert lines[0].startswith("error: ")
         assert lines[1].startswith("refinement history")
         levels = [line.split(":") for line in lines[2:]]
+        quad = oracle.QuadratureSpec()
         assert [int(nodes) for nodes, _ in levels] == [
-            64, 128, 256, 512, 1024, 2048]
+            quad.nodes_per_interval << level
+            for level in range(1, quad.max_refinements + 1)]
         assert all(float(ratio) > 1e-12 for _, ratio in levels)
 
     def test_bessel_kinks_report_refinement_history(self, tmp_path, capsys):
@@ -933,6 +977,12 @@ class TestMain:
         (["mzi", "--mode", "open", "--a", "-0.5", "--b", "0.5"], None, "--a"),
         (["mzi", "--mode", "open", "--a", "nan"], None, "--a"),
         (["mzi", "--mode", "knockout", "--b", "inf"], None, "--b"),
+        # a^2 + b^2 > 1, a^2 + b^2 = 0 and a veto mode's a = 0 involve
+        # --a; a rule on both names the first key
+        (["mzi", "--mode", "open", "--a", "0.9", "--b", "0.9"], None, "--a"),
+        (["mzi", "--mode", "open", "--a", "0", "--b", "0"], None, "--a"),
+        (["mzi", "--mode", "blocked", "--a", "0", "--b", "0.5"], None,
+         "--a"),
         # A spot far narrower than the node spacing lights no node, so the
         # oracle pattern is identically zero; at 1e-300 m, (xi / w)^2
         # overflows to inf first.

@@ -520,7 +520,7 @@ class TestShiftedColumns:
         assert err.previous_estimate.shape == (2,)
 
     def test_columns_refine_together(self, monkeypatch):
-        # near x = 0 the plain column converges at 64 nodes
+        # near x = 0 the plain column converges at the first doubling
         estimates = []
         fixed = oracle_module._amplitude_fixed
 
@@ -534,7 +534,8 @@ class TestShiftedColumns:
         x = np.linspace(-1e-3, 1e-3, 101)
         apertures = two_slit_apertures(REF_GEOM)
         fraunhofer_amplitude(PlaneWave(), apertures, REF_GEOM, x, quad)
-        assert [n for n, _ in estimates] == [32, 64]
+        start = quad.nodes_per_interval
+        assert [n for n, _ in estimates] == [start, 2 * start]
 
     def test_rejects_non_finite_shift(self):
         with pytest.raises(ValueError, match="positive_m must be finite"):
@@ -652,7 +653,8 @@ class TestCoherentModeWashout:
 
     def test_wide_plate_enlarges_the_proxy(self):
         # 10 um slits 100 um apart at 0.4 rad: the tilt phases have rank 66,
-        # more than the 64 proxy nodes of the starting level can hold
+        # more than the 32 proxy nodes of the starting level, or the 64 of
+        # its first doubling, can hold
         wide = SlitGeometry(632.8e-9, 10e-6, 100e-6, 0.1)
         lobe = wide.wavelength_m * wide.screen_distance_m / wide.slit_width_m
         grid = GridSpec(-1.2 * lobe, 1.2 * lobe, 801)
@@ -660,7 +662,7 @@ class TestCoherentModeWashout:
         quad = QuadratureSpec()
         washed = oracle_pattern(PlaneWave(), apertures, wide, grid, quad,
                                 theta_rad=0.4, n_tilts=301)
-        assert washed.meta["washout_modes"] > 2 * quad.nodes_per_interval
+        assert washed.meta["washout_modes"] > 4 * quad.nodes_per_interval
         reference = per_tilt_washout(PlaneWave(), apertures, wide, grid.x(),
                                      0.4, 301)
         assert np.max(np.abs(washed.intensity - reference / reference.max())) \
@@ -826,18 +828,20 @@ class TestColumnGroups:
     def test_washout_of_several_blocks(self, monkeypatch):
         # Five mode columns per block: only the first block joins the plain
         # group; the later ones converge against the blocks before them.
+        # From 32 nodes every block converges at the first doubling.
         monkeypatch.setattr(oracle_module, "_BLOCK_BYTES",
                             16 * 5 * self.GRID.points)
         beam = GaussianBeam(waist_m=3e-6, center_m=REF_GEOM.slit_a_center_m)
+        quad = QuadratureSpec(nodes_per_interval=32)
         levels = level_widths(monkeypatch)
         joint = oracle_module.oracle_patterns(beam, self.APERTURES, REF_GEOM,
-                                              self.GRID, None, (0.0, 1.2),
+                                              self.GRID, quad, (0.0, 1.2),
                                               1001)
         modes = joint[1].meta["washout_modes"]
         assert modes > 3 * 5
         assert levels[:2] == [(32, 1 + 5), (64, 1 + 5)]
         assert sum(width for _, width in levels[2:]) == 2 * (modes - 5)
-        self.assert_own_calls(beam, (0.0, 1.2), 1001)
+        self.assert_own_calls(beam, (0.0, 1.2), 1001, quad)
 
     @pytest.mark.parametrize("grid,failing", [
         # far off axis both groups fail, and the plain one is reported
@@ -1145,12 +1149,14 @@ def whole_grid_pattern(beam, apertures, x, theta, n_tilts):
     """The intensity ``oracle_pattern`` would give from every point of x:
     |C|^2 summed over the columns of one ``fraunhofer_amplitude`` call on
     the whole grid, in the units and order ``oracle_patterns`` sums them,
-    over the tilt count, normalized to its peak."""
+    over the tilt count, normalized to its peak.  Its modes come from the
+    proxy ``oracle_patterns`` takes, the default starting level."""
     positive, _ = tilt_shifts(REF_GEOM, theta, n_tilts)
     modes = np.ones((1, 1))
     if positive.size:
-        modes, _ = oracle_module._coherent_modes(beam, apertures, REF_GEOM,
-                                                 positive, 32)
+        modes, _ = oracle_module._coherent_modes(
+            beam, apertures, REF_GEOM, positive,
+            QuadratureSpec().nodes_per_interval)
     [amp] = fraunhofer_amplitude(beam, apertures, REF_GEOM, x,
                                  groups=[(positive, modes, 0.0)])
     unit = math.ldexp(0.5, math.frexp(np.max(np.abs(amp[:, 0])))[1])

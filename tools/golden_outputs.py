@@ -152,10 +152,11 @@ SIMULATE = {
     "bessel_focus_b": "beam = bessel\nradial_wavenumber = 3e6\n"
                       "alignment = focus_b\noracle = true\n"
                       "models = empty_wave_b\n",
-    # |J0| has kinks inside slit B, so this run exits 2 (no convergence).
-    # The field is real, so the oracle integrates only x >= 0 of the
-    # symmetric grid, and the worst point it names is x = 0.0358857 m
-    # rather than whichever of +-x rounding favours.
+    # |J0| has kinks inside slit B, so this run exits 2 (no convergence)
+    # after refining from 16 to 1,024 nodes.  The field is real, so the
+    # oracle integrates only x >= 0 of the symmetric grid, and the worst
+    # point it names is x = 0.00243036 m rather than whichever of +-x
+    # rounding favours.
     "bessel_focus_b_no_flips": "beam = bessel\nradial_wavenumber = 3e6\n"
                                "alignment = focus_b\nring_phase_flips = false\n"
                                "oracle = true\nmodels = empty_wave_b\n",
