@@ -17,7 +17,6 @@ pattern metadata as ``unit_scale``.
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass, field
 from typing import Optional
@@ -25,9 +24,7 @@ from typing import Optional
 import numpy as np
 
 from .geometry import SlitGeometry
-
-PEAK_SINGLE_SLIT = "peak_single_slit"
-UNIT_INTEGRAL = "unit_integral"
+from .specs import PEAK_SINGLE_SLIT, UNIT_INTEGRAL, GridSpec, ModelKind
 
 _NORMALIZATIONS = (PEAK_SINGLE_SLIT, UNIT_INTEGRAL)
 
@@ -36,17 +33,6 @@ _NORMALIZATIONS = (PEAK_SINGLE_SLIT, UNIT_INTEGRAL)
 _SINC_SERIES_CUTOFF = 1e-4
 # A pattern's grid steps may differ from their mean by this fraction of it.
 _STEP_RTOL = 1e-9
-
-
-class ModelKind(enum.Enum):
-    SINGLE_SLIT_A = "single_slit_a"
-    EMPTY_WAVE_A = "empty_wave_a"
-    EMPTY_WAVE_B = "empty_wave_b"
-    EMPTY_WAVE_SUM = "empty_wave_sum"
-    STANDARD_TWO_SLIT = "standard_two_slit"
-    STANDARD_FOCUSED_A = "standard_focused_a"
-    PURE_FRINGE = "pure_fringe"
-    GENERAL_TWO_SLIT = "general_two_slit"
 
 
 def _sinc(u):
@@ -134,35 +120,6 @@ def standard_focused_a(geom: SlitGeometry, x_m):
 def pure_fringe(geom: SlitGeometry, x_m):
     """Point-source fringe factor alone (envelope suppressed)."""
     return fringe_factor(geom, x_m)
-
-
-@dataclass(frozen=True)
-class GridSpec:
-    """Uniform screen grid: ``points`` samples spanning [x_min, x_max]."""
-
-    x_min_m: float
-    x_max_m: float
-    points: int = 4001
-
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.x_min_m) and math.isfinite(self.x_max_m)):
-            raise ValueError("grid bounds must be finite")
-        if self.x_min_m >= self.x_max_m:
-            raise ValueError("grid requires x_min_m < x_max_m")
-        if self.points < 2:
-            raise ValueError("grid requires at least 2 points")
-
-    def x(self) -> np.ndarray:
-        return np.linspace(self.x_min_m, self.x_max_m, self.points)
-
-    def check_points(self) -> None:
-        """Raise ValueError unless :meth:`x` is strictly increasing and evenly
-        spaced, as :class:`IntensityPattern` requires."""
-        _check_steps(self.x())
-
-    @property
-    def spacing_m(self) -> float:
-        return (self.x_max_m - self.x_min_m) / (self.points - 1)
 
 
 def default_grid(kind: ModelKind, geom: SlitGeometry, points: int = 4001) -> GridSpec:

@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import functools
+import importlib
 import json
 import math
 import re
@@ -17,25 +18,49 @@ from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 from typing import Any, Callable, NamedTuple, Optional, Sequence
 
-import numpy as np
-
 from . import __version__
-from .analytic import (PEAK_SINGLE_SLIT, UNIT_INTEGRAL, GridSpec,
-                       IntensityPattern, ModelKind, sample_pattern)
-from .beam import (BesselBeam, BeamProfile, GaussianBeam, PlaneWave,
-                   bessel_core_radius)
 from .geometry import FeasibilityReport, SlitGeometry, check_feasibility
-from .metrics import (PREDICTABILITY, ResolutionError, check_resolution,
-                      duality_report, pattern_divergence, predictability,
-                      visibility_fringe_local, visibility_global)
 from .mzi import MziConfig, MziMode, asymmetric_duality, mzi_duality
-# fraunhofer_amplitude and oracle_pattern are not called here but stay
-# bound: perfbench/spans.py wraps the oracle names this module binds, and
-# its install fails on a name that is missing.
-from .oracle import (ApertureSet, ConvergenceError, DarkPatternError,
-                     QuadratureSpec, fraunhofer_amplitude, oracle_pattern,
-                     oracle_patterns, tilt_angles, two_slit_apertures,
-                     washout_pattern)
+from .specs import (PEAK_SINGLE_SLIT, PREDICTABILITY, UNIT_INTEGRAL,
+                    ConvergenceError, GridSpec, ModelKind, QuadratureSpec,
+                    duality_report, predictability)
+
+# The names this module takes from the array modules.  _load_arrays binds
+# them on the first path that checks or samples a grid, so that importing
+# this module, parsing a config and mzi load no numpy.  A tracer wraps
+# names on this module (fraunhofer_amplitude and oracle_pattern are bound
+# only for it): looking one up loads them all, and the loader keeps a name
+# that is bound already.
+_ARRAY_NAMES = {
+    ".analytic": ("IntensityPattern", "sample_pattern"),
+    ".beam": ("BeamProfile", "BesselBeam", "GaussianBeam", "PlaneWave",
+              "bessel_core_radius"),
+    ".metrics": ("ResolutionError", "check_resolution", "pattern_divergence",
+                 "visibility_fringe_local", "visibility_global"),
+    ".oracle": ("ApertureSet", "DarkPatternError", "fraunhofer_amplitude",
+                "oracle_pattern", "oracle_patterns", "tilt_angles",
+                "two_slit_apertures", "washout_pattern"),
+}
+
+
+@functools.cache
+def _load_arrays() -> None:
+    """Bind numpy as ``np`` and every name of ``_ARRAY_NAMES`` into this
+    module's globals, keeping each one that is bound already."""
+    bound = globals()
+    bound.setdefault("np", importlib.import_module("numpy"))
+    for module, names in _ARRAY_NAMES.items():
+        source = importlib.import_module(module, __package__)
+        for name in names:
+            bound.setdefault(name, getattr(source, name))
+
+
+def __getattr__(name: str) -> Any:
+    if name == "np" or any(name in names for names in _ARRAY_NAMES.values()):
+        _load_arrays()
+        return globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -318,6 +343,7 @@ def beam_center(cfg: ScenarioConfig) -> float:
 
 def build_beam(cfg: ScenarioConfig) -> BeamProfile:
     """Beam profile implied by the configuration (center set by alignment)."""
+    _load_arrays()
     if cfg.beam_kind == "plane":
         return PlaneWave(tilt_rad=cfg.tilt_rad)
     if cfg.beam_kind == "gaussian":
@@ -331,6 +357,7 @@ def build_apertures(cfg: ScenarioConfig) -> ApertureSet:
     """Slit openings; a focused Bessel beam with signed rings carries the
     quarter-period core-to-first-ring offset as an explicit phase on the
     far slit."""
+    _load_arrays()
     lit = _ALIGNMENTS[cfg.alignment][0]
     signed_rings = cfg.beam_kind == "bessel" and cfg.ring_phase_flips
     flip = 0.5 * math.pi if signed_rings else 0.0
@@ -342,6 +369,7 @@ def build_apertures(cfg: ScenarioConfig) -> ApertureSet:
 def derived_spot_width(cfg: ScenarioConfig) -> float:
     """Spot width for the feasibility check: configured value if present,
     else twice the beam's core scale (a plane wave spans the whole plate)."""
+    _load_arrays()
     if cfg.spot_width_m is not None:
         return cfg.spot_width_m
     geom = cfg.geometry
@@ -419,6 +447,7 @@ def _preflight(cfg: ScenarioConfig
     the run's grid, whose points must be distinct and resolve the fringe
     period, then the spot width, the models on the grid, the windows a
     model washout shifts the grid to, and the feasibility report."""
+    _load_arrays()
     try:
         grid = shared_grid(cfg)
     except ValueError as exc:  # a window given in the config is valid

@@ -1,5 +1,6 @@
-"""Duality metrics: fringe visibility, which-way predictability, and the
-P^2 + V^2 bookkeeping used to compare models.
+"""Duality metrics: fringe visibility and pattern divergence, next to the
+which-way predictability and P^2 + V^2 bookkeeping of :mod:`whichway.specs`
+(imported here, so both are read from this module too).
 
 Two visibility notions are kept deliberately distinct.  ``visibility_global``
 is the raw (max - min)/(max + min) over the whole sampled pattern; it reads
@@ -11,19 +12,15 @@ the fringe scale and is the quantity used in duality sums.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .analytic import IntensityPattern
 from .geometry import SlitGeometry, fringe_period
-
-PREDICTABILITY = "predictability"
-DISTINGUISHABILITY = "distinguishability"
-
-# Slack used when flagging duality-sum violations; keeps exact saturation
-# (P^2 + V^2 == 1) on the satisfied side of the fence.
-DUALITY_TOLERANCE = 1e-9
+from .specs import (  # noqa: F401 (read from this module too)
+    DISTINGUISHABILITY, DUALITY_TOLERANCE, PREDICTABILITY, DualityReport,
+    duality_report, predictability)
 
 _SAMPLES_PER_PERIOD = 8
 
@@ -100,53 +97,6 @@ def _interp_extremum(values: np.ndarray, i: int) -> float:
     if curv == 0.0:
         return y1
     return y1 - (y2 - y0) ** 2 / (8.0 * curv)
-
-
-def predictability(p_slit_a: float, p_slit_b: float) -> float:
-    """Which-way predictability |p_A - p_B| for path probabilities."""
-    if p_slit_a < 0.0 or p_slit_b < 0.0:
-        raise ValueError("path probabilities must be nonnegative")
-    if abs(p_slit_a + p_slit_b - 1.0) > 1e-12:
-        raise ValueError(
-            f"path probabilities must sum to 1, got {p_slit_a + p_slit_b!r}")
-    return abs(p_slit_a - p_slit_b)
-
-
-@dataclass(frozen=True)
-class DualityReport:
-    """A which-way measure paired with a visibility and their quadrature sum.
-
-    ``which_way_kind`` distinguishes a-priori predictability P from
-    marker-based distinguishability D; ``duality_sum`` is exactly
-    which_way_value^2 + visibility^2.
-    """
-
-    which_way_kind: str
-    which_way_value: float
-    visibility: float
-    duality_sum: float
-    inequality_satisfied: bool
-    meta: dict = field(default_factory=dict)
-
-
-def duality_report(which_way_kind: str, which_way_value: float,
-                   visibility: float, meta: dict | None = None) -> DualityReport:
-    """Assemble a :class:`DualityReport`, validating the inputs."""
-    if which_way_kind not in (PREDICTABILITY, DISTINGUISHABILITY):
-        raise ValueError(f"unknown which-way kind {which_way_kind!r}")
-    for name, value in (("which_way_value", which_way_value),
-                        ("visibility", visibility)):
-        if not (0.0 <= value <= 1.0):
-            raise ValueError(f"{name} must lie in [0, 1], got {value!r}")
-    total = which_way_value * which_way_value + visibility * visibility
-    return DualityReport(
-        which_way_kind=which_way_kind,
-        which_way_value=which_way_value,
-        visibility=visibility,
-        duality_sum=total,
-        inequality_satisfied=total <= 1.0 + DUALITY_TOLERANCE,
-        meta=dict(meta) if meta else {},
-    )
 
 
 @dataclass(frozen=True)

@@ -20,8 +20,8 @@ import enum
 import math
 from dataclasses import dataclass
 
-from .metrics import (DISTINGUISHABILITY, PREDICTABILITY, DualityReport,
-                      duality_report)
+from .specs import (DISTINGUISHABILITY, PREDICTABILITY, DualityReport,
+                    duality_report)
 
 _COHERENCE_NOTE = "assumes perfectly coherent, lossless paths"
 

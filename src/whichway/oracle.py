@@ -66,10 +66,12 @@ from typing import Callable
 
 import numpy as np
 
-from .analytic import (PEAK_SINGLE_SLIT, GridSpec, IntensityPattern)
+from .analytic import IntensityPattern
 from .beam import (BeamProfile, BesselBeam, GaussianBeam, PlaneWave,
                    amplitude_at)
 from .geometry import SlitGeometry
+from .specs import (PEAK_SINGLE_SLIT, ConvergenceError, GridSpec,
+                    QuadratureSpec)
 
 # Working-set budget for one block of kernel rows and for one block of
 # washout columns (complex128 entries of 16 bytes each).
@@ -86,58 +88,9 @@ _EVEN_SPACING_ULPS = 8
 _MODE_CUTOFF = 1e-13
 
 
-class ConvergenceError(RuntimeError):
-    """Quadrature refinement did not reach the requested tolerance.
-
-    Carries, for the column group of :func:`fraunhofer_amplitude` that
-    failed (the first, when several did), the last two estimates of its
-    worst shift's column on the points the call integrated, rebuilt from
-    the mode columns as C W^H (the plain group's one column is its own),
-    that shift and the screen coordinate where they disagree most.  A call
-    of :func:`oracle_patterns` that folds the screen integrates only the
-    x.size - x.size // 2 points x >= 0 of its grid, so it names one of
-    those.  ``history`` holds that group's ``(nodes_per_interval,
-    max |diff| / scale)`` pair per refinement level, the largest ratio over
-    its columns at that level.
-    """
-
-    def __init__(self, message: str, last_estimate=None,
-                 previous_estimate=None, worst_x_m: float | None = None,
-                 shift_m: float | None = None,
-                 history: tuple[tuple[int, float], ...] = ()):
-        super().__init__(message)
-        self.last_estimate = last_estimate
-        self.previous_estimate = previous_estimate
-        self.worst_x_m = worst_x_m
-        self.shift_m = shift_m
-        self.history = history
-
-
 class DarkPatternError(ValueError):
     """The oracle pattern is identically zero: the beam lights no quadrature
     node in the open slits."""
-
-
-@dataclass(frozen=True)
-class QuadratureSpec:
-    """Gauss-Legendre settings: starting nodes per interval, relative
-    agreement target between refinements, and how many doublings to try.
-
-    The rule converges geometrically on a smooth slit field, so on the
-    README plate 16 nodes are already a reference the 32-node level is
-    accepted against; a washout's mode proxy takes the same start."""
-
-    nodes_per_interval: int = 16
-    relative_tolerance: float = 1e-12
-    max_refinements: int = 6
-
-    def __post_init__(self) -> None:
-        if self.nodes_per_interval < 8:
-            raise ValueError("nodes_per_interval must be >= 8")
-        if not (0.0 < self.relative_tolerance < 1.0):
-            raise ValueError("relative_tolerance must lie in (0, 1)")
-        if self.max_refinements < 1:
-            raise ValueError("max_refinements must be >= 1")
 
 
 @dataclass(frozen=True)

@@ -88,15 +88,22 @@ def test_dump_and_compare_report_column_changes(tmp_path, monkeypatch,
 
 def test_json_changes_name_each_moved_leaf(monkeypatch):
     golden = import_tool(monkeypatch)
+    # A number's change is over the largest |before| of its key, list
+    # indices dropped: patterns[1].v over patterns[0].v's 0.5, and the
+    # divergence at rounding level over the 0.2 of its peer.
     before = (b'{"tool": "whichway", "grid": {"points": 401}, "patterns": '
-              b'[{"model": "a", "v": 0.5, "ok": true}, {"v": 0.0}]}')
+              b'[{"model": "a", "v": 0.5, "ok": true}, {"v": 0.0}], '
+              b'"divergences": [{"l2": 0.2}, {"l2": 3e-15}], "zero": 0}')
     after = (b'{"tool": "whichway", "grid": {"points": 401}, "patterns": '
-             b'[{"model": "b", "v": 0.505, "ok": false}, {"v": 1e-17}]}')
+             b'[{"model": "b", "v": 0.505, "ok": false}, {"v": 1e-17}], '
+             b'"divergences": [{"l2": 0.2}, {"l2": 4e-15}], "zero": 1e-17}')
     assert golden.json_changes(before, after) == {
         "patterns[0].model": "differs",
         "patterns[0].v": pytest.approx(1e-2),
         "patterns[0].ok": "differs",
-        "patterns[1].v": 1e-17}
+        "patterns[1].v": 2e-17,
+        "divergences[1].l2": pytest.approx(5e-15, rel=1e-9, abs=0),
+        "zero": 1e-17}
     assert golden.json_changes(before, before) == {}
     for moved in (b'{"tool": "whichway"}', b'{"patterns": []}', b'[]',
                   before.replace(b'{"v": 0.0}', b'0.0')):

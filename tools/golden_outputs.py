@@ -17,8 +17,11 @@ listing to ``DIR/digests.json``.  Given such a directory, ``--against``
 also prints, for each CSV that an item changed, every numeric column with
 its largest |after - before| over its peak |before|, and for each JSON file
 that an item changed, every leaf that moved, by its path (for example
-``patterns[2].visibility_fringe_local``), with |after - before| / |before|
-for a number:
+``patterns[2].visibility_fringe_local``).  A number's change is
+|after - before| over the largest |before| of the same key in the file,
+list indices dropped (``patterns.visibility_fringe_local``), as a column's
+is over its peak, so a divergence at rounding level that moves by rounding
+reads as rounding:
 
     PYTHONPATH=/path/to/other/checkout/src python3 tools/golden_outputs.py \\
         --dump before > /dev/null
@@ -55,6 +58,7 @@ import hashlib
 import io
 import json
 import os
+import re
 import sys
 import tempfile
 from pathlib import Path
@@ -379,23 +383,39 @@ def _leaves(path: str, old, new):
         yield path, old, new
 
 
+def _same_key(path: str) -> str:
+    """A leaf's path with its list indices dropped: the key it shares with
+    the same field of every other list entry."""
+    return re.sub(r"\[\d+\]", "", path)
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def json_changes(before: bytes, after: bytes) -> dict[str, float | str]:
     """For two JSON documents of one shape: each leaf that differs, by its
-    path, with |after - before| / |before| for numbers (|after - before|
-    where before is 0) and "differs" for other values; or a note when the
-    documents do not line up (keys, lengths or kinds)."""
+    path, with |after - before| over the largest |before| of its key
+    (:func:`_same_key`) for numbers (|after - before| where that is 0) and
+    "differs" for other values; or a note when the documents do not line
+    up (keys, lengths or kinds)."""
     old_doc, new_doc = json.loads(before), json.loads(after)
     try:
         leaves = list(_leaves("", old_doc, new_doc))
     except ValueError:
         return {"": "documents do not line up"}
+    peaks: dict[str, float] = {}
+    for path, old, _ in leaves:
+        if _is_number(old):
+            key = _same_key(path)
+            peaks[key] = max(peaks.get(key, 0.0), abs(old))
     out: dict[str, float | str] = {}
     for path, old, new in leaves:
         if old == new:
             continue
-        if all(isinstance(v, (int, float)) and not isinstance(v, bool)
-               for v in (old, new)):
-            out[path] = abs(new - old) / abs(old) if old else abs(new - old)
+        if _is_number(old) and _is_number(new):
+            peak = peaks[_same_key(path)]
+            out[path] = abs(new - old) / peak if peak else abs(new - old)
         else:
             out[path] = "differs"
     return out
