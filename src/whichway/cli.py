@@ -156,13 +156,15 @@ def _parse_models(value: str) -> tuple[ModelKind, ...]:
 
 class _Key(NamedTuple):
     """A config key's field, parser and range rule (a test and its wording);
-    ``plate`` marks a required SlitGeometry length, ``sweep`` a --param."""
+    ``owner`` names the ScenarioConfig field whose object holds the value
+    (``geometry``, every key of which is required, or ``quadrature``), None
+    for a field of ScenarioConfig itself; ``sweep`` names a --param."""
 
     field: str
     parse: Callable[[str], Any]
     ok: Callable[[Any], bool] = lambda value: True
     rule: str = ""
-    plate: bool = False
+    owner: Optional[str] = None
     sweep: Optional[str] = None
 
     def check(self, key: str, value: Any) -> None:
@@ -180,10 +182,10 @@ def _one_of(*choices: str) -> tuple[Callable[[Any], bool], str]:
     return (lambda v: v in choices), "one of: " + ", ".join(choices)
 
 
-# Each config key but grid_min, grid_max and oracle_*, declared once; the
-# defaults are those of the ScenarioConfig fields.
+# Each config key, declared once; the defaults are those of the fields.
 _KEYS = {
-    **{key: _Key(f"{key}_m", parse_length, *_POSITIVE, plate=True, sweep=p)
+    **{key: _Key(f"{key}_m", parse_length, *_POSITIVE, owner="geometry",
+                 sweep=p)
        for key, p in (("wavelength", "wavelength"), ("slit_width", "s"),
                       ("slit_separation", "d"), ("screen_distance", "D"))},
     "beam": _Key("beam_kind", str, *_one_of(*BEAM_KINDS)),
@@ -201,17 +203,24 @@ _KEYS = {
     "alpha": _Key("alpha", float, *_NON_NEGATIVE),
     "beta": _Key("beta", float, *_NON_NEGATIVE),
     "oracle": _Key("oracle_enabled", _parse_bool),
+    "oracle_nodes": _Key("nodes_per_interval", int, lambda v: v >= 8, ">= 8",
+                         owner="quadrature"),
+    "oracle_rtol": _Key("relative_tolerance", float, lambda v: 0.0 < v < 1.0,
+                        "in (0, 1)", owner="quadrature"),
+    "oracle_refinements": _Key("max_refinements", int, lambda v: v >= 1,
+                               ">= 1", owner="quadrature"),
     "washout_theta": _Key("washout_theta_rad", parse_angle, *_NON_NEGATIVE),
     "washout_tilts": _Key("washout_tilts", int, lambda v: v > 0 and v % 2,
                           "a positive odd count"),
+    "grid_min": _Key("grid_min_m", parse_length, math.isfinite, "finite"),
+    "grid_max": _Key("grid_max_m", parse_length, math.isfinite, "finite"),
     "grid_points": _Key("grid_points", int, lambda v: v >= 2, ">= 2"),
     "normalization": _Key("normalization", str,
                           *_one_of(PEAK_SINGLE_SLIT, UNIT_INTEGRAL)),
-    "csv_prefix": _Key("csv_prefix", str),
+    "csv_prefix": _Key("csv_prefix", str,
+                       lambda v: "/" not in v and "\0" not in v,
+                       "free of '/' and NUL characters"),
 }
-_QUADRATURE_KEYS = {"oracle_nodes": ("nodes_per_interval", int),
-                    "oracle_rtol": ("relative_tolerance", float),
-                    "oracle_refinements": ("max_refinements", int)}
 # sweep --param name -> its config key.
 _SWEEP_KEYS = {spec.sweep: key for key, spec in _KEYS.items() if spec.sweep}
 SWEEP_PARAMETERS = tuple(_SWEEP_KEYS)
@@ -237,15 +246,23 @@ class ScenarioConfig:
     quadrature: QuadratureSpec = QuadratureSpec()
     washout_theta_rad: Optional[float] = None
     washout_tilts: int = 101
-    grid: Optional[GridSpec] = None
+    grid_min_m: Optional[float] = None
+    grid_max_m: Optional[float] = None
     grid_points: int = 4001
     normalization: str = PEAK_SINGLE_SLIT
     csv_prefix: str = "pattern"
 
     def __post_init__(self) -> None:
-        for key, spec in _KEYS.items():  # SlitGeometry checks the plate
-            if not spec.plate:
+        for key, spec in _KEYS.items():  # parse_config checks the others
+            if spec.owner is None:
                 spec.check(key, getattr(self, spec.field))
+        if (self.grid_min_m is None) != (self.grid_max_m is None):
+            raise ConfigError("grid_min and grid_max must be given together",
+                              key="grid_max" if self.grid_max_m is None
+                              else "grid_min")
+        if self.grid_min_m is not None and self.grid_min_m >= self.grid_max_m:
+            raise ConfigError("grid_min must be smaller than grid_max",
+                              key="grid_min")
         scale = _BEAM_SCALE_KEYS.get(self.beam_kind)
         if scale and getattr(self, _KEYS[scale].field) is None:
             raise ConfigError(f"{self.beam_kind} beam requires '{scale}'",
@@ -285,54 +302,35 @@ def parse_config(text: str) -> ScenarioConfig:
             raise ConfigError("duplicate key", key=key, line=line_no)
         raw[key] = (value, line_no)
 
-    def take(key: str, parser: Callable[[str], Any], default=None):
+    # field -> value, by the object that holds it (see _Key.owner).
+    values: dict[Optional[str], dict[str, Any]] = {
+        None: {}, "geometry": {}, "quadrature": {}}
+    for key, spec in _KEYS.items():
         if key not in raw:
-            return default
+            if spec.owner == "geometry":
+                raise ConfigError(f"missing required key '{key}'", key=key)
+            continue
         value, line_no = raw.pop(key)
         try:
-            return parser(value)
+            value = spec.parse(value)
         except ValueError as exc:
             raise ConfigError(str(exc), key=key, line=line_no) from None
-
-    fields, lengths = {}, {}
-    for key, spec in _KEYS.items():
-        if spec.plate:
-            if key not in raw:
-                raise ConfigError(f"missing required key '{key}'", key=key)
-            lengths[spec.field] = take(key, spec.parse)
-            spec.check(key, lengths[spec.field])
-        elif key in raw:
-            fields[spec.field] = take(key, spec.parse)
+        if spec.owner:  # SlitGeometry and QuadratureSpec name no keys
+            spec.check(key, value)
+        values[spec.owner][spec.field] = value
+    lengths = values["geometry"]
     if lengths["slit_width_m"] >= lengths["slit_separation_m"]:
         raise ConfigError("slit_width must be smaller than slit_separation",
                           key="slit_width")
     if lengths["screen_distance_m"] <= lengths["slit_separation_m"]:
         raise ConfigError("screen_distance must exceed slit_separation",
                           key="screen_distance")
-    geometry = SlitGeometry(**lengths)
-
-    grid_min = take("grid_min", parse_length)
-    grid_max = take("grid_max", parse_length)
-    if (grid_min is None) != (grid_max is None):
-        raise ConfigError("grid_min and grid_max must be given together",
-                          key="grid_min" if grid_min is None else "grid_max")
-
-    # Each key sets one field; replace() validates it, and take() names it.
-    quadrature = QuadratureSpec()
-    for key, (field, parse) in _QUADRATURE_KEYS.items():
-        quadrature = take(key, lambda v: replace(
-            quadrature, **{field: parse(v)}), default=quadrature)
-
-    cfg = ScenarioConfig(geometry=geometry, quadrature=quadrature, **fields)
+    cfg = ScenarioConfig(geometry=SlitGeometry(**lengths),
+                         quadrature=QuadratureSpec(**values["quadrature"]),
+                         **values[None])
     if raw:
         key, (_, line_no) = next(iter(raw.items()))
         raise ConfigError("unknown key", key=key, line=line_no)
-    if grid_min is not None:
-        try:
-            cfg = replace(cfg, grid=GridSpec(grid_min, grid_max,
-                                             cfg.grid_points))
-        except ValueError as exc:
-            raise ConfigError(str(exc), key="grid_min") from None
     return cfg
 
 
@@ -383,8 +381,8 @@ def derived_spot_width(cfg: ScenarioConfig) -> float:
 def shared_grid(cfg: ScenarioConfig) -> GridSpec:
     """One grid for every pattern in a run: symmetric about 0, wide enough
     for both slit-centered envelopes."""
-    if cfg.grid is not None:
-        return cfg.grid
+    if cfg.grid_min_m is not None:
+        return GridSpec(cfg.grid_min_m, cfg.grid_max_m, cfg.grid_points)
     geom = cfg.geometry
     half = 0.5 * geom.slit_separation_m \
         + 1.2 * geom.wavelength_m * geom.screen_distance_m / geom.slit_width_m
@@ -728,8 +726,10 @@ def sweep_scenario(cfg: ScenarioConfig, parameter: str,
     for value in values:
         fields = {spec.field: value}
         try:
-            sub = (replace(base, geometry=replace(base.geometry, **fields))
-                   if spec.plate else replace(base, **fields))
+            if spec.owner:
+                fields = {spec.owner: replace(getattr(base, spec.owner),
+                                              **fields)}
+            sub = replace(base, **fields)
         except ConfigError:
             raise  # names the key whose rule the value breaks
         except ValueError as exc:  # SlitGeometry's own checks
@@ -849,15 +849,20 @@ SUMMARY_SCHEMA = {
 }
 
 
+def _read_config(args: argparse.Namespace) -> ScenarioConfig:
+    """Parse the ``--config`` file; a UTF-8 byte order mark is dropped."""
+    return parse_config(Path(args.config).read_text(encoding="utf-8-sig"))
+
+
 def _cmd_simulate(args: argparse.Namespace) -> int:
-    cfg = parse_config(Path(args.config).read_text(encoding="utf-8"))
+    cfg = _read_config(args)
     out_dir = Path(args.out_dir) if args.out_dir else None
     print(run_scenario(cfg, out_dir=out_dir).summary_text)
     return EXIT_OK
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    cfg = parse_config(Path(args.config).read_text(encoding="utf-8"))
+    cfg = _read_config(args)
     parse_value = _KEYS[_SWEEP_KEYS[args.parameter]].parse
     try:
         values = [parse_value(chunk.strip())
@@ -874,7 +879,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
-    cfg = parse_config(Path(args.config).read_text(encoding="utf-8"))
+    cfg = _read_config(args)
     _, spot_width, feas = _preflight(cfg)
     print(_json_text({
         "half_fringe_angle_rad": feas.half_fringe_angle_rad,

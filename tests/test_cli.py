@@ -1,13 +1,14 @@
 """Tests for the command-line layer: unit parsing, config files, scenario
 runs with CSV/JSON outputs, parameter sweeps, and exit codes."""
 
+import argparse
 import errno
 import json
 import math
 import re
 import tracemalloc
 import warnings
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import jsonschema
@@ -46,6 +47,7 @@ from whichway.cli import (
 from whichway.geometry import SlitGeometry, half_fringe_angle
 from whichway.metrics import visibility_fringe_local
 from whichway.oracle import oracle_pattern
+from whichway.specs import QuadratureSpec
 
 BASE_CONFIG = """\
 # HeNe-laser two-slit bench
@@ -140,7 +142,7 @@ class TestParseConfig:
         assert cfg.alignment == "cover_both"
         assert cfg.models == (ModelKind.STANDARD_TWO_SLIT,)
         assert not cfg.oracle_enabled
-        assert cfg.grid is None
+        assert cfg.grid_min_m is None and cfg.grid_max_m is None
         assert cfg.grid_points == 4001
         assert cfg.washout_theta_rad is None
         assert cfg.csv_prefix == "pattern"
@@ -179,7 +181,7 @@ class TestParseConfig:
         assert cfg.spot_width_m == pytest.approx(1.5e-6)
         assert cfg.washout_theta_rad == pytest.approx(0.025)
         assert cfg.washout_tilts == 51
-        assert cfg.grid == GridSpec(-0.04, 0.04, 2001)
+        assert shared_grid(cfg) == GridSpec(-0.04, 0.04, 2001)
         assert cfg.alpha == 0.8
         assert cfg.beta == 0.6
         assert cfg.normalization == UNIT_INTEGRAL
@@ -225,6 +227,15 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="together"):
             make_config("grid_min = -1mm\n")
 
+    def test_bom_and_crlf_parse_as_plain(self, tmp_path, capsys):
+        path = tmp_path / "bom.cfg"
+        path.write_bytes(b"\xef\xbb\xbf"
+                         + BASE_CONFIG.replace("\n", "\r\n").encode("utf-8"))
+        assert cli._read_config(argparse.Namespace(config=str(path))) \
+            == parse_config(BASE_CONFIG)
+        assert main(["check", "--config", str(path)]) == EXIT_OK
+        assert capsys.readouterr().err == ""
+
     def test_unknown_model_lists_valid_names(self):
         with pytest.raises(ConfigError, match="standard_two_slit"):
             make_config("models = interference\n")
@@ -262,8 +273,7 @@ class TestReadmeConfigTable:
 
     def test_keys_are_the_accepted_keys(self):
         rows = self.rows()
-        assert set(rows) == {*cli._KEYS, *cli._QUADRATURE_KEYS, "grid_min",
-                             "grid_max"}
+        assert set(rows) == set(cli._KEYS)
         for key in rows:
             text = "".join(line for line in BASE_CONFIG.splitlines(True)
                            if not line.startswith(key + " "))
@@ -278,6 +288,20 @@ class TestReadmeConfigTable:
         rows = self.rows()
         for key, spec in cli._KEYS.items():
             assert spec.rule in rows[key], key
+
+    def test_defaults_as_the_table_states_them(self):
+        rows = self.rows()
+        defaults = {f.name: f.default
+                    for cls in (ScenarioConfig, QuadratureSpec)
+                    for f in fields(cls)}
+        for key, spec in cli._KEYS.items():
+            stated = rows[key].split("|")[0].strip()
+            if stated in ("required", "-", "derived", "off"):
+                assert spec.owner == "geometry" \
+                    or defaults[spec.field] is None, key
+            else:
+                assert spec.parse(stated.strip("`")) == defaults[spec.field], \
+                    key
 
 
 class TestScenarioValidation:
@@ -363,6 +387,12 @@ class TestBuilders:
         custom = make_config("grid_min = -1mm\ngrid_max = 1mm\n"
                              "grid_points = 501\n")
         assert shared_grid(custom) == GridSpec(-1e-3, 1e-3, 501)
+
+    def test_shared_grid_follows_grid_points_of_a_window(self):
+        cfg = make_config("grid_min = -40mm\ngrid_max = 40mm\n"
+                          "grid_points = 2001\n")
+        assert shared_grid(replace(cfg, grid_points=801)) \
+            == GridSpec(-0.04, 0.04, 801)
 
 
 FOCUS_A_CONFIG = ("beam = gaussian\n"
@@ -962,6 +992,10 @@ class TestMain:
         (["check"], "oracle_nodes = 4\n", "oracle_nodes"),
         (["check"], "oracle_rtol = 2\n", "oracle_rtol"),
         (["check"], "oracle_refinements = 0\n", "oracle_refinements"),
+        # An output name must stay inside the output directory.
+        *((argv, f"csv_prefix = {prefix}\n", "csv_prefix")
+          for argv in (["check"], ["simulate", "--out-dir", "{out}"])
+          for prefix in ("../escaped", "sub/p", "a\0b")),
         (["check"], "grid_min = -1mm\ngrid_max = 1mm\ngrid_points = 1\n",
          "grid_points"),
         (["check"], "grid_min = 1mm\ngrid_max = -1mm\n", "grid_min"),
@@ -993,6 +1027,7 @@ class TestMain:
     ])
     def test_error_names_its_own_key(self, tmp_path, capsys, argv, extra,
                                      key):
+        argv = [a.replace("{out}", str(tmp_path / "out" / "o")) for a in argv]
         if extra is not None:
             argv = argv + ["--config", str(self.write_config(tmp_path, extra))]
         # pytest records warnings instead of printing them, so catch them
@@ -1005,6 +1040,9 @@ class TestMain:
         err = capsys.readouterr().err
         assert err.startswith("error: ")
         assert f"(key '{key}'" in err
+        # A rejected run writes nothing, inside the output directory or out.
+        assert [p.name for p in tmp_path.rglob("*") if p.is_file()] \
+            == (["scenario.cfg"] if extra is not None else [])
 
     @pytest.mark.parametrize("extra,key", [
         ("alpha = 1e308\n", "alpha"),
@@ -1181,7 +1219,8 @@ class TestPreflightPhases:
             half = periods * geom.wavelength_m * geom.screen_distance_m / d
             cfg = ScenarioConfig(geometry=geom, models=tuple(ModelKind),
                                  alpha=0.6, beta=0.3, spot_width_m=1e-6,
-                                 grid=GridSpec(x0 - half, x0 + half, points))
+                                 grid_min_m=x0 - half, grid_max_m=x0 + half,
+                                 grid_points=points)
         except ValueError:
             return  # not a plate or not a window
         try:
@@ -1191,7 +1230,7 @@ class TestPreflightPhases:
             if exc.key != "slit_separation":
                 return  # rejected before the models, say for resolution
             rejected = True
-        ends = GridSpec(cfg.grid.x_min_m, cfg.grid.x_max_m, 2)
+        ends = GridSpec(cfg.grid_min_m, cfg.grid_max_m, 2)
         failing = []
         with np.errstate(all="ignore"):
             for kind in ModelKind:

@@ -15,7 +15,7 @@ from whichway import cli
 
 ROOT = Path(__file__).resolve().parent.parent
 
-# Every config key: each of cli._KEYS, the oracle_* keys and the window.
+# Every config key, each of cli._KEYS.
 FULL_CONFIG = """\
 wavelength = 632.8nm
 slit_width = 2um
@@ -130,8 +130,7 @@ def write_config(tmp_path: Path) -> str:
 
 def test_full_config_sets_every_key():
     keys = {line.split("=")[0].strip() for line in FULL_CONFIG.splitlines()}
-    assert keys == {*cli._KEYS, *cli._QUADRATURE_KEYS, "grid_min",
-                    "grid_max"}
+    assert keys == set(cli._KEYS)
 
 
 def test_parse_and_mzi_load_no_numpy(tmp_path):

@@ -40,14 +40,16 @@ than two CSV row blocks, an oracle and an oracle washout on 10,001 points
 (100 kernel row blocks, the last one padded; the plain oracle's blocks in
 several spans), an oracle washout whose modes take three column blocks,
 every sweep parameter, ``check`` with each
-plate error, ``check`` and ``simulate`` on a grid too coarse for the fringes
-and on a far plate whose far-field threshold overflows to inf, ``check`` on a
-plate whose derived screen window is not finite, ``check`` and ``simulate``
-on three plates whose model phases overflow on the grid, on two whose model
-washout shifts the grid to a window that is not valid, and on two windows
-too narrow for their points, a focused Gaussian too narrow to light any
-quadrature node, and each ``mzi`` mode with balanced, unbalanced and
-non-finite amplitudes.
+plate error, an oracle node count, a reversed and a lone window bound and a
+CSV prefix that leaves the output directory, ``check`` on a config saved
+with a byte order mark and CRLF line ends, ``check`` and ``simulate`` on a
+grid too coarse for the fringes and on a far plate whose far-field threshold
+overflows to inf, ``check`` on a plate whose derived screen window is not
+finite, ``check`` and ``simulate`` on three plates whose model phases
+overflow on the grid, on two whose model washout shifts the grid to a
+window that is not valid, and on two windows too narrow for their points, a
+focused Gaussian too narrow to light any quadrature node, and each ``mzi``
+mode with balanced, unbalanced and non-finite amplitudes.
 """
 
 from __future__ import annotations
@@ -254,6 +256,13 @@ CHECK = {
     "slit_not_narrower": PLATE.replace("= 2um", "= 20um"),
     "screen_inside_plate": PLATE.replace("= 0.1m", "= 10um"),
     "wavelength_over_2d": PLATE.replace("= 632.8nm", "= 30um"),
+    # A quadrature, window or CSV prefix error exits 1 naming its key.
+    "oracle_nodes_below_8": PLATE + "oracle_nodes = 4\n",
+    "reversed_window": PLATE + "grid_min = 1mm\ngrid_max = -1mm\n",
+    "lone_grid_min": PLATE + "grid_min = -1mm\n",
+    "csv_prefix_escapes": PLATE + "csv_prefix = ../x\n",
+    # Parses as PLATE does.
+    "bom_crlf": "\ufeff" + PLATE.replace("\n", "\r\n"),
     # check rejects what a run would reject before sampling.
     "coarse_grid": PLATE + COARSE_GRID,
     "far_plate": with_plate(FAR_PLATE),
