@@ -182,6 +182,12 @@ def _one_of(*choices: str) -> tuple[Callable[[Any], bool], str]:
     return (lambda v: v in choices), "one of: " + ", ".join(choices)
 
 
+# The patterns named after their source rather than a model.
+_SOURCES = ("oracle", "washout")
+# A run writes <csv_prefix>_<name>.csv per pattern; a file name has <= 255 B.
+_PREFIX_BYTES = 255 - max(len(f"_{name}.csv".encode())
+                          for name in (*(k.value for k in ModelKind),
+                                       *_SOURCES))
 # Each config key, declared once; the defaults are those of the fields.
 _KEYS = {
     **{key: _Key(f"{key}_m", parse_length, *_POSITIVE, owner="geometry",
@@ -218,8 +224,10 @@ _KEYS = {
     "normalization": _Key("normalization", str,
                           *_one_of(PEAK_SINGLE_SLIT, UNIT_INTEGRAL)),
     "csv_prefix": _Key("csv_prefix", str,
-                       lambda v: "/" not in v and "\0" not in v,
-                       "free of '/' and NUL characters"),
+                       lambda v: "/" not in v and "\0" not in v
+                       and len(v.encode()) <= _PREFIX_BYTES,
+                       "free of '/' and NUL characters, and at most "
+                       f"{_PREFIX_BYTES} bytes in UTF-8"),
 }
 # sweep --param name -> its config key.
 _SWEEP_KEYS = {spec.sweep: key for key, spec in _KEYS.items() if spec.sweep}
@@ -284,6 +292,18 @@ class ScenarioConfig:
                               key="wavelength")
 
 
+def _plate(lengths: dict, key: Optional[str] = None) -> SlitGeometry:
+    """The plate of lengths that keep their keys' rules, if s < d < D; a
+    broken rule names ``key``, or else the key of the length it bounds."""
+    if lengths["slit_width_m"] >= lengths["slit_separation_m"]:
+        raise ConfigError("slit_width must be smaller than slit_separation",
+                          key=key or "slit_width")
+    if lengths["screen_distance_m"] <= lengths["slit_separation_m"]:
+        raise ConfigError("screen_distance must exceed slit_separation",
+                          key=key or "screen_distance")
+    return SlitGeometry(**lengths)
+
+
 def parse_config(text: str) -> ScenarioConfig:
     """Parse a flat ``key = value`` configuration (``#`` starts a comment);
     only the keys present reach ScenarioConfig, which holds the defaults."""
@@ -318,14 +338,7 @@ def parse_config(text: str) -> ScenarioConfig:
         if spec.owner:  # SlitGeometry and QuadratureSpec name no keys
             spec.check(key, value)
         values[spec.owner][spec.field] = value
-    lengths = values["geometry"]
-    if lengths["slit_width_m"] >= lengths["slit_separation_m"]:
-        raise ConfigError("slit_width must be smaller than slit_separation",
-                          key="slit_width")
-    if lengths["screen_distance_m"] <= lengths["slit_separation_m"]:
-        raise ConfigError("screen_distance must exceed slit_separation",
-                          key="screen_distance")
-    cfg = ScenarioConfig(geometry=SlitGeometry(**lengths),
+    cfg = ScenarioConfig(geometry=_plate(values["geometry"]),
                          quadrature=QuadratureSpec(**values["quadrature"]),
                          **values[None])
     if raw:
@@ -493,8 +506,8 @@ class ComparisonReport:
     json_path: Optional[Path]
 
 
-def _pattern_entry(name: str, source: str, pattern: IntensityPattern,
-                   cfg: ScenarioConfig, csv_name: Optional[str]) -> dict:
+def _pattern_entry(name: str, pattern: IntensityPattern,
+                   cfg: ScenarioConfig) -> dict:
     geom = cfg.geometry
     p_a, p_b = path_probabilities(cfg)
     p_value = predictability(p_a, p_b)
@@ -502,9 +515,9 @@ def _pattern_entry(name: str, source: str, pattern: IntensityPattern,
     v_fringe = visibility_fringe_local(pattern, geom)
     report = duality_report(PREDICTABILITY, p_value, v_fringe)
     return {
-        "source": source,
+        "source": name if name in _SOURCES else "model",
         "model": name,
-        "csv": csv_name,
+        "csv": None,  # run_scenario names the file it writes
         "normalization": pattern.normalization,
         "peak_scale_i0_single": float(pattern.meta.get("unit_scale", 1.0)),
         "visibility_global": v_global,
@@ -517,11 +530,9 @@ def _pattern_entry(name: str, source: str, pattern: IntensityPattern,
 
 
 def _shape_normalized(pattern: IntensityPattern) -> IntensityPattern:
-    """Copy of a pattern rescaled so its peak is 1 in the common unit.
-
-    Used for model-versus-oracle comparisons where the oracle's absolute
-    scale is arbitrary; only shapes are compared.
-    """
+    """Copy of a model pattern at peak 1 in the common unit, as the oracle
+    is: a divergence from the oracle, whose scale is arbitrary, compares
+    shapes only."""
     scaled = pattern.intensity * float(pattern.meta.get("unit_scale", 1.0))
     peak = float(np.max(scaled))
     meta = dict(pattern.meta)
@@ -549,7 +560,7 @@ def _washout_base(cfg: ScenarioConfig, grid: GridSpec
     return gen
 
 
-def _compare(cfg: ScenarioConfig, oracle_theta_rad: float, csv: bool
+def _compare(cfg: ScenarioConfig, oracle_theta_rad: float
              ) -> tuple[dict, dict[str, IntensityPattern]]:
     """The comparison ``simulate`` and ``sweep`` share: the configured models
     and oracle on one grid, the configured washout, their duality metrics
@@ -557,18 +568,15 @@ def _compare(cfg: ScenarioConfig, oracle_theta_rad: float, csv: bool
     patterns.
 
     The oracle is washed out over ``oracle_theta_rad`` (0 gives the plain
-    oracle).  With ``csv`` each pattern entry names its CSV file.
-    """
+    oracle)."""
     geom = cfg.geometry
     grid, _, feas = _preflight(cfg)
 
     patterns: dict[str, IntensityPattern] = {}
-    order: list[tuple[str, str]] = []
     for kind in cfg.models:
         pat = sample_pattern(kind, geom, grid, cfg.normalization,
                              cfg.alpha, cfg.beta)
         patterns[kind.value] = pat
-        order.append((kind.value, "model"))
     if cfg.oracle_enabled:
         # The oracle and its washout share one kernel pass per level.
         thetas = [oracle_theta_rad]
@@ -583,7 +591,6 @@ def _compare(cfg: ScenarioConfig, oracle_theta_rad: float, csv: bool
             raise ConfigError(str(exc), key=_BEAM_SCALE_KEYS.get(
                 cfg.beam_kind)) from None
         patterns["oracle"] = oracles[0]
-        order.append(("oracle", "oracle"))
     if cfg.washout_theta_rad is not None:
         if cfg.oracle_enabled:
             patterns["washout"] = oracles[1]
@@ -591,18 +598,18 @@ def _compare(cfg: ScenarioConfig, oracle_theta_rad: float, csv: bool
             patterns["washout"] = washout_pattern(
                 _washout_base(cfg, grid), cfg.washout_theta_rad,
                 cfg.washout_tilts)
-        order.append(("washout", "washout"))
 
-    entries = [_pattern_entry(name, source, patterns[name], cfg,
-                              f"{cfg.csv_prefix}_{name}.csv" if csv else None)
-               for name, source in order]
+    # A model listed twice gives two entries, as it gives two divergences.
+    names = [kind.value for kind in cfg.models]
+    names += [name for name in _SOURCES if name in patterns]
+    entries = [_pattern_entry(name, patterns[name], cfg) for name in names]
 
     divergences = []
     if cfg.oracle_enabled:
-        oracle_shape = _shape_normalized(patterns["oracle"])
+        # The oracle pattern is at peak 1 already, with unit_scale 1.
         for kind in cfg.models:
-            shape = _shape_normalized(patterns[kind.value])
-            div = pattern_divergence(shape, oracle_shape)
+            div = pattern_divergence(_shape_normalized(patterns[kind.value]),
+                                     patterns["oracle"])
             divergences.append({
                 "model": kind.value,
                 "against": "oracle",
@@ -644,7 +651,10 @@ def run_scenario(cfg: ScenarioConfig,
     anything fails mid-run.  Every pattern is sampled on the pre-flight
     grid, so the x column is formatted once.
     """
-    summary, patterns = _compare(cfg, 0.0, out_dir is not None)
+    summary, patterns = _compare(cfg, 0.0)
+    if out_dir is not None:
+        for entry in summary["patterns"]:
+            entry["csv"] = f"{cfg.csv_prefix}_{entry['model']}.csv"
     text = _json_text(summary)
     written: list[Path] = []
     json_path: Optional[Path] = None
@@ -725,17 +735,12 @@ def sweep_scenario(cfg: ScenarioConfig, parameter: str,
     rows = []
     for value in values:
         fields = {spec.field: value}
-        try:
-            if spec.owner:
-                fields = {spec.owner: replace(getattr(base, spec.owner),
-                                              **fields)}
-            sub = replace(base, **fields)
-        except ConfigError:
-            raise  # names the key whose rule the value breaks
-        except ValueError as exc:  # SlitGeometry's own checks
-            raise ConfigError(str(exc), key=parameter) from None
-        summary, _ = _compare(sub, value if parameter == "theta" else 0.0,
-                              False)
+        if spec.owner == "geometry":  # the plate's rules, as parse_config's
+            spec.check(parameter, value)
+            fields = {"geometry": _plate({**asdict(base.geometry), **fields},
+                                         parameter)}
+        sub = replace(base, **fields)
+        summary, _ = _compare(sub, value if parameter == "theta" else 0.0)
         feas = summary["feasibility"]
         visibility = {entry["source"]: entry["visibility_fringe_local"]
                       for entry in summary["patterns"]}

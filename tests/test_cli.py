@@ -580,6 +580,26 @@ class TestRunScenario:
             "pattern_pure_fringe.csv", "pattern_pure_fringe.csv",
             "pattern_oracle.csv"]
 
+    def test_oracle_enters_divergences_uncopied(self, monkeypatch):
+        # The oracle pattern is at peak 1 with unit_scale 1, so a shape
+        # copy of it would be bit-equal.
+        against = []
+        real = cli.pattern_divergence
+
+        def spy(model, oracle):
+            against.append(oracle)
+            return real(model, oracle)
+
+        monkeypatch.setattr(cli, "pattern_divergence", spy)
+        report = run_scenario(make_config(FOCUS_A_CONFIG))
+        oracle = report.patterns["oracle"]
+        assert len(against) == 2
+        assert all(pattern is oracle for pattern in against)
+        assert oracle.meta["unit_scale"] == 1.0
+        assert np.max(oracle.intensity) == 1.0
+        assert np.array_equal(cli._shape_normalized(oracle).intensity,
+                              oracle.intensity)
+
     def test_partial_outputs_removed_on_failure(self, tmp_path):
         out = tmp_path / "out"
         (out / "summary.json").mkdir(parents=True)
@@ -792,6 +812,23 @@ class TestMain:
         assert (out / "summary.json").exists()
         assert (out / "pattern_standard_two_slit.csv").exists()
 
+    def test_longest_csv_prefix_writes(self, tmp_path, capsys):
+        # 232 bytes of prefix in 116 characters: the longest name a run
+        # writes, <prefix>_standard_focused_a.csv, takes all 255 bytes.
+        prefix = "µ" * 116
+        path = self.write_config(tmp_path, f"csv_prefix = {prefix}\n"
+                                 "models = standard_focused_a, pure_fringe\n")
+        out = tmp_path / "results"
+        assert main(["simulate", "--config", str(path),
+                     "--out-dir", str(out)]) == EXIT_OK
+        summary = json.loads(capsys.readouterr().out)
+        names = [entry["csv"] for entry in summary["patterns"]]
+        assert names == [f"{prefix}_standard_focused_a.csv",
+                         f"{prefix}_pure_fringe.csv"]
+        assert len(names[0].encode()) == 255
+        assert sorted(p.name for p in out.iterdir()) \
+            == sorted(names + ["summary.json"])
+
     def test_simulate_prints_summary_json(self, tmp_path, capsys,
                                           monkeypatch):
         # The summary is encoded once: stdout is summary.json less its
@@ -992,10 +1029,13 @@ class TestMain:
         (["check"], "oracle_nodes = 4\n", "oracle_nodes"),
         (["check"], "oracle_rtol = 2\n", "oracle_rtol"),
         (["check"], "oracle_refinements = 0\n", "oracle_refinements"),
-        # An output name must stay inside the output directory.
+        # An output name must stay inside the output directory, and the
+        # longest, <prefix>_standard_focused_a.csv, within 255 bytes: 233
+        # bytes of prefix in 117 characters are one byte too many.
         *((argv, f"csv_prefix = {prefix}\n", "csv_prefix")
           for argv in (["check"], ["simulate", "--out-dir", "{out}"])
-          for prefix in ("../escaped", "sub/p", "a\0b")),
+          for prefix in ("../escaped", "sub/p", "a\0b", "a" * 233,
+                         "µ" * 116 + "a")),
         (["check"], "grid_min = -1mm\ngrid_max = 1mm\ngrid_points = 1\n",
          "grid_points"),
         (["check"], "grid_min = 1mm\ngrid_max = -1mm\n", "grid_min"),
@@ -1007,6 +1047,10 @@ class TestMain:
          "grid_min = -1mm\ngrid_max = 1mm\ngrid_points = 3\n", "grid_points"),
         (["sweep", "--param", "wavelength", "--values", "30um"], "",
          "wavelength"),
+        # A swept plate length keeps its key's rule and s < d < D.
+        (["sweep", "--param", "s", "--values", "0um"], "", "s"),
+        (["sweep", "--param", "s", "--values", "13um"], "", "s"),
+        (["sweep", "--param", "D", "--values", "1e-300m"], "", "D"),
         (["mzi", "--mode", "open", "--a", "0.5", "--b", "-0.5"], None, "--b"),
         (["mzi", "--mode", "open", "--a", "-0.5", "--b", "0.5"], None, "--a"),
         (["mzi", "--mode", "open", "--a", "nan"], None, "--a"),
@@ -1040,6 +1084,8 @@ class TestMain:
         err = capsys.readouterr().err
         assert err.startswith("error: ")
         assert f"(key '{key}'" in err
+        # A rule reads "<name> must be", never with a dataclass field.
+        assert "_m must" not in err
         # A rejected run writes nothing, inside the output directory or out.
         assert [p.name for p in tmp_path.rglob("*") if p.is_file()] \
             == (["scenario.cfg"] if extra is not None else [])

@@ -38,18 +38,20 @@ column groups converge at different levels, and one on a symmetric grid with
 no point at x = 0, whose oracle mirrors x > 0), an off-centre grid longer
 than two CSV row blocks, an oracle and an oracle washout on 10,001 points
 (100 kernel row blocks, the last one padded; the plain oracle's blocks in
-several spans), an oracle washout whose modes take three column blocks,
-every sweep parameter, ``check`` with each
-plate error, an oracle node count, a reversed and a lone window bound and a
-CSV prefix that leaves the output directory, ``check`` on a config saved
-with a byte order mark and CRLF line ends, ``check`` and ``simulate`` on a
-grid too coarse for the fringes and on a far plate whose far-field threshold
-overflows to inf, ``check`` on a plate whose derived screen window is not
-finite, ``check`` and ``simulate`` on three plates whose model phases
-overflow on the grid, on two whose model washout shifts the grid to a
-window that is not valid, and on two windows too narrow for their points, a
-focused Gaussian too narrow to light any quadrature node, and each ``mzi``
-mode with balanced, unbalanced and non-finite amplitudes.
+several spans), an oracle washout whose modes take three column blocks, a
+model listed twice with the oracle on, every sweep parameter, a swept slit
+width that breaks its key's rule or s < d and a swept screen distance that
+breaks D > d, ``check`` with each plate error, an oracle node count, a
+reversed and a lone window bound, a CSV prefix that leaves the output
+directory and one too long for the longest file name, ``check`` on a config
+saved with a byte order mark and CRLF line ends, ``check`` and ``simulate``
+on a grid too coarse for the fringes and on a far plate whose far-field
+threshold overflows to inf, ``check`` on a plate whose derived screen window
+is not finite, ``check`` and ``simulate`` on three plates whose model phases
+overflow on the grid, on two whose model washout shifts the grid to a window
+that is not valid, and on two windows too narrow for their points, a focused
+Gaussian too narrow to light any quadrature node, and each ``mzi`` mode with
+balanced, unbalanced and non-finite amplitudes.
 """
 
 from __future__ import annotations
@@ -212,6 +214,10 @@ SIMULATE = {
     # is identically zero, and the run exits 1 naming waist.
     "gaussian_dark_nodes": "beam = gaussian\nalignment = focus_a\n"
                            "waist = 1e-300m\noracle = true\n",
+    # A model listed twice gives two entries, two divergences and two
+    # writes of one CSV.
+    "model_twice_oracle": "models = pure_fringe, pure_fringe\n"
+                          "oracle = true\n",
     "config_error": "alpha = plenty\n",
     "coarse_grid": COARSE_GRID,
     "far_plate": FAR_PLATE,
@@ -239,7 +245,11 @@ SWEEP = {
     "D": ("", "D", "1cm,0.1m,1m"),
     "wavelength": ("models = general_two_slit\nalpha = 0.6\n", "wavelength",
                    "400nm,632.8nm,800nm"),
+    # A swept plate length keeps its key's rule and s < d < D: each exits
+    # 1 naming the --param.
     "bad_geometry": ("", "s", "13um"),
+    "s_zero": ("", "s", "0um"),
+    "D_inside_plate": ("", "D", "1e-300m"),
 }
 
 # name -> config text for ``check``.
@@ -261,6 +271,8 @@ CHECK = {
     "reversed_window": PLATE + "grid_min = 1mm\ngrid_max = -1mm\n",
     "lone_grid_min": PLATE + "grid_min = -1mm\n",
     "csv_prefix_escapes": PLATE + "csv_prefix = ../x\n",
+    # One byte too long for <prefix>_standard_focused_a.csv.
+    "csv_prefix_too_long": PLATE + f"csv_prefix = {'a' * 233}\n",
     # Parses as PLATE does.
     "bom_crlf": "\ufeff" + PLATE.replace("\n", "\r\n"),
     # check rejects what a run would reject before sampling.
