@@ -86,29 +86,24 @@ def general_two_slit_intensity(geom: SlitGeometry, x_m, alpha: float, beta: floa
 def empty_wave_a(geom: SlitGeometry, x_m):
     """Pilot-wave prediction, particle through slit A: the slit-A envelope
     (peaked opposite slit A) carrying full-contrast two-slit fringes."""
-    x = _checked_x(x_m)
-    envelope = single_slit_intensity(geom, x, center_m=geom.slit_a_center_m)
-    return _scalar_like(envelope * fringe_factor(geom, x), x)
+    return single_slit_intensity(geom, x_m, center_m=geom.slit_a_center_m) \
+        * fringe_factor(geom, x_m)
 
 
 def empty_wave_b(geom: SlitGeometry, x_m):
     """Mirror image of :func:`empty_wave_a` for a particle through slit B."""
-    x = _checked_x(x_m)
-    envelope = single_slit_intensity(geom, x, center_m=geom.slit_b_center_m)
-    return _scalar_like(envelope * fringe_factor(geom, x), x)
+    return single_slit_intensity(geom, x_m, center_m=geom.slit_b_center_m) \
+        * fringe_factor(geom, x_m)
 
 
 def empty_wave_sum(geom: SlitGeometry, x_m):
     """Incoherent sum of the two one-particle pilot-wave patterns."""
-    x = _checked_x(x_m)
-    return _scalar_like(empty_wave_a(geom, x) + empty_wave_b(geom, x), x)
+    return empty_wave_a(geom, x_m) + empty_wave_b(geom, x_m)
 
 
 def standard_two_slit(geom: SlitGeometry, x_m):
     """Textbook Fraunhofer two-slit pattern: common envelope times fringes."""
-    x = _checked_x(x_m)
-    envelope = single_slit_intensity(geom, x, center_m=0.0)
-    return _scalar_like(envelope * fringe_factor(geom, x), x)
+    return single_slit_intensity(geom, x_m) * fringe_factor(geom, x_m)
 
 
 def standard_focused_a(geom: SlitGeometry, x_m):

@@ -176,6 +176,13 @@ class _Key(NamedTuple):
 
 _POSITIVE = (lambda v: 0.0 < v < math.inf, "finite and > 0")
 _NON_NEGATIVE = (lambda v: 0.0 <= v < math.inf, "finite and >= 0")
+# An angular spread theta means tilts over [-theta, theta], each within the
+# bound of ``tilt``; sin t then rises over them.
+_SPREAD = (lambda v: 0.0 <= v < 0.5 * math.pi, "in [0, pi/2)")
+# The shared x column of a run's CSVs takes 48 B a point as text: 192 MiB.
+_MAX_GRID_POINTS = 2 ** 22
+# A washout takes one pattern or kernel column per tilt; odd, as counts are.
+_MAX_WASHOUT_TILTS = 2 ** 16 + 1
 
 
 def _one_of(*choices: str) -> tuple[Callable[[Any], bool], str]:
@@ -201,7 +208,7 @@ _KEYS = {
     "waist": _Key("waist_m", parse_length, *_POSITIVE),
     "radial_wavenumber": _Key("radial_wavenumber_per_m", float, *_POSITIVE),
     "ring_phase_flips": _Key("ring_phase_flips", _parse_bool),
-    "focusing_angle": _Key("focusing_angle_rad", parse_angle, *_NON_NEGATIVE,
+    "focusing_angle": _Key("focusing_angle_rad", parse_angle, *_SPREAD,
                            sweep="theta"),
     "spot_width": _Key("spot_width_m", parse_length, *_POSITIVE,
                        sweep="spot_width"),
@@ -215,12 +222,15 @@ _KEYS = {
                         "in (0, 1)", owner="quadrature"),
     "oracle_refinements": _Key("max_refinements", int, lambda v: v >= 1,
                                ">= 1", owner="quadrature"),
-    "washout_theta": _Key("washout_theta_rad", parse_angle, *_NON_NEGATIVE),
-    "washout_tilts": _Key("washout_tilts", int, lambda v: v > 0 and v % 2,
-                          "a positive odd count"),
+    "washout_theta": _Key("washout_theta_rad", parse_angle, *_SPREAD),
+    "washout_tilts": _Key("washout_tilts", int,
+                          lambda v: 0 < v <= _MAX_WASHOUT_TILTS and v % 2,
+                          f"a positive odd count <= {_MAX_WASHOUT_TILTS}"),
     "grid_min": _Key("grid_min_m", parse_length, math.isfinite, "finite"),
     "grid_max": _Key("grid_max_m", parse_length, math.isfinite, "finite"),
-    "grid_points": _Key("grid_points", int, lambda v: v >= 2, ">= 2"),
+    "grid_points": _Key("grid_points", int,
+                        lambda v: 2 <= v <= _MAX_GRID_POINTS,
+                        f"in [2, {_MAX_GRID_POINTS}]"),
     "normalization": _Key("normalization", str,
                           *_one_of(PEAK_SINGLE_SLIT, UNIT_INTEGRAL)),
     "csv_prefix": _Key("csv_prefix", str,
@@ -434,10 +444,11 @@ def _tilted_window(cfg: ScenarioConfig, grid: GridSpec, tilt: float
 
 
 def _check_washout_windows(cfg: ScenarioConfig, grid: GridSpec) -> None:
-    """The two most shifted windows of a model washout (:func:`_tilted_window`)
-    must be grids on which the first model's phase does not overflow."""
-    tilts = tilt_angles(cfg.washout_theta_rad, cfg.washout_tilts).tolist()
-    for tilt in (min(tilts, key=math.sin), max(tilts, key=math.sin)):
+    """The two most shifted windows of a model washout, those of its end
+    tilts (:func:`_tilted_window`), must be grids on which the first
+    model's phase does not overflow."""
+    tilts = tilt_angles(cfg.washout_theta_rad, cfg.washout_tilts)
+    for tilt in (float(tilts[0]), float(tilts[-1])):
         try:
             window = _tilted_window(cfg, grid, tilt)
             window.check_points()
@@ -534,30 +545,9 @@ def _shape_normalized(pattern: IntensityPattern) -> IntensityPattern:
     is: a divergence from the oracle, whose scale is arbitrary, compares
     shapes only."""
     scaled = pattern.intensity * float(pattern.meta.get("unit_scale", 1.0))
-    peak = float(np.max(scaled))
-    meta = dict(pattern.meta)
-    meta["unit_scale"] = 1.0
-    return IntensityPattern(x_m=pattern.x_m, intensity=scaled / peak,
-                            normalization=PEAK_SINGLE_SLIT, meta=meta)
-
-
-def _washout_base(cfg: ScenarioConfig, grid: GridSpec
-                  ) -> Callable[[float], IntensityPattern]:
-    """Tilt -> pattern generator for the first configured model; a tilt t
-    shifts the pattern by D * sin(t), as it does a tilted plane wave's far
-    field (:func:`_tilted_window`).  The oracle washes itself out
-    (:func:`oracle_pattern`)."""
-    x = grid.x()
-    kind = cfg.models[0]
-
-    def gen(tilt: float) -> IntensityPattern:
-        base = sample_pattern(kind, cfg.geometry,
-                              _tilted_window(cfg, grid, tilt),
-                              PEAK_SINGLE_SLIT, cfg.alpha, cfg.beta)
-        return IntensityPattern(x, base.intensity, PEAK_SINGLE_SLIT,
-                                dict(base.meta))
-
-    return gen
+    return replace(pattern, intensity=scaled / float(np.max(scaled)),
+                   normalization=PEAK_SINGLE_SLIT,
+                   meta={**pattern.meta, "unit_scale": 1.0})
 
 
 def _compare(cfg: ScenarioConfig, oracle_theta_rad: float
@@ -595,9 +585,16 @@ def _compare(cfg: ScenarioConfig, oracle_theta_rad: float
         if cfg.oracle_enabled:
             patterns["washout"] = oracles[1]
         else:
+            # A tilt t shifts the first model's pattern by D sin t
+            # (:func:`_tilted_window`); the oracle washes itself out.
+            x = grid.x()
             patterns["washout"] = washout_pattern(
-                _washout_base(cfg, grid), cfg.washout_theta_rad,
-                cfg.washout_tilts)
+                lambda tilt: replace(
+                    sample_pattern(cfg.models[0], geom,
+                                   _tilted_window(cfg, grid, tilt),
+                                   PEAK_SINGLE_SLIT, cfg.alpha, cfg.beta),
+                    x_m=x),
+                cfg.washout_theta_rad, cfg.washout_tilts)
 
     # A model listed twice gives two entries, as it gives two divergences.
     names = [kind.value for kind in cfg.models]

@@ -161,6 +161,18 @@ class TestModelFamily:
         floor = empty_wave_sum(ref_geom, x1)
         assert 5e-8 <= floor <= 2e-7
 
+    @pytest.mark.parametrize("formula", [
+        single_slit_intensity, fringe_factor, empty_wave_a, empty_wave_b,
+        empty_wave_sum, standard_two_slit, standard_focused_a, pure_fringe,
+        lambda geom, x: general_two_slit_intensity(geom, x, 1.0, 0.5),
+    ])
+    def test_scalar_in_float_out_and_finite_x_only(self, formula, ref_geom):
+        assert type(formula(ref_geom, 1e-3)) is float
+        assert formula(ref_geom, np.array([0.0, 1e-3])).shape == (2,)
+        for x in (math.nan, [0.0, math.inf]):
+            with pytest.raises(ValueError, match="x_m must be finite"):
+                formula(ref_geom, x)
+
     def test_standard_two_slit_landmarks(self, ref_geom):
         assert standard_two_slit(ref_geom, 0.0) == 1.0
         assert standard_two_slit(ref_geom,
@@ -252,6 +264,18 @@ class TestIntensityPattern:
         IntensityPattern(x, np.ones(5), UNIT_INTEGRAL, {})
         IntensityPattern(x, 2.0 * np.ones(5), PEAK_SINGLE_SLIT, {})
 
+    @pytest.mark.parametrize("x,intensity,normalization,message", [
+        (np.linspace(0.0, 1.0, 5), np.ones(4), PEAK_SINGLE_SLIT,
+         "matching 1-d arrays"),
+        (np.zeros((2, 2)), np.ones((2, 2)), PEAK_SINGLE_SLIT,
+         "matching 1-d arrays"),
+        (np.linspace(0.0, 1.0, 5), np.ones(5), "max",
+         "unknown normalization"),
+    ])
+    def test_rejects_malformed(self, x, intensity, normalization, message):
+        with pytest.raises(ValueError, match=message):
+            IntensityPattern(x, intensity, normalization, {})
+
     def test_spacing(self):
         x = np.linspace(0.0, 1.0, 5)
         pattern = IntensityPattern(x, np.ones(5), PEAK_SINGLE_SLIT, {})
@@ -293,6 +317,18 @@ class TestSamplePattern:
         assert pattern.meta["unit_scale"] == scale
         assert pattern.meta["model"] == kind.value
         assert pattern.meta["geometry"] == ref_geom
+
+    @pytest.mark.parametrize("kind,grid,normalization,message", [
+        ("standard_two_slit", None, PEAK_SINGLE_SLIT, "unknown model kind"),
+        (ModelKind.STANDARD_TWO_SLIT, None, "max", "unknown normalization"),
+        # Both points on balanced fringe zeros, 1 + cos(pi) = 0 exactly.
+        (ModelKind.GENERAL_TWO_SLIT,
+         GridSpec(0.5 * fringe_period(REF_GEOM), 1.5 * fringe_period(REF_GEOM),
+                  2), UNIT_INTEGRAL, "integrates to zero"),
+    ])
+    def test_rejects_bad_request(self, kind, grid, normalization, message):
+        with pytest.raises(ValueError, match=message):
+            sample_pattern(kind, REF_GEOM, grid, normalization)
 
     def test_default_grid_centers(self, ref_geom):
         grid_a = default_grid(ModelKind.EMPTY_WAVE_A, ref_geom)

@@ -209,6 +209,17 @@ class TestBeamValidation:
         with pytest.raises(ValueError):
             BesselBeam(radial_wavenumber_per_m=0.0)
 
+    @pytest.mark.parametrize("make,message", [
+        (lambda: PlaneWave(tilt_rad=math.nan), "tilt_rad must be finite"),
+        (lambda: GaussianBeam(waist_m=3e-6, center_m=math.inf),
+         "center_m must be finite"),
+        (lambda: BesselBeam(radial_wavenumber_per_m=1.2e6,
+                            center_m=math.nan), "center_m must be finite"),
+    ])
+    def test_rejects_non_finite(self, make, message):
+        with pytest.raises(ValueError, match=message):
+            make()
+
 
 class TestAmplitudeAt:
     def test_plane_wave_normal_incidence(self):
@@ -284,3 +295,7 @@ class TestAmplitudeAt:
     def test_rejects_non_finite_position(self):
         with pytest.raises(ValueError):
             amplitude_at(PlaneWave(), float("nan"), 632.8e-9)
+
+    def test_rejects_unknown_profile(self):
+        with pytest.raises(TypeError, match="unknown beam profile str"):
+            amplitude_at("plane", 0.0, 632.8e-9)

@@ -46,7 +46,7 @@ from whichway.cli import (
 )
 from whichway.geometry import SlitGeometry, half_fringe_angle
 from whichway.metrics import visibility_fringe_local
-from whichway.oracle import oracle_pattern
+from whichway.oracle import oracle_pattern, tilt_angles
 from whichway.specs import QuadratureSpec
 
 BASE_CONFIG = """\
@@ -535,7 +535,7 @@ class TestRunScenario:
 
         def average(shift_of):
             acc = np.zeros(grid.points)
-            for tilt in np.linspace(-0.3, 0.3, 5):
+            for tilt in tilt_angles(0.3, 5):
                 shift = shift_of(float(tilt))
                 acc += sample_pattern(
                     ModelKind.STANDARD_TWO_SLIT, cfg.geometry,
@@ -545,7 +545,7 @@ class TestRunScenario:
 
         exact = average(lambda t: distance * math.sin(t))
         small_angle = average(lambda t: distance * t)
-        assert np.max(np.abs(washed - exact)) < 1e-14
+        assert np.array_equal(washed, exact)
         assert np.max(np.abs(washed - small_angle)) > 1e-3
 
     def test_oracle_washout_is_normalized_once(self):
@@ -1068,6 +1068,19 @@ class TestMain:
                        "waist = 1e-30m\noracle = true\n", "waist"),
         (["simulate"], "beam = gaussian\nalignment = focus_a\n"
                        "waist = 1e-300m\noracle = true\n", "waist"),
+        # Every angular spread keeps the bound of a single tilt, the swept
+        # theta included.
+        (["check"], "washout_theta = 90deg\n", "washout_theta"),
+        (["check"], "focusing_angle = 2\n", "focusing_angle"),
+        (["sweep", "--param", "theta", "--values", "2"], "",
+         "focusing_angle"),
+        # A count that sizes an array is rejected before any array exists.
+        *((argv, extra, key)
+          for argv in (["check"], ["simulate"])
+          for extra, key in (
+              ("grid_points = 1000000000000\n", "grid_points"),
+              ("oracle = true\nwashout_theta = 5mrad\n"
+               "washout_tilts = 1000000000001\n", "washout_tilts"))),
     ])
     def test_error_names_its_own_key(self, tmp_path, capsys, argv, extra,
                                      key):

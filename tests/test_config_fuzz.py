@@ -70,8 +70,9 @@ EDGES = {
     "ring_phase_flips": ["treu", ""],
     "models": ["pure_fringe,,single_slit_a", "standard", ""],
     "oracle": ["flase", "nan", ""],
-    "washout_tilts": ["0", "-1", "2", "1.5", "nan", ""],
-    "grid_points": ["2", "0", "-5", "1.5", "nan", ""],
+    # A count above its bound is rejected before it sizes an array.
+    "washout_tilts": ["0", "-1", "2", "1.5", "nan", "", "65539"],
+    "grid_points": ["2", "0", "-5", "1.5", "nan", "", "4194305"],
     "normalization": ["peak", ""],
     # The longest name a run writes, <prefix>_standard_focused_a.csv, is
     # 256 bytes long with either prefix.

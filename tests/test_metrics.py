@@ -93,6 +93,28 @@ class TestVisibilityFringeLocal:
         v = visibility_fringe_local(p, ref_geom)
         assert 0.0 < v <= 0.01
 
+    @pytest.mark.parametrize("shape,expected", [
+        # No minimum and a dark window: no contrast.
+        ("dark", 0.0),
+        # The peak on the grid's first point is read off that sample.
+        ("peak_at_start", 1.0),
+        # A peak one sample wide whose left neighbour is an ulp below it
+        # rounds its parabola's curvature to 0: the sample is read.
+        ("flat_top", 1.0),
+    ])
+    def test_edge_shapes(self, shape, expected):
+        x = FRINGE_GRID.x()
+        k = 0 if shape == "peak_at_start" else FRINGE_GRID.points // 2
+        values = np.cos(np.pi * (x - x[k]) / T_REF) ** 2 \
+            * np.exp(-((x - x[k]) / (3.0 * T_REF)) ** 2)
+        if shape == "dark":
+            values = np.zeros_like(x)
+        if shape == "flat_top":
+            values[k - 1:k + 2] = np.nextafter(1.0, 0.0), 1.0, 1.0
+        p = IntensityPattern(x, values, PEAK_SINGLE_SLIT)
+        assert visibility_fringe_local(p, REF_GEOM) == pytest.approx(
+            expected, abs=1e-6)
+
     def test_coarse_grid_rejected(self, ref_geom):
         grid = default_grid(ModelKind.STANDARD_TWO_SLIT, ref_geom, points=51)
         p = sample_pattern(ModelKind.STANDARD_TWO_SLIT, ref_geom, grid=grid)

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from whichway import (ApertureSet, BesselBeam, ConvergenceError,
                       GaussianBeam, GridSpec, IntensityPattern,
                       PEAK_SINGLE_SLIT, PlaneWave, QuadratureSpec,
+                      UNIT_INTEGRAL,
                       SlitGeometry, fraunhofer_amplitude, fringe_period,
                       half_fringe_angle, oracle_pattern, sample_pattern,
                       single_slit_aperture, single_slit_intensity,
@@ -83,6 +84,10 @@ class TestApertureSet:
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
             ApertureSet(intervals=(), phases_rad=())
+
+    def test_rejects_non_finite_phase(self):
+        with pytest.raises(ValueError, match="phases must be finite"):
+            ApertureSet(intervals=((0.0, 1.0),), phases_rad=(math.nan,))
 
 
 class TestQuadratureSpec:
@@ -1506,4 +1511,15 @@ class TestWashout:
                                   shifted)
 
         with pytest.raises(ValueError):
+            washout_pattern(bad, 1e-3, 3)
+
+    def test_rejects_generator_changing_normalization(self):
+        grid = GridSpec(-LOBE, LOBE, 101)
+
+        def bad(tilt):
+            return sample_pattern(ModelKind.STANDARD_TWO_SLIT, REF_GEOM, grid,
+                                  UNIT_INTEGRAL if tilt > 0.0
+                                  else PEAK_SINGLE_SLIT)
+
+        with pytest.raises(ValueError, match="one normalization"):
             washout_pattern(bad, 1e-3, 3)

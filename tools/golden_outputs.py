@@ -32,7 +32,7 @@ SVD of an oracle washout rounds differently with more threads, so the
 digests of those items would depend on the host's thread count.
 
 An item's digest covers its exit code, stdout, stderr and the name and bytes
-of every file it wrote.  The matrix covers every model, beam, alignment and
+of every file it wrote. The matrix covers every model, beam, alignment and
 normalization, the model and oracle washouts (one whose plain and washout
 column groups converge at different levels, and one on a symmetric grid with
 no point at x = 0, whose oracle mirrors x > 0), an off-centre grid longer
@@ -40,18 +40,20 @@ than two CSV row blocks, an oracle and an oracle washout on 10,001 points
 (100 kernel row blocks, the last one padded; the plain oracle's blocks in
 several spans), an oracle washout whose modes take three column blocks, a
 model listed twice with the oracle on, every sweep parameter, a swept slit
-width that breaks its key's rule or s < d and a swept screen distance that
-breaks D > d, ``check`` with each plate error, an oracle node count, a
-reversed and a lone window bound, a CSV prefix that leaves the output
-directory and one too long for the longest file name, ``check`` on a config
-saved with a byte order mark and CRLF line ends, ``check`` and ``simulate``
-on a grid too coarse for the fringes and on a far plate whose far-field
-threshold overflows to inf, ``check`` on a plate whose derived screen window
-is not finite, ``check`` and ``simulate`` on three plates whose model phases
-overflow on the grid, on two whose model washout shifts the grid to a window
-that is not valid, and on two windows too narrow for their points, a focused
-Gaussian too narrow to light any quadrature node, and each ``mzi`` mode with
-balanced, unbalanced and non-finite amplitudes.
+width that breaks its key's rule or s < d, a swept screen distance that
+breaks D > d and a swept theta of 2 rad, beyond the tilt bound, ``check``
+with each plate error, an oracle node count, a reversed and a lone window
+bound, a CSV prefix that leaves the output directory and one too long for
+the longest file name, ``check`` on a config saved with a byte order mark
+and CRLF line ends, ``check`` and ``simulate`` on a grid too coarse for the
+fringes and on a far plate whose far-field threshold overflows to inf,
+``check`` on a washout spread of 90 degrees, a focusing angle of 2 rad and
+grid and tilt counts above their bounds, ``check`` on a plate whose derived
+screen window is not finite, ``check`` and ``simulate`` on three plates
+whose model phases overflow on the grid, on two whose model washout shifts
+the grid to a window that is not valid, and on two windows too narrow for
+their points, a focused Gaussian too narrow to light any quadrature node,
+and each ``mzi`` mode with balanced, unbalanced and non-finite amplitudes.
 """
 
 from __future__ import annotations
@@ -250,6 +252,8 @@ SWEEP = {
     "bad_geometry": ("", "s", "13um"),
     "s_zero": ("", "s", "0um"),
     "D_inside_plate": ("", "D", "1e-300m"),
+    # A swept spread keeps the tilt bound: exits 1 naming focusing_angle.
+    "theta_beyond_tilt_bound": ("", "theta", "2"),
 }
 
 # name -> config text for ``check``.
@@ -284,6 +288,13 @@ CHECK = {
                        "slit_separation = 1e308\nscreen_distance = 1.5e308\n",
     **{name: with_plate(extra) for name, extra in
        {**OVERFLOW_PLATES, **WASHOUT_WINDOWS, **NARROW_GRIDS}.items()},
+    # A spread of pi/2 or more, and a count above its bound, exit 1 naming
+    # the key before any array exists.
+    "washout_theta_90deg": PLATE + "washout_theta = 90deg\n",
+    "focusing_angle_2rad": PLATE + "focusing_angle = 2\n",
+    "grid_points_too_many": PLATE + "grid_points = 1000000000000\n",
+    "washout_tilts_too_many": PLATE + "oracle = true\nwashout_theta = 5mrad\n"
+                                      "washout_tilts = 1000000000001\n",
 }
 
 MZI_MODES = ("open", "blocked", "marker", "knockout", "asymmetric")
