@@ -28,7 +28,7 @@ _EXPORTS = {
         "DISTINGUISHABILITY", "DualityReport", "duality_report",
         "predictability"),
     "analytic": (
-        "IntensityPattern", "default_grid", "sample_pattern",
+        "IntensityPattern", "PlateTerms", "default_grid", "sample_pattern",
         "single_slit_intensity", "fringe_factor",
         "general_two_slit_intensity", "empty_wave_a", "empty_wave_b",
         "empty_wave_sum", "standard_two_slit", "standard_focused_a",

@@ -13,6 +13,7 @@ import importlib
 import json
 import math
 import re
+import shutil
 import sys
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
@@ -32,7 +33,7 @@ from .specs import (PEAK_SINGLE_SLIT, PREDICTABILITY, UNIT_INTEGRAL,
 # only for it): looking one up loads them all, and the loader keeps a name
 # that is bound already.
 _ARRAY_NAMES = {
-    ".analytic": ("IntensityPattern", "sample_pattern"),
+    ".analytic": ("IntensityPattern", "PlateTerms", "sample_pattern"),
     ".beam": ("BeamProfile", "BesselBeam", "GaussianBeam", "PlaneWave",
               "bessel_core_radius"),
     ".metrics": ("ResolutionError", "check_resolution", "pattern_divergence",
@@ -562,11 +563,13 @@ def _compare(cfg: ScenarioConfig, oracle_theta_rad: float
     geom = cfg.geometry
     grid, _, feas = _preflight(cfg)
 
+    # The models share each envelope and the fringe factor.
+    terms = PlateTerms(geom, grid)
     patterns: dict[str, IntensityPattern] = {}
     for kind in cfg.models:
-        pat = sample_pattern(kind, geom, grid, cfg.normalization,
-                             cfg.alpha, cfg.beta)
-        patterns[kind.value] = pat
+        patterns[kind.value] = sample_pattern(
+            kind, geom, grid, cfg.normalization, cfg.alpha, cfg.beta,
+            terms=terms)
     if cfg.oracle_enabled:
         # The oracle and its washout share one kernel pass per level.
         thetas = [oracle_theta_rad]
@@ -646,7 +649,10 @@ def run_scenario(cfg: ScenarioConfig,
     The summary is encoded once, as strict JSON: ``summary.json`` holds
     that text and ``simulate`` prints it.  Partial outputs are removed if
     anything fails mid-run.  Every pattern is sampled on the pre-flight
-    grid, so the x column is formatted once.
+    grid, so the x column is formatted once, and so is each distinct
+    intensity column: a pattern whose intensity has the bits of one
+    written before (``single_slit_a`` and ``standard_focused_a`` are one
+    formula) gets a copy of that file.
     """
     summary, patterns = _compare(cfg, 0.0)
     if out_dir is not None:
@@ -661,11 +667,25 @@ def run_scenario(cfg: ScenarioConfig,
             out_dir.mkdir(parents=True, exist_ok=True)
             from ._floattext import format_g17
             x_text = format_g17(next(iter(patterns.values())).x_m)
+            # Each distinct intensity column and the file it was written to.
+            formatted: list[tuple[np.ndarray, Path]] = []
             for entry in summary["patterns"]:
                 path = out_dir / entry["csv"]
+                pattern = patterns[entry["model"]]
+                column = pattern.intensity
                 written.append(path)
-                write_pattern_csv(patterns[entry["model"]], path,
-                                  x_text=x_text)
+                # Bit for bit, as unit_integral copies of one formula are
+                # distinct arrays; the last values screen out most columns.
+                source = next((
+                    earlier_path for earlier, earlier_path in formatted
+                    if earlier[-1] == column[-1] and np.array_equal(
+                        earlier.view(np.uint64), column.view(np.uint64))),
+                    None)
+                if source is None:
+                    write_pattern_csv(pattern, path, x_text=x_text)
+                    formatted.append((column, path))
+                elif source != path:  # a model listed twice has one file
+                    shutil.copyfile(source, path)
             json_path = out_dir / "summary.json"
             written.append(json_path)
             write_summary_json(text, json_path)

@@ -484,9 +484,10 @@ def fraunhofer_amplitude(beam: BeamProfile, apertures: ApertureSet,
 def tilt_angles(theta_rad: float, n_tilts: int) -> np.ndarray:
     """Tilts theta (j / h), j = -h..h, uniform in [-theta, theta] and
     antisymmetric bit for bit, with 0.0 in the middle and +-theta at the
-    ends; just the untilted one at theta 0 or for a single tilt."""
-    if not 0.0 <= theta_rad < math.inf:
-        raise ValueError("theta_rad must be finite and >= 0")
+    ends; just the untilted one at theta 0 or for a single tilt.  Every
+    tilt is in (-pi/2, pi/2), as a plane wave's must be."""
+    if not 0.0 <= theta_rad < 0.5 * math.pi:
+        raise ValueError("theta_rad must be finite and >= 0, below pi/2")
     if n_tilts < 1 or n_tilts % 2 == 0:
         raise ValueError("n_tilts must be a positive odd count")
     if theta_rad == 0.0 or n_tilts == 1:

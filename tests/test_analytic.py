@@ -1,16 +1,19 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from whichway import (PEAK_SINGLE_SLIT, UNIT_INTEGRAL, GridSpec,
-                      IntensityPattern, ModelKind, SlitGeometry, default_grid,
+                      IntensityPattern, ModelKind, PlateTerms, SlitGeometry,
+                      default_grid,
                       empty_wave_a, empty_wave_b, empty_wave_sum,
                       fringe_factor, fringe_period,
                       general_two_slit_intensity, pure_fringe, sample_pattern,
                       single_slit_intensity, standard_focused_a,
                       standard_two_slit)
+from whichway.analytic import _sinc
 
 finite_x = st.floats(min_value=-0.05, max_value=0.05, allow_nan=False)
 
@@ -46,6 +49,32 @@ class TestSingleSlit:
         below = single_slit_intensity(ref_geom, 0.99999e-4 * u_to_x, 0.0)
         above = single_slit_intensity(ref_geom, 1.00001e-4 * u_to_x, 0.0)
         assert below == pytest.approx(above, rel=1e-10)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                    min_size=1, max_size=8)
+           | st.lists(st.floats(-2e-4, 2e-4), min_size=1, max_size=8))
+    def test_sinc_has_the_bits_of_both_branches_everywhere(self, values):
+        u = np.array(values)
+        small = np.abs(u) < 1e-4
+        safe = np.where(small, 1.0, u)
+        with np.errstate(over="ignore", invalid="ignore"):
+            u2 = u * u
+            both = np.where(small, 1.0 - u2 / 6.0 + u2 * u2 / 120.0,
+                            np.sin(safe) / safe)
+        # Underflow is numpy's default "ignore", and right.
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            assert np.array_equal(_sinc(u).view(np.uint64),
+                                  both.view(np.uint64))
+            assert _sinc(u[0]).shape == ()
+
+    def test_far_window_warns_of_nothing(self, ref_geom):
+        # |u| is near 1e200 here, where the short series would overflow.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            pattern = sample_pattern(ModelKind.SINGLE_SLIT_A, ref_geom,
+                                     GridSpec(1e198, 2e198, 3))
+        assert np.array_equal(pattern.intensity, np.zeros(3))
 
     @given(finite_x)
     def test_nonnegative_and_finite(self, x):
@@ -352,3 +381,114 @@ class TestSamplePattern:
         pattern = sample_pattern(kind, REF_GEOM)
         assert np.all(np.isfinite(pattern.intensity))
         assert np.all(pattern.intensity >= 0.0)
+
+
+def bits(values):
+    return np.asarray(values, dtype=float).view(np.uint64)
+
+
+plates = st.builds(
+    lambda wavelength, width, ratio, distance: SlitGeometry(
+        wavelength, width, width * ratio, distance),
+    st.floats(3e-7, 2e-6), st.floats(2e-7, 5e-5), st.floats(1.05, 40.0),
+    st.floats(1e-2, 5.0))
+
+
+class TestPlateTerms:
+    @settings(max_examples=60, deadline=None)
+    @given(geom=plates, shift=st.floats(-3.0, 3.0),
+           half=st.floats(0.05, 4.0), points=st.integers(2, 400),
+           normalization=st.sampled_from([PEAK_SINGLE_SLIT, UNIT_INTEGRAL]),
+           alpha=st.floats(0.0, 2.0), beta=st.floats(0.0, 2.0),
+           order=st.permutations(list(ModelKind)))
+    def test_shared_factors_give_the_bits_of_each_model_alone(
+            self, geom, shift, half, points, normalization, alpha, beta,
+            order):
+        # Windows in envelope lobes around an offset from the plate's middle.
+        lobe = geom.wavelength_m * geom.screen_distance_m / geom.slit_width_m
+        grid = GridSpec((shift - half) * lobe, (shift + half) * lobe, points)
+        terms = PlateTerms(geom, grid)
+        for kind in order:  # each order of first use
+            outcomes = []
+            for shared in (terms, None):
+                try:
+                    outcomes.append(sample_pattern(
+                        kind, geom, grid, normalization, alpha, beta,
+                        terms=shared))
+                except ValueError as exc:  # zero amplitudes or integral
+                    outcomes.append(str(exc))
+            together, alone = outcomes
+            if isinstance(alone, str):
+                assert together == alone
+                continue
+            assert np.array_equal(bits(together.x_m), bits(alone.x_m))
+            assert np.array_equal(bits(together.intensity),
+                                  bits(alone.intensity)), kind
+            assert together.meta == alone.meta
+
+    def test_public_formulas_are_the_model_formulas(self, ref_geom):
+        grid = GridSpec(-0.03, 0.02, 1001)
+        x = grid.x()
+        formulas = {
+            ModelKind.SINGLE_SLIT_A: lambda g, x: single_slit_intensity(
+                g, x, g.slit_a_center_m),
+            ModelKind.EMPTY_WAVE_A: empty_wave_a,
+            ModelKind.EMPTY_WAVE_B: empty_wave_b,
+            ModelKind.EMPTY_WAVE_SUM: empty_wave_sum,
+            ModelKind.STANDARD_TWO_SLIT: standard_two_slit,
+            ModelKind.STANDARD_FOCUSED_A: standard_focused_a,
+            ModelKind.PURE_FRINGE: pure_fringe,
+            ModelKind.GENERAL_TWO_SLIT: lambda g, x:
+                general_two_slit_intensity(g, x, 0.7, 0.4),
+        }
+        terms = PlateTerms(ref_geom, grid)
+        for kind, formula in formulas.items():
+            pattern = sample_pattern(kind, ref_geom, grid, alpha=0.7,
+                                     beta=0.4, terms=terms)
+            values = formula(ref_geom, x)
+            assert np.array_equal(bits(pattern.intensity), bits(values))
+            # A formula's own array is the caller's to write to.
+            assert values.flags.writeable
+            assert bits(formula(ref_geom, x[7])) == bits(values[7])
+
+    @pytest.mark.parametrize("other", [
+        lambda geom, grid: PlateTerms(SlitGeometry(0.63e-6, 2e-6, 13e-6, 0.1),
+                                      grid),
+        lambda geom, grid: PlateTerms(geom, GridSpec(-0.03, 0.03, 1002)),
+        lambda geom, grid: PlateTerms(geom, GridSpec(-0.03, 0.031, 1001)),
+        lambda geom, grid: PlateTerms(geom, grid.x()),
+    ])
+    def test_terms_of_another_plate_or_grid_are_refused(self, other,
+                                                        ref_geom):
+        grid = GridSpec(-0.03, 0.03, 1001)
+        terms = other(ref_geom, grid)
+        for kind in ModelKind:
+            with pytest.raises(ValueError, match="another plate or grid"):
+                sample_pattern(kind, ref_geom, grid, terms=terms)
+        with pytest.raises(ValueError, match="another plate or grid"):
+            sample_pattern(ModelKind.EMPTY_WAVE_A, ref_geom, terms=terms)
+
+    def test_shared_arrays_are_read_only(self, ref_geom):
+        grid = GridSpec(-0.03, 0.03, 1001)
+        terms = PlateTerms(ref_geom, grid)
+        patterns = {kind: sample_pattern(kind, ref_geom, grid, terms=terms)
+                    for kind in ModelKind}
+        focused = patterns[ModelKind.STANDARD_FOCUSED_A]
+        before = {kind: (p.x_m.copy(), p.intensity.copy())
+                  for kind, p in patterns.items()}
+        for kind in (ModelKind.SINGLE_SLIT_A, ModelKind.STANDARD_FOCUSED_A,
+                     ModelKind.PURE_FRINGE):
+            with pytest.raises(ValueError, match="read-only"):
+                patterns[kind].intensity[0] = 2.0
+        with pytest.raises(ValueError, match="read-only"):
+            focused.x_m[0] = 0.0
+        # A product is the pattern's own array; editing it reaches no other.
+        patterns[ModelKind.EMPTY_WAVE_A].intensity[:] = 0.0
+        for kind, (x, intensity) in before.items():
+            assert np.array_equal(patterns[kind].x_m, x)
+            if kind is not ModelKind.EMPTY_WAVE_A:
+                assert np.array_equal(patterns[kind].intensity, intensity)
+        assert np.array_equal(
+            sample_pattern(ModelKind.EMPTY_WAVE_A, ref_geom, grid,
+                           terms=terms).intensity,
+            before[ModelKind.EMPTY_WAVE_A][1])

@@ -608,6 +608,82 @@ class TestRunScenario:
         assert list(out.glob("*.csv")) == []
 
 
+ALL_MODELS = "models = " + ", ".join(kind.value for kind in ModelKind) + "\n"
+
+
+def spy_on_csv_writes(monkeypatch) -> list[str]:
+    """The names of the files ``write_pattern_csv`` formats from here on."""
+    names = []
+    real = cli.write_pattern_csv
+
+    def spy(pattern, path, *, x_text=None):
+        names.append(path.name)
+        real(pattern, path, x_text=x_text)
+
+    monkeypatch.setattr(cli, "write_pattern_csv", spy)
+    return names
+
+
+class TestRepeatedColumns:
+    """``single_slit_a`` and ``standard_focused_a`` are one formula: a run
+    formats that column once and copies the file."""
+
+    @pytest.mark.parametrize("normalization",
+                             [PEAK_SINGLE_SLIT, UNIT_INTEGRAL])
+    def test_one_formula_is_formatted_once(self, tmp_path, monkeypatch,
+                                           normalization):
+        formatted = spy_on_csv_writes(monkeypatch)
+        cfg = make_config(ALL_MODELS + "grid_points = 801\n"
+                          f"normalization = {normalization}\n")
+        report = run_scenario(cfg, out_dir=tmp_path)
+        names = [f"pattern_{kind.value}.csv" for kind in ModelKind]
+        assert [p.name for p in report.csv_paths] == names
+        assert sorted(p.name for p in tmp_path.glob("*.csv")) == sorted(names)
+        assert formatted == [name for name in names
+                             if name != "pattern_standard_focused_a.csv"]
+        assert (tmp_path / "pattern_standard_focused_a.csv").read_bytes() \
+            == (tmp_path / "pattern_single_slit_a.csv").read_bytes()
+        for path in report.csv_paths:  # each file holds its own pattern
+            pattern = report.patterns[path.stem.removeprefix("pattern_")]
+            data = np.loadtxt(path, delimiter=",", skiprows=1)
+            assert np.array_equal(data[:, 0], pattern.x_m)
+            assert np.array_equal(data[:, 1], pattern.intensity)
+
+    def test_model_listed_twice_is_not_copied_onto_itself(self, tmp_path,
+                                                          monkeypatch):
+        formatted = spy_on_csv_writes(monkeypatch)
+        cfg = make_config("models = standard_focused_a, single_slit_a, "
+                          "standard_focused_a, single_slit_a\n"
+                          "grid_points = 801\n")
+        report = run_scenario(cfg, out_dir=tmp_path)
+        assert [p.name for p in report.csv_paths] == [
+            "pattern_standard_focused_a.csv", "pattern_single_slit_a.csv",
+            "pattern_standard_focused_a.csv", "pattern_single_slit_a.csv"]
+        assert formatted == ["pattern_standard_focused_a.csv"]
+        assert (tmp_path / "pattern_standard_focused_a.csv").read_bytes() \
+            == (tmp_path / "pattern_single_slit_a.csv").read_bytes()
+
+    def test_failed_summary_removes_the_copies(self, tmp_path):
+        out = tmp_path / "out"
+        (out / "summary.json").mkdir(parents=True)
+        with pytest.raises(OSError):
+            run_scenario(make_config(ALL_MODELS + "grid_points = 801\n"),
+                         out_dir=out)
+        assert list(out.glob("*.csv")) == []
+
+    def test_failed_copy_removes_its_partial_file(self, tmp_path,
+                                                  monkeypatch):
+        def broken_copy(source, target):
+            Path(target).write_bytes(b"x_m,intensity\n")
+            raise OSError(errno.ENOSPC, "no space left on device")
+
+        monkeypatch.setattr(cli.shutil, "copyfile", broken_copy)
+        with pytest.raises(OSError):
+            run_scenario(make_config(ALL_MODELS + "grid_points = 801\n"),
+                         out_dir=tmp_path)
+        assert list(tmp_path.iterdir()) == []
+
+
 class TestCsvMemory:
     """Peak traced allocation of a long CSV write stays under a fixed
     limit: rows are formatted and written in blocks."""

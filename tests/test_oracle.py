@@ -902,6 +902,29 @@ class TestTiltAngles:
             washout_pattern(calls.append, theta, 11)
         assert calls == []
 
+    @pytest.mark.parametrize("theta", [0.5 * math.pi, 2.0])
+    def test_rejects_a_spread_beyond_the_plane_wave_tilt(self, theta):
+        # PlaneWave takes tilts in (-pi/2, pi/2) only; a spread reaching
+        # pi/2 fails before any member or quadrature runs.
+        grid = GridSpec(-LOBE, LOBE, 101)
+        apertures = two_slit_apertures(REF_GEOM)
+        calls = []
+        with pytest.raises(ValueError, match="below pi/2"):
+            oracle_module.tilt_angles(theta, 11)
+        with pytest.raises(ValueError, match="below pi/2"):
+            oracle_pattern(PlaneWave(), apertures, REF_GEOM, grid,
+                           theta_rad=theta, n_tilts=11)
+        with pytest.raises(ValueError, match="below pi/2"):
+            oracle_module.oracle_patterns(PlaneWave(), apertures, REF_GEOM,
+                                          grid, None, (0.0, theta), 11)
+        with pytest.raises(ValueError, match="below pi/2"):
+            washout_pattern(calls.append, theta, 11)
+        assert calls == []
+
+    def test_takes_the_largest_spread_below_the_bound(self):
+        theta = math.nextafter(0.5 * math.pi, 0.0)
+        assert oracle_module.tilt_angles(theta, 11)[-1] == theta
+
 
 def complex_modes(apertures, geom, shifts, n):
     """The washout's rank, sigma and proxy V from the complex SVD of

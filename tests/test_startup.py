@@ -12,6 +12,7 @@ import sys
 from pathlib import Path
 
 from whichway import cli
+from whichway.specs import ModelKind
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -69,7 +70,13 @@ with contextlib.redirect_stdout(io.StringIO()):
 assert "numpy" in sys.modules
 """
 
-# argv[1] is the config path, argv[2] the perfbench directory.
+# Every model on a plane wave, no oracle and no washout: a run samples
+# each model once.
+EIGHT_MODEL_CONFIG = FULL_CONFIG.split("beam =")[0] + "grid_points = 401\n" \
+    + "models = " + ", ".join(kind.value for kind in ModelKind) + "\n"
+
+# argv[1] is the config path, argv[2] the perfbench directory, argv[3] the
+# eight-model config path.
 TRACED_RUN = """\
 import contextlib, io, sys
 import whichway.cli as cli
@@ -83,6 +90,12 @@ with contextlib.redirect_stdout(io.StringIO()):
     assert cli.main(["simulate", "--config", sys.argv[1]]) == 0
 names = {span["name"] for span in tracer.spans}
 assert {"analytic.sample_pattern", "oracle.fraunhofer_amplitude"} <= names, names
+before = len(tracer.spans)
+with contextlib.redirect_stdout(io.StringIO()):
+    assert cli.main(["simulate", "--config", sys.argv[3]]) == 0
+sampled = [span for span in tracer.spans[before:]
+           if span["name"] == "analytic.sample_pattern"]
+assert len(sampled) == 8, len(sampled)
 tracer.uninstall()
 modules = {"cli": cli, "oracle": oracle}
 for module, attr, name in spans.TARGETS:
@@ -138,7 +151,10 @@ def test_parse_and_mzi_load_no_numpy(tmp_path):
 
 
 def test_tracer_wraps_the_names_bound_on_first_use(tmp_path):
-    run_fresh(TRACED_RUN, write_config(tmp_path), str(ROOT / "perfbench"))
+    eight = tmp_path / "eight.cfg"
+    eight.write_text(EIGHT_MODEL_CONFIG, encoding="utf-8")
+    run_fresh(TRACED_RUN, write_config(tmp_path), str(ROOT / "perfbench"),
+              str(eight))
 
 
 def test_a_name_bound_before_the_loader_is_kept(tmp_path):
