@@ -25,9 +25,8 @@ from typing import Optional
 import numpy as np
 
 from .geometry import SlitGeometry
-from .specs import PEAK_SINGLE_SLIT, UNIT_INTEGRAL, GridSpec, ModelKind
-
-_NORMALIZATIONS = (PEAK_SINGLE_SLIT, UNIT_INTEGRAL)
+from .specs import (NORMALIZATIONS, PEAK_SINGLE_SLIT, UNIT_INTEGRAL,
+                    GridSpec, ModelKind)
 
 # Series switch for sin(u)/u keeps the evaluation C^2-smooth at u = 0,
 # which the extremum interpolation in the metrics module relies on.
@@ -237,7 +236,7 @@ class IntensityPattern:
         if np.any(i < 0.0):
             raise ValueError("intensity must be nonnegative")
         _check_steps(x)
-        if self.normalization not in _NORMALIZATIONS:
+        if self.normalization not in NORMALIZATIONS:
             raise ValueError(f"unknown normalization {self.normalization!r}")
         if self.normalization == UNIT_INTEGRAL:
             total = np.trapezoid(i, x)
@@ -284,7 +283,7 @@ def sample_pattern(kind: ModelKind, geom: SlitGeometry,
     """
     if not isinstance(kind, ModelKind):
         raise ValueError(f"unknown model kind {kind!r}")
-    if normalization not in _NORMALIZATIONS:
+    if normalization not in NORMALIZATIONS:
         raise ValueError(f"unknown normalization {normalization!r}")
     if grid is None:
         grid = default_grid(kind, geom)

@@ -15,14 +15,14 @@ import math
 import re
 import shutil
 import sys
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 from typing import Any, Callable, NamedTuple, Optional, Sequence
 
 from . import __version__
 from .geometry import FeasibilityReport, SlitGeometry, check_feasibility
 from .mzi import MziConfig, MziMode, asymmetric_duality, mzi_duality
-from .specs import (PEAK_SINGLE_SLIT, PREDICTABILITY, UNIT_INTEGRAL,
+from .specs import (NORMALIZATIONS, PEAK_SINGLE_SLIT, PREDICTABILITY,
                     ConvergenceError, GridSpec, ModelKind, QuadratureSpec,
                     duality_report, predictability)
 
@@ -232,8 +232,7 @@ _KEYS = {
     "grid_points": _Key("grid_points", int,
                         lambda v: 2 <= v <= _MAX_GRID_POINTS,
                         f"in [2, {_MAX_GRID_POINTS}]"),
-    "normalization": _Key("normalization", str,
-                          *_one_of(PEAK_SINGLE_SLIT, UNIT_INTEGRAL)),
+    "normalization": _Key("normalization", str, *_one_of(*NORMALIZATIONS)),
     "csv_prefix": _Key("csv_prefix", str,
                        lambda v: "/" not in v and "\0" not in v
                        and len(v.encode()) <= _PREFIX_BYTES,
@@ -518,11 +517,9 @@ class ComparisonReport:
     json_path: Optional[Path]
 
 
-def _pattern_entry(name: str, pattern: IntensityPattern,
-                   cfg: ScenarioConfig) -> dict:
-    geom = cfg.geometry
-    p_a, p_b = path_probabilities(cfg)
-    p_value = predictability(p_a, p_b)
+def _pattern_entry(name: str, pattern: IntensityPattern, geom: SlitGeometry,
+                   p_value: float) -> dict:
+    """A pattern's summary entry; ``p_value`` is the run's predictability."""
     v_global = visibility_global(pattern)
     v_fringe = visibility_fringe_local(pattern, geom)
     report = duality_report(PREDICTABILITY, p_value, v_fringe)
@@ -602,7 +599,10 @@ def _compare(cfg: ScenarioConfig, oracle_theta_rad: float
     # A model listed twice gives two entries, as it gives two divergences.
     names = [kind.value for kind in cfg.models]
     names += [name for name in _SOURCES if name in patterns]
-    entries = [_pattern_entry(name, patterns[name], cfg) for name in names]
+    p_a, p_b = path_probabilities(cfg)
+    p_value = predictability(p_a, p_b)
+    entries = [_pattern_entry(name, patterns[name], geom, p_value)
+               for name in names]
 
     divergences = []
     if cfg.oracle_enabled:
@@ -610,15 +610,9 @@ def _compare(cfg: ScenarioConfig, oracle_theta_rad: float
         for kind in cfg.models:
             div = pattern_divergence(_shape_normalized(patterns[kind.value]),
                                      patterns["oracle"])
-            divergences.append({
-                "model": kind.value,
-                "against": "oracle",
-                "l2_relative": div.l2_relative,
-                "sup_relative": div.sup_relative,
-                "visibility_gap": div.visibility_gap,
-            })
+            divergences.append({"model": kind.value, "against": "oracle",
+                                **asdict(div)})
 
-    p_a, p_b = path_probabilities(cfg)
     summary = {
         "tool": "whichway",
         "tool_version": __version__,
@@ -627,11 +621,7 @@ def _compare(cfg: ScenarioConfig, oracle_theta_rad: float
         "path_probability_a": p_a,
         "path_probability_b": p_b,
         "feasibility": {**asdict(feas), "messages": list(feas.messages)},
-        "grid": {
-            "x_min_m": grid.x_min_m,
-            "x_max_m": grid.x_max_m,
-            "points": grid.points,
-        },
+        "grid": asdict(grid),
         "patterns": entries,
         "divergences": divergences,
         "washout": (
@@ -732,6 +722,13 @@ def write_summary_json(text: str, path: Path) -> None:
     Path(path).write_text(text + "\n", encoding="ascii")
 
 
+# The columns of a sweep row, in order.
+_SWEEP_COLUMNS = ("parameter", "value", "half_fringe_angle_rad",
+                  "collimation_ok", "spot_fits_slit", "fraunhofer_ok",
+                  "visibility_model", "visibility_oracle",
+                  "divergence_sup_relative")
+
+
 def sweep_scenario(cfg: ScenarioConfig, parameter: str,
                    values: Sequence[float]) -> list[dict]:
     """One row per swept value, read off the ``simulate`` comparison of the
@@ -751,36 +748,24 @@ def sweep_scenario(cfg: ScenarioConfig, parameter: str,
                    washout_theta_rad=None)
     rows = []
     for value in values:
-        fields = {spec.field: value}
+        changed = {spec.field: value}
         if spec.owner == "geometry":  # the plate's rules, as parse_config's
             spec.check(parameter, value)
-            fields = {"geometry": _plate({**asdict(base.geometry), **fields},
-                                         parameter)}
-        sub = replace(base, **fields)
+            changed = {"geometry": _plate(
+                {**asdict(base.geometry), **changed}, parameter)}
+        sub = replace(base, **changed)
         summary, _ = _compare(sub, value if parameter == "theta" else 0.0)
-        feas = summary["feasibility"]
         visibility = {entry["source"]: entry["visibility_fringe_local"]
                       for entry in summary["patterns"]}
         divergences = summary["divergences"]
-        rows.append({
-            "parameter": parameter,
-            "value": value,
-            "half_fringe_angle_rad": feas["half_fringe_angle_rad"],
-            "collimation_ok": feas["collimation_ok"],
-            "spot_fits_slit": feas["spot_fits_slit"],
-            "fraunhofer_ok": feas["fraunhofer_ok"],
-            "visibility_model": visibility.get("model"),
-            "visibility_oracle": visibility.get("oracle"),
-            "divergence_sup_relative": (divergences[0]["sup_relative"]
-                                        if divergences else None),
-        })
+        cells = {"parameter": parameter, "value": value,
+                 **summary["feasibility"],  # read by their column names
+                 "visibility_model": visibility.get("model"),
+                 "visibility_oracle": visibility.get("oracle"),
+                 "divergence_sup_relative": (divergences[0]["sup_relative"]
+                                             if divergences else None)}
+        rows.append({col: cells[col] for col in _SWEEP_COLUMNS})
     return rows
-
-
-_SWEEP_COLUMNS = ("parameter", "value", "half_fringe_angle_rad",
-                  "collimation_ok", "spot_fits_slit", "fraunhofer_ok",
-                  "visibility_model", "visibility_oracle",
-                  "divergence_sup_relative")
 
 
 def format_sweep_csv(rows: list[dict]) -> str:
@@ -801,74 +786,52 @@ def format_sweep_csv(rows: list[dict]) -> str:
     return "\n".join(out) + "\n"
 
 
-# JSON summary schema (the README names it).
-SUMMARY_SCHEMA = {
-    "type": "object",
-    "required": ["tool", "tool_version", "geometry", "alignment",
-                 "path_probability_a", "path_probability_b", "feasibility",
-                 "grid", "patterns", "divergences", "washout"],
-    "properties": {
+def _object(required: Sequence[str], **rest: Any) -> dict:
+    """The JSON schema of an object that has the keys ``required``."""
+    return {"type": "object", "required": list(required), **rest}
+
+
+def _field_names(cls: type) -> list[str]:
+    return [f.name for f in fields(cls)]
+
+
+_FRACTION = {"type": "number", "minimum": 0, "maximum": 1}
+# JSON summary schema (the README names it).  The divergence's keys, after
+# model and against, are the fields of metrics.PatternDivergence; they are
+# written out, as importing that module loads numpy.
+SUMMARY_SCHEMA = _object(
+    ["tool", "tool_version", "geometry", "alignment", "path_probability_a",
+     "path_probability_b", "feasibility", "grid", "patterns", "divergences",
+     "washout"],
+    properties={
         "tool": {"const": "whichway"},
         "tool_version": {"type": "string"},
-        "geometry": {
-            "type": "object",
-            "required": ["wavelength_m", "slit_width_m", "slit_separation_m",
-                         "screen_distance_m"],
-            "additionalProperties": {"type": "number"},
-        },
+        "geometry": _object(_field_names(SlitGeometry),
+                            additionalProperties={"type": "number"}),
         "alignment": {"enum": list(ALIGNMENTS)},
-        "path_probability_a": {"type": "number", "minimum": 0, "maximum": 1},
-        "path_probability_b": {"type": "number", "minimum": 0, "maximum": 1},
-        "feasibility": {
-            "type": "object",
-            "required": ["half_fringe_angle_rad", "focusing_angle_rad",
-                         "collimation_ok", "spot_fits_slit", "fraunhofer_ok",
-                         "messages"],
-        },
-        "grid": {
-            "type": "object",
-            "required": ["x_min_m", "x_max_m", "points"],
-        },
-        "patterns": {
-            "type": "array",
-            "items": {
-                "type": "object",
-                "required": ["source", "model", "normalization",
-                             "peak_scale_i0_single", "visibility_global",
-                             "visibility_fringe_local", "which_way_kind",
-                             "which_way_value", "duality_sum",
-                             "inequality_satisfied"],
-                "properties": {
-                    "source": {"enum": ["model", "oracle", "washout"]},
-                    "visibility_global": {"type": "number", "minimum": 0,
-                                          "maximum": 1},
-                    "visibility_fringe_local": {"type": "number", "minimum": 0,
-                                                "maximum": 1},
-                    "which_way_value": {"type": "number", "minimum": 0,
-                                        "maximum": 1},
-                    "duality_sum": {"type": "number", "minimum": 0,
-                                    "maximum": 2},
-                    "inequality_satisfied": {"type": "boolean"},
-                },
-            },
-        },
-        "divergences": {
-            "type": "array",
-            "items": {
-                "type": "object",
-                "required": ["model", "against", "l2_relative",
-                             "sup_relative", "visibility_gap"],
-            },
-        },
-        "washout": {
-            "oneOf": [
-                {"type": "null"},
-                {"type": "object",
-                 "required": ["theta_rad", "n_tilts"]},
-            ],
-        },
-    },
-}
+        "path_probability_a": _FRACTION,
+        "path_probability_b": _FRACTION,
+        "feasibility": _object(_field_names(FeasibilityReport)),
+        "grid": _object(_field_names(GridSpec)),
+        "patterns": {"type": "array", "items": _object(
+            ["source", "model", "normalization", "peak_scale_i0_single",
+             "visibility_global", "visibility_fringe_local",
+             "which_way_kind", "which_way_value", "duality_sum",
+             "inequality_satisfied"],
+            properties={
+                "source": {"enum": ["model", *_SOURCES]},
+                "visibility_global": _FRACTION,
+                "visibility_fringe_local": _FRACTION,
+                "which_way_value": _FRACTION,
+                "duality_sum": {"type": "number", "minimum": 0, "maximum": 2},
+                "inequality_satisfied": {"type": "boolean"},
+            })},
+        "divergences": {"type": "array", "items": _object(
+            ["model", "against", "l2_relative", "sup_relative",
+             "visibility_gap"])},
+        "washout": {"oneOf": [{"type": "null"},
+                              _object(["theta_rad", "n_tilts"])]},
+    })
 
 
 def _read_config(args: argparse.Namespace) -> ScenarioConfig:

@@ -83,8 +83,6 @@ def visibility_fringe_local(pattern: IntensityPattern,
     i_min = int(minima[np.argmin(distance[minima])])
     v_max = _interp_extremum(values, i_peak)
     v_min = max(_interp_extremum(values, i_min), 0.0)
-    if v_max <= 0.0:
-        return 0.0
     return min(max((v_max - v_min) / (v_max + v_min), 0.0), 1.0)
 
 

@@ -77,8 +77,9 @@ from .specs import (PEAK_SINGLE_SLIT, ConvergenceError, GridSpec,
 # washout columns (complex128 entries of 16 bytes each).
 _BLOCK_BYTES = 4 << 20
 # Budget for the anchor rows of one span of kernel row blocks and their
-# product with one column; small enough to stay in cache.  Not _BLOCK_BYTES, which also splits the washout into
-# blocks of mode columns, and with them the summed output bits.
+# product with one column; small enough to stay in cache.  Not _BLOCK_BYTES,
+# which also splits the washout into blocks of mode columns, and with them
+# the summed output bits.
 _GROUP_BYTES = 256 << 10
 _COMPLEX_BYTES = 16
 # Screen points may deviate from x_0 + j dx by this many ulps of the grid's

@@ -19,6 +19,7 @@ if TYPE_CHECKING:
 
 PEAK_SINGLE_SLIT = "peak_single_slit"
 UNIT_INTEGRAL = "unit_integral"
+NORMALIZATIONS = (PEAK_SINGLE_SLIT, UNIT_INTEGRAL)
 
 PREDICTABILITY = "predictability"
 DISTINGUISHABILITY = "distinguishability"

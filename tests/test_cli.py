@@ -431,6 +431,36 @@ class TestRunScenario:
         report = run_scenario(cfg, out_dir=tmp_path)
         jsonschema.validate(instance=report.summary, schema=SUMMARY_SCHEMA)
 
+    @pytest.mark.parametrize("extra,out", [
+        ("oracle = true\nwashout_theta = 2mrad\nwashout_tilts = 5\n"
+         "grid_points = 801\nmodels = empty_wave_a, standard_two_slit\n",
+         True),
+        ("washout_theta = 25mrad\n", False),
+    ], ids=["oracle_washout_out_dir", "model_washout"])
+    def test_summary_has_exactly_the_schema_keys(self, tmp_path, extra, out):
+        # A key the summary gains and the schema lacks, or the reverse,
+        # fails here; the schema's validation only sees missing keys.
+        summary = run_scenario(make_config(extra),
+                               out_dir=tmp_path if out else None).summary
+        props = SUMMARY_SCHEMA["properties"]
+
+        def keys(schema):
+            return sorted(schema["required"])
+
+        assert sorted(summary) == keys(SUMMARY_SCHEMA)
+        for name in ("geometry", "feasibility", "grid"):
+            assert sorted(summary[name]) == keys(props[name])
+        assert summary["washout"] is not None
+        assert sorted(summary["washout"]) == keys(props["washout"]["oneOf"][1])
+        sources = [entry["source"] for entry in summary["patterns"]]
+        assert "washout" in sources and ("oracle" in sources) == out
+        for entry in summary["patterns"]:
+            assert sorted(entry) == sorted(
+                ["csv", *props["patterns"]["items"]["required"]])
+        assert len(summary["divergences"]) == (2 if out else 0)
+        for div in summary["divergences"]:
+            assert sorted(div) == keys(props["divergences"]["items"])
+
     def test_csv_round_trips_exactly(self, tmp_path):
         cfg = make_config(FOCUS_A_CONFIG)
         report = run_scenario(cfg, out_dir=tmp_path)
