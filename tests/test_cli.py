@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from whichway import cli, oracle
+from whichway import _floattext, cli, oracle
 from whichway._floattext import BLOCK_ROWS, format_g17
 from whichway.analytic import (PEAK_SINGLE_SLIT, UNIT_INTEGRAL, GridSpec,
                                IntensityPattern, ModelKind, sample_pattern)
@@ -732,6 +732,120 @@ class TestCsvMemory:
         finally:
             tracemalloc.stop()
         assert peak < self.LIMIT_BYTES
+
+
+def spy_on_formatting(monkeypatch) -> list[int]:
+    """The sizes of the arrays ``_floattext.format_g17`` formats from here
+    on, one entry per call."""
+    sizes = []
+    real = _floattext.format_g17
+
+    def spy(values):
+        sizes.append(np.size(values))
+        return real(values)
+
+    monkeypatch.setattr(_floattext, "format_g17", spy)
+    return sizes
+
+
+def palindrome(n: int) -> np.ndarray:
+    """A column of n values, equal to its own reverse bit for bit, whose
+    upper half spans many decades and holds exact zeros."""
+    k = np.arange(n - n // 2)
+    half = np.cos(0.37 * k) ** 2 * 10.0 ** (k % 41 - 20)
+    half[::97] = 0.0
+    return np.concatenate((half[::-1][:n // 2], half))
+
+
+class TestMirroredCsv:
+    """A column that equals its own reverse bit for bit is formatted from
+    its upper half, with the bytes of formatting each value; any other
+    column, however near, is formatted whole."""
+
+    @staticmethod
+    def formatted(tmp_path, monkeypatch, intensity) -> int:
+        """Write ``intensity`` with a shared x text, check the file against
+        Python's per-value ``.17g`` rows, and return the count of
+        intensity values formatted."""
+        x = np.linspace(-1e-3, 1e-3, intensity.size)
+        x_text = format_g17(x)
+        sizes = spy_on_formatting(monkeypatch)
+        write_pattern_csv(IntensityPattern(x, intensity, PEAK_SINGLE_SLIT),
+                          tmp_path / "p.csv", x_text=x_text)
+        reference = "".join(f"{a:.17g},{b:.17g}\n" for a, b in zip(
+            x.tolist(), intensity.tolist()))
+        assert (tmp_path / "p.csv").read_bytes() \
+            == ("x_m,intensity\n" + reference).encode("ascii")
+        return sum(sizes)
+
+    @pytest.mark.parametrize("n", [2, 3, 2 * BLOCK_ROWS, 2 * BLOCK_ROWS + 1,
+                                   4001, 3 * BLOCK_ROWS + 6])
+    def test_palindrome_formats_its_upper_half(self, tmp_path, monkeypatch,
+                                               n):
+        assert self.formatted(tmp_path, monkeypatch, palindrome(n)) \
+            == n - n // 2
+
+    def test_constant_column(self, tmp_path, monkeypatch):
+        assert self.formatted(tmp_path, monkeypatch,
+                              np.full(4001, 0.25)) == 2001
+
+    @pytest.mark.parametrize("n", [4000, 4001])
+    @pytest.mark.parametrize("row", [0, 5])
+    def test_one_ulp_off_is_formatted_whole(self, tmp_path, monkeypatch, n,
+                                            row):
+        intensity = palindrome(n)
+        intensity[row] = np.nextafter(intensity[row], np.inf)
+        assert self.formatted(tmp_path, monkeypatch, intensity) == n
+
+    def test_signed_zeros_are_formatted_whole(self, tmp_path, monkeypatch):
+        # +0.0 and -0.0 compare equal, and -0.0 passes IntensityPattern's
+        # i < 0 check, but their bits and their text ("0", "-0") differ.
+        intensity = palindrome(4001)
+        intensity[3], intensity[-4] = 0.0, -0.0
+        assert self.formatted(tmp_path, monkeypatch, intensity) == 4001
+
+    @staticmethod
+    def formatted_per_file(monkeypatch) -> dict[str, int]:
+        """The count of intensity values formatted for each CSV
+        ``write_pattern_csv`` writes from here on, by pattern name."""
+        counts = {}
+        sizes = spy_on_formatting(monkeypatch)
+        real = cli.write_pattern_csv
+
+        def spy(pattern, path, *, x_text=None):
+            sizes.clear()
+            real(pattern, path, x_text=x_text)
+            counts[path.stem.removeprefix("pattern_")] = sum(sizes)
+
+        monkeypatch.setattr(cli, "write_pattern_csv", spy)
+        return counts
+
+    def test_folded_oracle_and_washout_format_half(self, tmp_path,
+                                                   monkeypatch):
+        cfg = make_config("beam = plane\nalignment = cover_both\n"
+                          "oracle = true\nwashout_theta = 2mrad\n")
+        counts = self.formatted_per_file(monkeypatch)
+        report = run_scenario(cfg, out_dir=tmp_path)
+        n = cfg.grid_points
+        assert counts == {"standard_two_slit": n, "oracle": n - n // 2,
+                          "washout": n - n // 2}
+        for name in ("oracle", "washout"):
+            data = np.loadtxt(tmp_path / f"pattern_{name}.csv",
+                              delimiter=",", skiprows=1)
+            assert np.array_equal(data[:, 1],
+                                  report.patterns[name].intensity)
+
+    @pytest.mark.parametrize("setup", [
+        "beam = bessel\nradial_wavenumber = 2.4e6\nalignment = focus_a\n",
+        "grid_min = -1mm\ngrid_max = 3mm\n",
+    ], ids=["signed_ring_bessel", "off_centre_window"])
+    def test_unfolded_run_formats_every_value(self, tmp_path, monkeypatch,
+                                              setup):
+        cfg = make_config(setup + "oracle = true\nwashout_theta = 2mrad\n")
+        counts = self.formatted_per_file(monkeypatch)
+        run_scenario(cfg, out_dir=tmp_path)
+        n = cfg.grid_points
+        assert counts == {"standard_two_slit": n, "oracle": n, "washout": n}
 
 
 class TestOracleStart:
