@@ -120,6 +120,9 @@ def _general_two_slit(terms: PlateTerms, alpha: float, beta: float):
         raise ValueError("alpha and beta must be >= 0")
     if alpha == 0.0 and beta == 0.0:
         raise ValueError("alpha and beta cannot both be zero")
+    total = alpha + beta
+    if not 0.0 < total * total < math.inf:
+        raise ValueError("(alpha + beta)^2 overflows or is 0")
     geom = terms.geom
     v = 2.0 * math.pi * geom.slit_separation_m * terms.x_m \
         / (geom.wavelength_m * geom.screen_distance_m)

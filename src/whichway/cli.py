@@ -22,9 +22,10 @@ from typing import Any, Callable, NamedTuple, Optional, Sequence
 from . import __version__
 from .geometry import FeasibilityReport, SlitGeometry, check_feasibility
 from .mzi import MziConfig, MziMode, asymmetric_duality, mzi_duality
-from .specs import (NORMALIZATIONS, PEAK_SINGLE_SLIT, PREDICTABILITY,
-                    ConvergenceError, GridSpec, ModelKind, QuadratureSpec,
-                    duality_report, predictability)
+from .specs import (MAX_NODES_PER_INTERVAL, NORMALIZATIONS,
+                    PEAK_SINGLE_SLIT, PREDICTABILITY, ConvergenceError,
+                    GridSpec, ModelKind, QuadratureSpec, duality_report,
+                    predictability)
 
 # The names this module takes from the array modules.  _load_arrays binds
 # them on the first path that checks or samples a grid, so that importing
@@ -218,7 +219,9 @@ _KEYS = {
     "alpha": _Key("alpha", float, *_NON_NEGATIVE),
     "beta": _Key("beta", float, *_NON_NEGATIVE),
     "oracle": _Key("oracle_enabled", _parse_bool),
-    "oracle_nodes": _Key("nodes_per_interval", int, lambda v: v >= 8, ">= 8",
+    "oracle_nodes": _Key("nodes_per_interval", int,
+                         lambda v: 8 <= v <= MAX_NODES_PER_INTERVAL,
+                         f"in [8, {MAX_NODES_PER_INTERVAL}]",
                          owner="quadrature"),
     "oracle_rtol": _Key("relative_tolerance", float, lambda v: 0.0 < v < 1.0,
                         "in (0, 1)", owner="quadrature"),

@@ -47,14 +47,11 @@ amplitude and the first block of a washout's modes share each level's beam
 samples and kernel tables (:func:`oracle_patterns`), and each keeps the bits
 of its own call.
 
-The canonical plate is mirror-symmetric, and two symmetries follow.  A real
-aperture field (no aperture phase; a Gaussian, a Bessel or an untilted
-plane-wave beam) has a Hermitian far field, C(-x) = conj C(x), and so has
-every mode column, whose phases B Z are real: on a grid with
-x[0] == -x[-1], :func:`oracle_patterns` integrates only x >= 0 and mirrors
-the even intensity.  And on proxy nodes mirror-symmetric about 0, B's
-1 and cos columns are even in xi and its sin columns odd, so its SVD splits
-into one per parity (:func:`_basis_svd`).
+The canonical plate is mirror-symmetric.  A real aperture field (no
+aperture phase; a Gaussian, a Bessel or an untilted plane-wave beam) has a
+Hermitian far field, C(-x) = conj C(x), and so has every mode column, whose
+phases B Z are real: on a grid with x[0] == -x[-1], :func:`oracle_patterns`
+integrates only x >= 0 and mirrors the even intensity.
 """
 
 from __future__ import annotations
@@ -269,37 +266,6 @@ def _amplitude_fixed(beam: BeamProfile, apertures: ApertureSet,
     return amp.reshape(f.shape[0], -1)[:, :x.size].T
 
 
-def _basis_svd(k_screen: float, xi: np.ndarray, positive: np.ndarray
-               ) -> tuple[np.ndarray, np.ndarray]:
-    """sigma, descending, and Z^T of the real SVD B = U S Z^T of the basis
-    of :func:`_basis` on the nodes ``xi``.
-
-    On nodes mirror-symmetric about 0 with none at 0, the rows
-    (B(xi) +- B(-xi)) / sqrt2 of the nodes xi > 0 are an orthogonal
-    transform of B's rows, and they split it by parity: sqrt2 [1, sqrt2 cos]
-    on the columns of 1 and cos, 2 sin on those of sin.  Each block takes
-    its own SVD, a quarter of the whole one, and their sigma merge in
-    descending order (the even block's first on ties), so each row of Z^T
-    is zero on the other block's columns.  Other node sets take one SVD.
-    """
-    ordered = np.sort(xi)
-    if not (np.all(ordered) and np.array_equal(ordered, -ordered[::-1])):
-        _, sigma, zt = np.linalg.svd(_basis(k_screen, xi, positive),
-                                     full_matrices=False)
-        return sigma, zt
-    basis = math.sqrt(2.0) * _basis(k_screen, ordered[xi.size // 2:],
-                                    positive)
-    cut = positive.size + 1
-    _, even, even_zt = np.linalg.svd(basis[:, :cut], full_matrices=False)
-    _, odd, odd_zt = np.linalg.svd(basis[:, cut:], full_matrices=False)
-    sigma = np.concatenate((even, odd))
-    zt = np.zeros((sigma.size, basis.shape[1]))
-    zt[:even.size, :cut] = even_zt
-    zt[even.size:, cut:] = odd_zt
-    order = np.argsort(-sigma, kind="stable")
-    return sigma[order], zt[order]
-
-
 def _coherent_modes(beam: BeamProfile, apertures: ApertureSet,
                     geom: SlitGeometry, positive: np.ndarray, n: int
                     ) -> tuple[np.ndarray, float]:
@@ -308,8 +274,7 @@ def _coherent_modes(beam: BeamProfile, apertures: ApertureSet,
 
     On a proxy of n nodes per interval, V = exp(i k xi s) is B T^H for the
     real basis B of :func:`_basis` and a unitary T, so one real SVD
-    B = U S Z^T (:func:`_basis_svd`, split by parity on a mirror-symmetric
-    plate) gives V's sigma and its modes W = T Z, with V W = B Z = U S.
+    B = U S Z^T gives V's sigma and its modes W = T Z, with V W = B Z = U S.
     The kept modes are those with sigma_r > ``_MODE_CUTOFF`` sigma_1.
     While R fills the proxy (and is short of the shift count), the proxy is
     too coarse to span the tilt phases, so n doubles.  The bound is
@@ -320,7 +285,8 @@ def _coherent_modes(beam: BeamProfile, apertures: ApertureSet,
     k_screen = 2.0 * math.pi / (geom.wavelength_m * geom.screen_distance_m)
     while True:
         xi, weights = _aperture_nodes(apertures, n)
-        sigma, zt = _basis_svd(k_screen, xi, positive)
+        _, sigma, zt = np.linalg.svd(_basis(k_screen, xi, positive),
+                                     full_matrices=False)
         rank = int(np.count_nonzero(sigma > _MODE_CUTOFF * sigma[0]))
         if rank < xi.size or rank == zt.shape[1]:
             break

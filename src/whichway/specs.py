@@ -71,6 +71,11 @@ class GridSpec:
         return (self.x_max_m - self.x_min_m) / (self.points - 1)
 
 
+# leggauss(n) takes the eigenvalues of an n x n companion matrix: 128 MiB
+# of float64 at the largest starting node count.
+MAX_NODES_PER_INTERVAL = 2 ** 12
+
+
 @dataclass(frozen=True)
 class QuadratureSpec:
     """Gauss-Legendre settings: starting nodes per interval, relative
@@ -85,8 +90,9 @@ class QuadratureSpec:
     max_refinements: int = 6
 
     def __post_init__(self) -> None:
-        if self.nodes_per_interval < 8:
-            raise ValueError("nodes_per_interval must be >= 8")
+        if not 8 <= self.nodes_per_interval <= MAX_NODES_PER_INTERVAL:
+            raise ValueError("nodes_per_interval must be in "
+                             f"[8, {MAX_NODES_PER_INTERVAL}]")
         if not (0.0 < self.relative_tolerance < 1.0):
             raise ValueError("relative_tolerance must lie in (0, 1)")
         if self.max_refinements < 1:

@@ -134,8 +134,13 @@ class TestGeneralTwoSlit:
     def test_rejects_bad_amplitudes(self, ref_geom):
         with pytest.raises(ValueError):
             general_two_slit_intensity(ref_geom, 0.0, -1.0, 1.0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="cannot both be zero"):
             general_two_slit_intensity(ref_geom, 0.0, 0.0, 0.0)
+        # (alpha + beta)^2 underflows to 0 or overflows, as the config rule
+        # has it, instead of a 0/0 or an OverflowError.
+        for alpha, beta in ((1e-170, 1e-170), (5e-324, 0.0), (1e155, 1e155)):
+            with pytest.raises(ValueError, match="overflows or is 0"):
+                general_two_slit_intensity(ref_geom, 0.0, alpha, beta)
 
     def test_point_source_limit_is_pure_fringe(self):
         # s -> 0 makes the envelope flat; equal amplitudes leave only the

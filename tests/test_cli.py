@@ -1301,6 +1301,11 @@ class TestMain:
               ("grid_points = 1000000000000\n", "grid_points"),
               ("oracle = true\nwashout_theta = 5mrad\n"
                "washout_tilts = 1000000000001\n", "washout_tilts"))),
+        # The starting node count sizes leggauss's companion matrix; the
+        # oracle stays off, so a count past the rule would allocate nothing.
+        *((argv, "oracle_nodes = 4097\n", "oracle_nodes")
+          for argv in (["check"], ["simulate", "--out-dir", "{out}"],
+                       ["sweep", "--param", "d", "--values", "12.6um"])),
     ])
     def test_error_names_its_own_key(self, tmp_path, capsys, argv, extra,
                                      key):

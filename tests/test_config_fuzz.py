@@ -77,7 +77,7 @@ EDGES = {
     # The longest name a run writes, <prefix>_standard_focused_a.csv, is
     # 256 bytes long with either prefix.
     "csv_prefix": ["", "a/b", "a" * 233, "µ" * 116 + "a"],
-    "oracle_nodes": ["4", "0", "-8", "1.5", ""],
+    "oracle_nodes": ["4", "0", "-8", "1.5", "", "4097"],
     "oracle_refinements": ["0", "-1", "x", ""],
 }
 KEYS = list(cli._KEYS)

@@ -95,6 +95,8 @@ class TestQuadratureSpec:
         with pytest.raises(ValueError):
             QuadratureSpec(nodes_per_interval=4)
         with pytest.raises(ValueError):
+            QuadratureSpec(nodes_per_interval=4097)
+        with pytest.raises(ValueError):
             QuadratureSpec(relative_tolerance=0.0)
         with pytest.raises(ValueError):
             QuadratureSpec(relative_tolerance=1.5)
@@ -1015,11 +1017,10 @@ class TestRealModeBasis:
             <= 1e-13
 
 
-class TestParitySplitModes:
-    """On a plate mirror-symmetric about 0 the basis B splits by parity into
-    an even block (1, cos) and an odd one (sin), each with its own SVD; one
-    SVD of the whole B, doubled by the rule ``_coherent_modes`` keeps, is
-    the reference."""
+class TestCoherentModes:
+    """On a two-slit plate the mode weights Z come from one SVD of the whole
+    basis B; its singular values alone, doubled by the rule
+    ``_coherent_modes`` keeps, are the reference."""
 
     @settings(max_examples=200, deadline=None, derandomize=True,
               database=None)
@@ -1045,31 +1046,23 @@ class TestParitySplitModes:
                 break
             nodes *= 2
         assert z.shape == (basis.shape[1], rank)
-        split, _ = oracle_module._basis_svd(k_screen, xi, positive)
-        assert np.max(np.abs(split - sigma)) <= 1e-13 * sigma[0]
-        # The bound is sigma_{R+1}^2 sum |f|^2 of the split sigma.  Either
-        # SVD resolves sigma_{R+1} < 1e-13 sigma_1 only to a few ulps of
-        # sigma_1, so the whole SVD's bound is matched to within a change
-        # of 1e-15 sigma_1 in sigma_{R+1}.
+        # The bound is sigma_{R+1}^2 sum |f|^2.  An SVD resolves
+        # sigma_{R+1} < 1e-13 sigma_1 only to a few ulps of sigma_1, so the
+        # reference's bound is matched to within a change of 1e-15 sigma_1
+        # in sigma_{R+1}.
         if rank == sigma.size:
             assert bound == 0.0
         else:
             energy = np.sum(np.abs(amplitude_at(beam, xi, geom.wavelength_m)
                                    * weights) ** 2)
-            assert bound == pytest.approx(split[rank] ** 2 * energy,
-                                          rel=1e-12, abs=0.0)
             ulps = 1e-15 * sigma[0]
             assert abs(bound - sigma[rank] ** 2 * energy) \
                 <= (2 * sigma[rank] + ulps) * ulps * energy
-        # each mode is even or odd: zero on the other block's rows of Z
-        even = np.any(z[:positive.size + 1] != 0.0, axis=0)
-        odd = np.any(z[positive.size + 1:] != 0.0, axis=0)
-        assert np.all(even != odd)
         assert np.max(np.abs(z.T @ z - np.eye(rank))) <= 1e-13
         assert np.max(np.abs(np.linalg.norm(basis @ z, axis=0)
                              - sigma[:rank])) <= 1e-13 * sigma[0]
 
-    def test_only_a_mirror_symmetric_plate_splits(self, monkeypatch):
+    def test_one_svd_per_proxy(self, monkeypatch):
         shapes = []
         svd = np.linalg.svd
 
@@ -1083,9 +1076,9 @@ class TestParitySplitModes:
                           two_slit_apertures(REF_GEOM)):
             oracle_module._coherent_modes(PlaneWave(), apertures, REF_GEOM,
                                           positive, 32)
-        # one slit: the whole (32 x 11) basis; two: the even (1, cos) and
-        # odd (sin) blocks on the 32 nodes xi > 0
-        assert shapes == [(32, 11), (32, 6), (32, 5)]
+        # the whole basis, 32 nodes per interval by 11 columns, on one slit
+        # as on two
+        assert shapes == [(32, 11), (64, 11)]
 
 
 class TestPlancherel:
