@@ -25,8 +25,8 @@ _EXPORTS = {
     "specs": (
         "PEAK_SINGLE_SLIT", "UNIT_INTEGRAL", "GridSpec", "ModelKind",
         "QuadratureSpec", "ConvergenceError", "PREDICTABILITY",
-        "DISTINGUISHABILITY", "DualityReport", "duality_report",
-        "predictability"),
+        "DISTINGUISHABILITY", "DualityReport", "PatternDivergence",
+        "duality_report", "predictability"),
     "analytic": (
         "IntensityPattern", "PlateTerms", "default_grid", "sample_pattern",
         "single_slit_intensity", "fringe_factor",
@@ -38,9 +38,8 @@ _EXPORTS = {
         "oracle_patterns", "single_slit_aperture", "two_slit_apertures",
         "washout_pattern"),
     "metrics": (
-        "PatternDivergence", "ResolutionError", "fringe_carrier_phase",
-        "pattern_divergence", "visibility_fringe_local",
-        "visibility_global"),
+        "ResolutionError", "fringe_carrier_phase", "pattern_divergence",
+        "visibility_fringe_local", "visibility_global"),
     "mzi": (
         "MziConfig", "MziMode", "asymmetric_duality", "mzi_duality",
         "output_intensity"),

@@ -26,13 +26,11 @@ import numpy as np
 
 from .geometry import SlitGeometry
 from .specs import (NORMALIZATIONS, PEAK_SINGLE_SLIT, UNIT_INTEGRAL,
-                    GridSpec, ModelKind)
+                    GridSpec, ModelKind, _check_steps)
 
 # Series switch for sin(u)/u keeps the evaluation C^2-smooth at u = 0,
 # which the extremum interpolation in the metrics module relies on.
 _SINC_SERIES_CUTOFF = 1e-4
-# A pattern's grid steps may differ from their mean by this fraction of it.
-_STEP_RTOL = 1e-9
 
 
 def _sinc(u):
@@ -195,21 +193,36 @@ def pure_fringe(geom: SlitGeometry, x_m):
     return _on_points(_pure_fringe, geom, x_m)
 
 
+# kind -> (formula, unit_scale, slit, takes alpha and beta).  The unit scale
+# converts the formula's natural intensity unit to the single-slit peak
+# unit.  The fringed one-slit patterns ride on a doubled scale (their fringe
+# average has to carry the same power as the bare envelope), and the
+# both-slits pattern doubles once more.  The slit ("a" or "b") is the one
+# whose envelope peak the default window centres on, None for x = 0.
+_MODELS = {
+    ModelKind.SINGLE_SLIT_A: (_focused_a, 1.0, "a", False),
+    ModelKind.EMPTY_WAVE_A: (_empty_wave_a, 2.0, "a", False),
+    ModelKind.EMPTY_WAVE_B: (_empty_wave_b, 2.0, "b", False),
+    ModelKind.EMPTY_WAVE_SUM: (_empty_wave_sum, 2.0, None, False),
+    ModelKind.STANDARD_TWO_SLIT: (_standard_two_slit, 4.0, None, False),
+    ModelKind.STANDARD_FOCUSED_A: (_focused_a, 1.0, "a", False),
+    ModelKind.PURE_FRINGE: (_pure_fringe, 1.0, None, False),
+    ModelKind.GENERAL_TWO_SLIT: (_general_two_slit, 2.0, "a", True),
+}
+
+
 def default_grid(kind: ModelKind, geom: SlitGeometry, points: int = 4001) -> GridSpec:
     """Default sampling window for a model.
 
     Slit-A (slit-B) centered models span 1.2 envelope lobes around their
     envelope peak; symmetric models span the same width around x = 0.
     """
+    if not isinstance(kind, ModelKind):
+        raise ValueError(f"unknown model kind {kind!r}")
+    slit = _MODELS[kind][2]
+    center = getattr(geom, f"slit_{slit}_center_m") if slit else 0.0
     lobe = geom.wavelength_m * geom.screen_distance_m / geom.slit_width_m
     half = 1.2 * lobe
-    if kind in (ModelKind.SINGLE_SLIT_A, ModelKind.EMPTY_WAVE_A,
-                ModelKind.STANDARD_FOCUSED_A, ModelKind.GENERAL_TWO_SLIT):
-        center = geom.slit_a_center_m
-    elif kind is ModelKind.EMPTY_WAVE_B:
-        center = geom.slit_b_center_m
-    else:
-        center = 0.0
     return GridSpec(center - half, center + half, points)
 
 
@@ -252,23 +265,6 @@ class IntensityPattern:
         return (self.x_m[-1] - self.x_m[0]) / (self.x_m.size - 1)
 
 
-# kind -> (formula, unit_scale).  The unit scale converts the formula's
-# natural intensity unit to the single-slit peak unit.  The fringed one-slit
-# patterns ride on a doubled scale (their fringe average has to carry the
-# same power as the bare envelope), and the both-slits pattern doubles once
-# more.  Only general_two_slit takes the slit amplitudes alpha and beta.
-_MODELS = {
-    ModelKind.SINGLE_SLIT_A: (_focused_a, 1.0),
-    ModelKind.EMPTY_WAVE_A: (_empty_wave_a, 2.0),
-    ModelKind.EMPTY_WAVE_B: (_empty_wave_b, 2.0),
-    ModelKind.EMPTY_WAVE_SUM: (_empty_wave_sum, 2.0),
-    ModelKind.STANDARD_TWO_SLIT: (_standard_two_slit, 4.0),
-    ModelKind.STANDARD_FOCUSED_A: (_focused_a, 1.0),
-    ModelKind.PURE_FRINGE: (_pure_fringe, 1.0),
-    ModelKind.GENERAL_TWO_SLIT: (_general_two_slit, 2.0),
-}
-
-
 def sample_pattern(kind: ModelKind, geom: SlitGeometry,
                    grid: Optional[GridSpec] = None,
                    normalization: str = PEAK_SINGLE_SLIT,
@@ -295,10 +291,8 @@ def sample_pattern(kind: ModelKind, geom: SlitGeometry,
     elif terms.geom != geom or terms.grid != grid:
         raise ValueError("terms were built for another plate or grid")
     x = terms.x_m
-    formula, unit_scale = _MODELS[kind]
-    amplitudes = {}
-    if kind is ModelKind.GENERAL_TWO_SLIT:
-        amplitudes = {"alpha": alpha, "beta": beta}
+    formula, unit_scale, _, takes_amplitudes = _MODELS[kind]
+    amplitudes = {"alpha": alpha, "beta": beta} if takes_amplitudes else {}
     values = formula(terms, **amplitudes)
 
     if normalization == UNIT_INTEGRAL:
@@ -316,17 +310,6 @@ def sample_pattern(kind: ModelKind, geom: SlitGeometry,
     }
     return IntensityPattern(x_m=x, intensity=values,
                             normalization=normalization, meta=meta)
-
-
-def _check_steps(x: np.ndarray) -> None:
-    """Raise ValueError unless the points ``x`` (two or more) are strictly
-    increasing and their steps agree to ``_STEP_RTOL`` of the mean step."""
-    steps = np.diff(x)
-    if np.any(steps <= 0.0):
-        raise ValueError("x_m must be strictly increasing")
-    mean_step = (x[-1] - x[0]) / (x.size - 1)
-    if np.max(np.abs(steps - mean_step)) > _STEP_RTOL * abs(mean_step):
-        raise ValueError("x_m must be uniformly spaced")
 
 
 def _frozen(values):

@@ -22,9 +22,10 @@ from typing import Any, Callable, NamedTuple, Optional, Sequence
 from . import __version__
 from .geometry import FeasibilityReport, SlitGeometry, check_feasibility
 from .mzi import MziConfig, MziMode, asymmetric_duality, mzi_duality
-from .specs import (MAX_NODES_PER_INTERVAL, NORMALIZATIONS,
-                    PEAK_SINGLE_SLIT, PREDICTABILITY, ConvergenceError,
-                    GridSpec, ModelKind, QuadratureSpec, duality_report,
+from .specs import (MAX_BUDGET_NODES, MAX_NODES_PER_INTERVAL,
+                    NORMALIZATIONS, PEAK_SINGLE_SLIT, PREDICTABILITY,
+                    ConvergenceError, GridSpec, ModelKind, PatternDivergence,
+                    QuadratureSpec, _within_budget, duality_report,
                     predictability)
 
 # The names this module takes from the array modules.  _load_arrays binds
@@ -352,8 +353,14 @@ def parse_config(text: str) -> ScenarioConfig:
         if spec.owner:  # SlitGeometry and QuadratureSpec name no keys
             spec.check(key, value)
         values[spec.owner][spec.field] = value
+    quadrature = {**asdict(QuadratureSpec()), **values["quadrature"]}
+    if not _within_budget(quadrature["nodes_per_interval"],
+                          quadrature["max_refinements"]):
+        raise ConfigError("oracle_refinements must be such that oracle_nodes"
+                          f" * 2^oracle_refinements <= {MAX_BUDGET_NODES}",
+                          key="oracle_refinements")
     cfg = ScenarioConfig(geometry=_plate(values["geometry"]),
-                         quadrature=QuadratureSpec(**values["quadrature"]),
+                         quadrature=QuadratureSpec(**quadrature),
                          **values[None])
     if raw:
         key, (_, line_no) = next(iter(raw.items()))
@@ -822,9 +829,7 @@ def _field_names(cls: type) -> list[str]:
 
 
 _FRACTION = {"type": "number", "minimum": 0, "maximum": 1}
-# JSON summary schema (the README names it).  The divergence's keys, after
-# model and against, are the fields of metrics.PatternDivergence; they are
-# written out, as importing that module loads numpy.
+# JSON summary schema (the README names it).
 SUMMARY_SCHEMA = _object(
     ["tool", "tool_version", "geometry", "alignment", "path_probability_a",
      "path_probability_b", "feasibility", "grid", "patterns", "divergences",
@@ -853,8 +858,7 @@ SUMMARY_SCHEMA = _object(
                 "inequality_satisfied": {"type": "boolean"},
             })},
         "divergences": {"type": "array", "items": _object(
-            ["model", "against", "l2_relative", "sup_relative",
-             "visibility_gap"])},
+            ["model", "against", *_field_names(PatternDivergence)])},
         "washout": {"oneOf": [{"type": "null"},
                               _object(["theta_rad", "n_tilts"])]},
     })

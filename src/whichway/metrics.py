@@ -1,6 +1,7 @@
 """Duality metrics: fringe visibility and pattern divergence, next to the
-which-way predictability and P^2 + V^2 bookkeeping of :mod:`whichway.specs`
-(imported here, so both are read from this module too).
+divergence record, the which-way predictability and the P^2 + V^2
+bookkeeping of :mod:`whichway.specs` (imported here, so all are read from
+this module too).
 
 Two visibility notions are kept deliberately distinct.  ``visibility_global``
 is the raw (max - min)/(max + min) over the whole sampled pattern; it reads
@@ -12,7 +13,6 @@ the fringe scale and is the quantity used in duality sums.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,7 +20,7 @@ from .analytic import IntensityPattern
 from .geometry import SlitGeometry, fringe_period
 from .specs import (  # noqa: F401 (read from this module too)
     DISTINGUISHABILITY, DUALITY_TOLERANCE, PREDICTABILITY, DualityReport,
-    duality_report, predictability)
+    PatternDivergence, duality_report, predictability)
 
 _SAMPLES_PER_PERIOD = 8
 
@@ -95,13 +95,6 @@ def _interp_extremum(values: np.ndarray, i: int) -> float:
     if curv == 0.0:
         return y1
     return y1 - (y2 - y0) ** 2 / (8.0 * curv)
-
-
-@dataclass(frozen=True)
-class PatternDivergence:
-    l2_relative: float
-    sup_relative: float
-    visibility_gap: float
 
 
 def pattern_divergence(a: IntensityPattern, b: IntensityPattern) -> PatternDivergence:

@@ -1,6 +1,6 @@
 """Declarations that need no arrays: model kinds, normalization names, the
-grid and quadrature settings, the oracle's convergence error and the
-duality bookkeeping.
+grid and its step rule, the quadrature settings, the oracle's convergence
+error, the divergence record and the duality bookkeeping.
 
 A config parse, ``check``'s plate rules and the ``mzi`` reports use only
 these, so this module imports no numpy; :mod:`whichway.analytic`,
@@ -27,6 +27,8 @@ DISTINGUISHABILITY = "distinguishability"
 # Slack used when flagging duality-sum violations; keeps exact saturation
 # (P^2 + V^2 == 1) on the satisfied side of the fence.
 DUALITY_TOLERANCE = 1e-9
+# A pattern's grid steps may differ from their mean by this fraction of it.
+_STEP_RTOL = 1e-9
 
 
 class ModelKind(enum.Enum):
@@ -63,7 +65,6 @@ class GridSpec:
     def check_points(self) -> None:
         """Raise ValueError unless :meth:`x` is strictly increasing and evenly
         spaced, as :class:`~whichway.analytic.IntensityPattern` requires."""
-        from .analytic import _check_steps
         _check_steps(self.x())
 
     @property
@@ -71,9 +72,25 @@ class GridSpec:
         return (self.x_max_m - self.x_min_m) / (self.points - 1)
 
 
+def _check_steps(x: np.ndarray) -> None:
+    """Raise ValueError unless the points ``x`` (two or more) are strictly
+    increasing and their steps agree to ``_STEP_RTOL`` of the mean step.
+    Array methods, not numpy functions, keep numpy out of this module."""
+    steps = x[1:] - x[:-1]
+    if (steps <= 0.0).any():
+        raise ValueError("x_m must be strictly increasing")
+    mean_step = (x[-1] - x[0]) / (x.size - 1)
+    if abs(steps - mean_step).max() > _STEP_RTOL * abs(mean_step):
+        raise ValueError("x_m must be uniformly spaced")
+
+
 # leggauss(n) takes the eigenvalues of an n x n companion matrix: 128 MiB
 # of float64 at the largest starting node count.
 MAX_NODES_PER_INTERVAL = 2 ** 12
+# The most nodes per interval a refinement budget may reach: that of the
+# deepest golden item, 128 nodes doubled 6 times.  Each further doubling
+# costs about 8x the time and 4x the memory.
+MAX_BUDGET_NODES = 2 * MAX_NODES_PER_INTERVAL
 
 
 @dataclass(frozen=True)
@@ -97,6 +114,15 @@ class QuadratureSpec:
             raise ValueError("relative_tolerance must lie in (0, 1)")
         if self.max_refinements < 1:
             raise ValueError("max_refinements must be >= 1")
+        if not _within_budget(self.nodes_per_interval, self.max_refinements):
+            raise ValueError("nodes_per_interval * 2^max_refinements must be "
+                             f"<= {MAX_BUDGET_NODES}")
+
+
+def _within_budget(nodes_per_interval: int, max_refinements: int) -> bool:
+    """Whether nodes_per_interval * 2^max_refinements (max_refinements >= 0)
+    is at most ``MAX_BUDGET_NODES``; 2^max_refinements is never formed."""
+    return nodes_per_interval <= MAX_BUDGET_NODES >> max_refinements
 
 
 class ConvergenceError(RuntimeError):
@@ -135,6 +161,13 @@ def predictability(p_slit_a: float, p_slit_b: float) -> float:
         raise ValueError(
             f"path probabilities must sum to 1, got {p_slit_a + p_slit_b!r}")
     return abs(p_slit_a - p_slit_b)
+
+
+@dataclass(frozen=True)
+class PatternDivergence:
+    l2_relative: float
+    sup_relative: float
+    visibility_gap: float
 
 
 @dataclass(frozen=True)

@@ -365,14 +365,28 @@ class TestSamplePattern:
             sample_pattern(kind, REF_GEOM, grid, normalization)
 
     def test_default_grid_centers(self, ref_geom):
-        grid_a = default_grid(ModelKind.EMPTY_WAVE_A, ref_geom)
-        grid_b = default_grid(ModelKind.EMPTY_WAVE_B, ref_geom)
-        grid_sym = default_grid(ModelKind.STANDARD_TWO_SLIT, ref_geom)
-        mid = lambda g: 0.5 * (g.x_min_m + g.x_max_m)
-        assert mid(grid_a) == pytest.approx(ref_geom.slit_a_center_m)
-        assert mid(grid_b) == pytest.approx(ref_geom.slit_b_center_m)
-        assert mid(grid_sym) == pytest.approx(0.0)
-        assert grid_a.points == 4001
+        a, b = ref_geom.slit_a_center_m, ref_geom.slit_b_center_m
+        centers = {
+            ModelKind.SINGLE_SLIT_A: a,
+            ModelKind.EMPTY_WAVE_A: a,
+            ModelKind.EMPTY_WAVE_B: b,
+            ModelKind.EMPTY_WAVE_SUM: 0.0,
+            ModelKind.STANDARD_TWO_SLIT: 0.0,
+            ModelKind.STANDARD_FOCUSED_A: a,
+            ModelKind.PURE_FRINGE: 0.0,
+            ModelKind.GENERAL_TWO_SLIT: a,
+        }
+        assert set(centers) == set(ModelKind)
+        half = 1.2 * ref_geom.wavelength_m * ref_geom.screen_distance_m \
+            / ref_geom.slit_width_m
+        for kind, center in centers.items():
+            grid = default_grid(kind, ref_geom)
+            assert 0.5 * (grid.x_min_m + grid.x_max_m) == pytest.approx(
+                center, abs=1e-12 * half), kind
+            assert grid.x_max_m - grid.x_min_m == pytest.approx(2.0 * half)
+            assert grid.points == 4001
+        with pytest.raises(ValueError, match="unknown model kind"):
+            default_grid("empty_wave_a", ref_geom)
 
     def test_alpha_beta_meta(self, ref_geom):
         pattern = sample_pattern(ModelKind.GENERAL_TWO_SLIT, ref_geom,

@@ -1306,6 +1306,13 @@ class TestMain:
         *((argv, "oracle_nodes = 4097\n", "oracle_nodes")
           for argv in (["check"], ["simulate", "--out-dir", "{out}"],
                        ["sweep", "--param", "d", "--values", "12.6um"])),
+        # The refinement budget: 16 nodes doubled 10 times pass 8,192, and
+        # a 13-digit count is rejected before 2^count is formed.
+        *((argv, "oracle = true\noracle_nodes = 16\n"
+                 f"oracle_refinements = {refinements}\n", "oracle_refinements")
+          for refinements in (10, 10 ** 12)
+          for argv in (["check"], ["simulate", "--out-dir", "{out}"],
+                       ["sweep", "--param", "d", "--values", "12.6um"])),
     ])
     def test_error_names_its_own_key(self, tmp_path, capsys, argv, extra,
                                      key):
@@ -1327,6 +1334,14 @@ class TestMain:
         # A rejected run writes nothing, inside the output directory or out.
         assert [p.name for p in tmp_path.rglob("*") if p.is_file()] \
             == (["scenario.cfg"] if extra is not None else [])
+
+    def test_check_accepts_the_largest_budget(self, tmp_path, capsys):
+        # 16 nodes doubled 9 times reach the bound, 8,192; check runs no
+        # quadrature.
+        path = self.write_config(tmp_path, "oracle = true\n"
+                                 "oracle_nodes = 16\noracle_refinements = 9\n")
+        assert main(["check", "--config", str(path)]) == EXIT_OK
+        assert capsys.readouterr().err == ""
 
     @pytest.mark.parametrize("extra,key", [
         ("alpha = 1e308\n", "alpha"),

@@ -102,6 +102,18 @@ class TestQuadratureSpec:
             QuadratureSpec(relative_tolerance=1.5)
         with pytest.raises(ValueError):
             QuadratureSpec(max_refinements=0)
+        # A budget reaches at most 8,192 nodes per interval; a huge one is
+        # rejected without forming 2^max_refinements.
+        for nodes, refinements in ((16, 10), (16, 10 ** 12), (4096, 6),
+                                   (8, 11)):
+            with pytest.raises(ValueError, match="2\\^max_refinements"):
+                QuadratureSpec(nodes_per_interval=nodes,
+                               max_refinements=refinements)
+
+    def test_accepts_budgets_up_to_the_bound(self):
+        for nodes, refinements in ((16, 9), (128, 6), (4096, 1), (8, 10)):
+            QuadratureSpec(nodes_per_interval=nodes,
+                           max_refinements=refinements)
 
 
 class TestFraunhoferAmplitude:

@@ -1,6 +1,7 @@
-"""Start-up: importing the package and the CLI, parsing a config and every
-``mzi`` mode load no numpy, and ``whichway.cli`` binds its array names on
-first use in a way that a tracer wrapping them on the module still sees.
+"""Start-up: importing the package and the CLI, parsing a config, every
+``mzi`` mode and the divergence record load no numpy, checking a grid loads
+no model module, and ``whichway.cli`` binds its array names on first use in
+a way that a tracer wrapping them on the module still sees.
 
 Each test runs in a fresh interpreter, since this test process has loaded
 numpy long before.
@@ -124,6 +125,18 @@ with contextlib.redirect_stdout(io.StringIO()):
 assert cli.sample_pattern is sample_pattern and len(calls) == 2, calls
 """
 
+# The divergence record and the grid's step rule are declared in specs, so
+# reading the one loads no numpy and checking a grid loads no model module.
+SPECS_ALONE = """\
+import sys
+import whichway
+assert whichway.PatternDivergence.__module__ == "whichway.specs"
+assert "numpy" not in sys.modules, "numpy loaded by PatternDivergence"
+assert "whichway.metrics" not in sys.modules
+whichway.GridSpec(-1.0, 1.0, 11).check_points()
+assert "whichway.analytic" not in sys.modules, "analytic loaded by check_points"
+"""
+
 
 def run_fresh(code: str, *args: str) -> None:
     # No bytecode: importing perfbench/spans.py leaves that directory as
@@ -159,3 +172,7 @@ def test_tracer_wraps_the_names_bound_on_first_use(tmp_path):
 
 def test_a_name_bound_before_the_loader_is_kept(tmp_path):
     run_fresh(BOUND_FIRST, write_config(tmp_path))
+
+
+def test_specs_load_no_array_module():
+    run_fresh(SPECS_ALONE)
