@@ -34,7 +34,7 @@ _EXPORTS = {
         "empty_wave_sum", "standard_two_slit", "standard_focused_a",
         "pure_fringe"),
     "oracle": (
-        "ApertureSet", "fraunhofer_amplitude", "oracle_pattern",
+        "ApertureSet", "ColumnGroup", "fraunhofer_amplitude", "oracle_pattern",
         "oracle_patterns", "single_slit_aperture", "two_slit_apertures",
         "washout_pattern"),
     "metrics": (

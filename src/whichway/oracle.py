@@ -21,7 +21,9 @@ One real SVD B = U S Z^T on a fixed proxy set of nodes gives the mode
 weights Z (:func:`_coherent_modes`), and each level takes its mode phases
 V W = B Z on its own nodes, so the mode columns are the same functions at
 every refinement level and refine like amplitudes.  The plain amplitude is
-the washout of one tilt: no positive shifts, B = [1] and Z = [[1]].  The
+the washout of one tilt, no shifts and Z = [[1]].  The :class:`ColumnGroup`
+records of one call share each level's beam samples and kernel tables but
+converge each on its own, so each keeps the bits of its own call.  The
 modes are taken in blocks of columns sized from ``_BLOCK_BYTES``, so memory
 does not grow with tilt or mode counts.
 
@@ -41,12 +43,6 @@ step table, which writes that column's rows of the span in place.  A
 column's gemms have the same shapes whatever the other columns are, so its
 bits do not depend on them.
 
-The columns of one call come in groups, each with its own shifts, mode
-weights, scale and convergence (:func:`fraunhofer_amplitude`): the plain
-amplitude and the first block of a washout's modes share each level's beam
-samples and kernel tables (:func:`oracle_patterns`), and each keeps the bits
-of its own call.
-
 The canonical plate is mirror-symmetric.  A real aperture field (no
 aperture phase; a Gaussian, a Bessel or an untilted plane-wave beam) has a
 Hermitian far field, C(-x) = conj C(x), and so has every mode column, whose
@@ -57,7 +53,8 @@ integrates only x >= 0 and mirrors the even intensity.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import numbers
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from typing import Callable
 
@@ -135,6 +132,37 @@ def single_slit_aperture(geom: SlitGeometry, slit: str = "a") -> ApertureSet:
     half_s = 0.5 * geom.slit_width_m
     return ApertureSet(intervals=((center - half_s, center + half_s),),
                        phases_rad=(0.0,))
+
+
+@dataclass(frozen=True, eq=False)
+class ColumnGroup:
+    """One column group of :func:`fraunhofer_amplitude`, checked: positive
+    shifts ``positive_m`` (1-D, finite), real mode weights ``modes``, a
+    (2 len(positive_m) + 1, R) array Z from :func:`_coherent_modes`, and a
+    floor ``min_scale`` (finite, >= 0) on the group's convergence scale.
+    Its R columns are a washout's coherent-mode columns C = A W over the
+    shifts s = [-positive_m[::-1], 0, positive_m], where A_j is the
+    amplitude at x - s_j and W = T Z; each level takes their phases V W as
+    B Z (:func:`_mode_phases`).  The defaults, no shifts and Z = [[1.0]],
+    are the plain group: the washout of one tilt, the amplitude itself."""
+
+    positive_m: np.ndarray = ()
+    modes: np.ndarray = ((1.0,),)
+    min_scale: float = 0.0
+
+    def __post_init__(self) -> None:
+        positive = np.asarray(self.positive_m, dtype=float)
+        modes = np.asarray(self.modes)
+        if positive.ndim != 1 or not np.all(np.isfinite(positive)):
+            raise ValueError("positive_m must be finite and 1-D")
+        if modes.ndim != 2 or modes.shape[0] != 2 * positive.size + 1 \
+                or not np.isrealobj(modes):
+            raise ValueError("modes must be real, 2 len(positive_m) + 1 rows")
+        if not (isinstance(self.min_scale, numbers.Real)
+                and 0.0 <= self.min_scale < math.inf):
+            raise ValueError("min_scale must be finite and >= 0")
+        object.__setattr__(self, "positive_m", positive)
+        object.__setattr__(self, "modes", modes)
 
 
 @lru_cache(maxsize=32)
@@ -228,12 +256,12 @@ def _kernel_factors(x: np.ndarray, xi: np.ndarray, k_screen: float,
 
 def _amplitude_fixed(beam: BeamProfile, apertures: ApertureSet,
                      geom: SlitGeometry, x: np.ndarray, n: int,
-                     *groups: np.ndarray) -> np.ndarray:
+                     groups: list[ColumnGroup]) -> np.ndarray:
     """Single-pass columns with exactly n Gauss-Legendre nodes per interval
-    on the evenly spaced points ``x``.  ``groups`` holds one pair
-    (positive, weights) per column group: each column of the real weights
-    Z is the amplitude with the phases (B Z)^T of :func:`_mode_phases` over
-    the shifts [-positive[::-1], 0, positive].  The groups share the beam
+    on the evenly spaced points ``x``, for the :class:`ColumnGroup` records
+    ``groups``: each column of a group's real weights Z is the amplitude
+    with the phases (B Z)^T of :func:`_mode_phases` over the shifts
+    [-positive_m[::-1], 0, positive_m].  The groups share the beam
     samples and the kernel tables; the columns are held column-major, each
     padded to whole blocks of rows, and the (points x columns) result, the
     groups' columns in order, is a view of them.
@@ -241,8 +269,8 @@ def _amplitude_fixed(beam: BeamProfile, apertures: ApertureSet,
     k_screen = 2.0 * math.pi / (geom.wavelength_m * geom.screen_distance_m)
     xi, node_weights = _aperture_nodes(apertures, n)
     field = amplitude_at(beam, xi, geom.wavelength_m) * node_weights
-    f = np.vstack([field * _mode_phases(k_screen, xi, positive, weights)
-                   for positive, weights in zip(groups[::2], groups[1::2])])
+    f = np.vstack([field * _mode_phases(k_screen, xi, group.positive_m,
+                                        group.modes) for group in groups])
 
     # Block of rows r = 0..rows-1 from x[a]: kernel = anchor row * steps.
     rows = min(math.isqrt(x.size - 1) + 1,
@@ -317,35 +345,16 @@ def _worst_shift(delta: np.ndarray, modes: np.ndarray
     return worst, shift_weights[worst]
 
 
-def _column_group(positive_m, modes, min_scale: float
-                  ) -> tuple[np.ndarray, np.ndarray, float]:
-    """A column group (positive shifts, real weights Z, min_scale), checked."""
-    positive = np.atleast_1d(np.asarray(positive_m, dtype=float))
-    if not np.all(np.isfinite(positive)):
-        raise ValueError("positive_m must be finite")
-    weights = np.asarray(modes)
-    if weights.ndim != 2 or weights.shape[0] != 2 * positive.size + 1 \
-            or not np.isrealobj(weights):
-        raise ValueError("modes must be real, with 2 len(positive_m) + 1 rows")
-    return positive, weights, min_scale
-
-
 def fraunhofer_amplitude(beam: BeamProfile, apertures: ApertureSet,
                          geom: SlitGeometry, x_m,
                          quad: QuadratureSpec | None = None, groups=None):
     """Far-field amplitude at screen coordinate(s) ``x_m``; the amplitude
     at a moved point x - s is this function at ``x_m - s``.
 
-    ``groups`` is a sequence of column groups (positive_m, modes,
-    min_scale), and the result a list of one (x, R) array per group.  With
-    modes a real (2 len(positive_m) + 1, R) array Z from
-    :func:`_coherent_modes`, a group's columns are a washout's coherent-mode
-    columns C = A W over the shifts s = [-positive_m[::-1], 0, positive_m],
-    where A_j is the amplitude at x - s_j and W = T Z; each level takes
-    their phases V W as B Z (:func:`_mode_phases`).  The plain group
-    ``([], [[1]], 0.0)`` is the washout of one tilt, the amplitude itself;
-    without ``groups`` the call takes it alone and returns a complex
-    scalar for a scalar ``x_m`` and a 1-D array otherwise.
+    ``groups`` is a sequence of :class:`ColumnGroup` records, and the
+    result a list of one (x, R) array of columns per group.  Without
+    ``groups`` the call takes the plain group ``ColumnGroup()`` alone and
+    returns a complex scalar for a scalar ``x_m`` and a 1-D array otherwise.
 
     The groups share one pass per level: one set of beam samples and
     kernel tables serves all their columns.  A group's node count doubles
@@ -377,8 +386,7 @@ def fraunhofer_amplitude(beam: BeamProfile, apertures: ApertureSet,
         if not np.all(np.abs(x - ramp) <= tolerance):
             raise ValueError("x_m must be evenly spaced")
     plain = groups is None
-    members = [_column_group(*group) for group in
-               ([([], np.ones((1, 1)), 0.0)] if plain else groups)]
+    groups = [ColumnGroup()] if plain else list(groups)
 
     def result(columns: list[np.ndarray]):
         if not plain:
@@ -388,18 +396,18 @@ def fraunhofer_amplitude(beam: BeamProfile, apertures: ApertureSet,
         return columns[0][:, 0]
 
     # Empty groups are done at once; the others refine.
-    done = [None if x.size and weights.shape[1]
-            else np.zeros((x.size, weights.shape[1]), dtype=complex)
-            for _, weights, _ in members]
+    done = [None if x.size and group.modes.shape[1]
+            else np.zeros((x.size, group.modes.shape[1]), dtype=complex)
+            for group in groups]
     active = [g for g, columns in enumerate(done) if columns is None]
     if not active:
         return result(done)
 
     def level(n: int) -> list[np.ndarray]:
         """One pass of the groups still refining, one view per group."""
-        amp = _amplitude_fixed(beam, apertures, geom, x, n, *[
-            a for g in active for a in members[g][:2]])
-        widths = [members[g][1].shape[1] for g in active]
+        amp = _amplitude_fixed(beam, apertures, geom, x, n,
+                               [groups[g] for g in active])
+        widths = [groups[g].modes.shape[1] for g in active]
         return np.split(amp, np.cumsum(widths)[:-1], axis=1)
 
     # Columns are compared one at a time so no temporary grows with their
@@ -407,22 +415,22 @@ def fraunhofer_amplitude(beam: BeamProfile, apertures: ApertureSet,
     # estimates (prev, cur) are alive at once.
     n = quad.nodes_per_interval
     cur = level(n)
-    history = [[] for _ in members]
+    history = [[] for _ in groups]
     for _ in range(quad.max_refinements):
         n *= 2
         prev = cur
         cur = level(n)
         refining = []
         for g, c, p in zip(active, cur, prev):
-            weights, floor = members[g][1:]
+            rows = groups[g].modes.shape[0]
             diff = np.max([np.max(np.abs(a - b)) for a, b in zip(c.T, p.T)])
             energy = np.zeros(x.size)
             for a in c.T:
                 energy += a.real ** 2 + a.imag ** 2
             # |C|^2 underflows to 0 where |C| < 1e-162; max |C| does not.
-            scale = math.sqrt(np.max(energy) / weights.shape[0]) \
-                or np.max(np.abs(c)) / math.sqrt(weights.shape[0])
-            scale = max(scale, floor) or 1.0
+            scale = math.sqrt(np.max(energy) / rows) \
+                or np.max(np.abs(c)) / math.sqrt(rows)
+            scale = max(scale, groups[g].min_scale) or 1.0
             if diff <= quad.relative_tolerance * scale:
                 done[g] = c
             else:
@@ -435,8 +443,8 @@ def fraunhofer_amplitude(beam: BeamProfile, apertures: ApertureSet,
     # The first group that failed; one common scale over its columns, so
     # the worst shift has the largest |diff|.
     g, cur, prev = active[0], cur[0], prev[0]
-    positive, weights, _ = members[g]
-    worst, shift_weights = _worst_shift(cur - prev, weights)
+    positive = groups[g].positive_m
+    worst, shift_weights = _worst_shift(cur - prev, groups[g].modes)
     last, prev = cur @ shift_weights.conj(), prev @ shift_weights.conj()
     worst_x = float(x[int(np.argmax(np.abs(last - prev)))])
     shift = float(np.concatenate((-positive[::-1], [0.0], positive))[worst])
@@ -530,21 +538,21 @@ def oracle_patterns(beam: BeamProfile, apertures: ApertureSet,
         # s_{-j} = -s_j.
         tilts = tilt_angles(theta_rad, n_tilts)
         positive = geom.screen_distance_m * np.sin(tilts[tilts.size // 2 + 1:])
-        modes, bound = np.ones((1, 1)), 0.0
+        group, bound = ColumnGroup(), 0.0
         if positive.size:
             modes, bound = _coherent_modes(beam, apertures, geom, positive,
                                            quad.nodes_per_interval)
-        columns = modes.shape[1]
+            group = ColumnGroup(positive, modes)
+        columns = group.modes.shape[1]
         blocks = np.array_split(np.arange(columns), -(-columns // width))
-        spreads.append((theta_rad, tilts.size, positive, modes, bound, blocks))
+        spreads.append((theta_rad, tilts.size, group, bound, blocks))
     firsts = fraunhofer_amplitude(
         beam, apertures, geom, integrated, quad,
-        groups=[(positive, modes[:, blocks[0]], 0.0)
-                for _, _, positive, modes, _, blocks in spreads])
+        groups=[replace(group, modes=group.modes[:, blocks[0]])
+                for _, _, group, _, blocks in spreads])
 
     patterns = []
-    for (theta_rad, count, positive, modes, bound, blocks), amp \
-            in zip(spreads, firsts):
+    for (theta_rad, count, group, bound, blocks), amp in zip(spreads, firsts):
         # |C|^2 in units of a power of two from the first column's peak, so
         # that a faint field does not underflow; other patterns keep their
         # bits.
@@ -552,10 +560,10 @@ def oracle_patterns(beam: BeamProfile, apertures: ApertureSet,
         intensity = np.zeros(integrated.size)
         for block in blocks:
             if block[0]:
+                floor = unit * math.sqrt(np.max(intensity) / count)
                 [amp] = fraunhofer_amplitude(
-                    beam, apertures, geom, integrated, quad, groups=[(
-                        positive, modes[:, block],
-                        unit * math.sqrt(np.max(intensity) / count))])
+                    beam, apertures, geom, integrated, quad, groups=[replace(
+                        group, modes=group.modes[:, block], min_scale=floor)])
             for c in amp.T:
                 intensity += (np.abs(c) / unit) ** 2
         intensity = np.concatenate((intensity[::-1][:cut], intensity))
@@ -563,21 +571,13 @@ def oracle_patterns(beam: BeamProfile, apertures: ApertureSet,
         peak = float(np.max(intensity))
         if peak <= 0.0:
             raise DarkPatternError("oracle pattern is identically zero")
-        meta = {
-            "model": "oracle",
-            "geometry": geom,
-            "unit_scale": 1.0,
-            "peak_abs": peak * unit * unit,
-            "beam": type(beam).__name__,
-        }
+        meta = {"model": "oracle", "geometry": geom, "unit_scale": 1.0,
+                "peak_abs": peak * unit * unit, "beam": type(beam).__name__}
         if theta_rad > 0.0:
-            meta.update({
-                "washout_theta_rad": theta_rad,
-                "washout_tilts": n_tilts,
-                "washout_modes": modes.shape[1],
-                "washout_truncation_bound": bound,
-                "model": "washout(oracle)",
-            })
+            meta.update(washout_theta_rad=theta_rad, washout_tilts=n_tilts,
+                        washout_modes=group.modes.shape[1],
+                        washout_truncation_bound=bound,
+                        model="washout(oracle)")
         patterns.append(IntensityPattern(x_m=x, intensity=intensity / peak,
                                          normalization=PEAK_SINGLE_SLIT,
                                          meta=meta))

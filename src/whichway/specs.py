@@ -128,11 +128,11 @@ def _within_budget(nodes_per_interval: int, max_refinements: int) -> bool:
 class ConvergenceError(RuntimeError):
     """Quadrature refinement did not reach the requested tolerance.
 
-    Carries, for the column group of
-    :func:`~whichway.oracle.fraunhofer_amplitude` that failed (the first,
-    when several did), the last two estimates of its worst shift's column
-    on the points the call integrated, rebuilt from the mode columns as
-    C W^H (the plain group's one column is its own), that shift and the
+    Carries, for the :class:`~whichway.oracle.ColumnGroup` of a
+    :func:`~whichway.oracle.fraunhofer_amplitude` call that failed (the
+    first, when several did), the last two estimates of its worst shift's
+    column on the points the call integrated, rebuilt from the mode columns
+    as C W^H (the plain group's one column is its own), that shift and the
     screen coordinate where they disagree most.  A call of
     :func:`~whichway.oracle.oracle_patterns` that folds the screen
     integrates only the x.size - x.size // 2 points x >= 0 of its grid, so

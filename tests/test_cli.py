@@ -871,9 +871,9 @@ class TestOracleStart:
         levels = []
         fixed = oracle._amplitude_fixed
 
-        def spy(beam, apertures, geom, x, n, *groups):
+        def spy(beam, apertures, geom, x, n, groups):
             levels.append(n)
-            return fixed(beam, apertures, geom, x, n, *groups)
+            return fixed(beam, apertures, geom, x, n, groups)
 
         monkeypatch.setattr(oracle, "_amplitude_fixed", spy)
         patterns = oracle.oracle_patterns(*args, cfg.quadrature, thetas,

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from whichway import (ApertureSet, BesselBeam, ConvergenceError,
+from whichway import (ApertureSet, BesselBeam, ColumnGroup, ConvergenceError,
                       GaussianBeam, GridSpec, IntensityPattern,
                       PEAK_SINGLE_SLIT, PlaneWave, QuadratureSpec,
                       UNIT_INTEGRAL,
@@ -34,8 +34,8 @@ BEAMS = [
 def plain_fixed(beam, apertures, geom, x, n):
     """``_amplitude_fixed`` as a plain call makes it: no positive shifts and
     the one mode weight Z = [[1]]."""
-    return _amplitude_fixed(beam, apertures, geom, x, n, np.zeros(0),
-                            np.ones((1, 1)))[:, 0]
+    return _amplitude_fixed(beam, apertures, geom, x, n,
+                            [ColumnGroup()])[:, 0]
 
 
 def closed_form_interval(beam_free_x, lo, hi, geom):
@@ -268,7 +268,8 @@ class TestFraunhoferAmplitude:
         [batch] = fraunhofer_amplitude(PlaneWave(),
                                        two_slit_apertures(REF_GEOM), REF_GEOM,
                                        np.array([]),
-                                       groups=[([1e-3], np.eye(3)[:, :2], 0.0)])
+                                       groups=[ColumnGroup([1e-3],
+                                                           np.eye(3)[:, :2])])
         assert batch.shape == (0, 2)
 
     def test_deterministic(self):
@@ -340,7 +341,7 @@ class TestFactoredKernel:
             modes, _ = oracle_module._coherent_modes(beam, apertures,
                                                      REF_GEOM, positive, 32)
             factored = _amplitude_fixed(beam, apertures, REF_GEOM, x, 64,
-                                        positive, modes)
+                                        [ColumnGroup(positive, modes)])
             expected = direct_amplitude(beam, apertures, REF_GEOM, x, 64,
                                         shifts) @ shift_weights(modes)
         assert factored.shape == expected.shape
@@ -378,15 +379,14 @@ class TestColumnKernel:
     SHIFTS_POSITIVE = np.array([2e-3, 3.5e-3])
     TILT_POSITIVE, _ = tilt_shifts(REF_GEOM, PHI, 101)
 
-    def spied(self, monkeypatch, x, n, positive=np.zeros(0),
-              weights=np.ones((1, 1))):
+    def spied(self, monkeypatch, x, n, group=ColumnGroup()):
         """``_amplitude_fixed`` and the operand shapes of its kernel gemms,
         checked against the budgets."""
         spy = MatmulSpy(nodes=2 * n)
         monkeypatch.setattr(oracle_module, "np", spy)
         try:
             amp = _amplitude_fixed(self.BEAM, self.APERTURES, REF_GEOM, x, n,
-                                   positive, weights)
+                                   [group])
         finally:
             monkeypatch.undo()
         for anchored, steps in spy.kernel_calls:
@@ -419,7 +419,8 @@ class TestColumnKernel:
                 self.BEAM, self.APERTURES, REF_GEOM, positive, 32)
         width = weights.shape[1]
         assert width > 1
-        batch, calls = self.spied(monkeypatch, x, n, positive, weights)
+        group = ColumnGroup(positive, weights)
+        batch, calls = self.spied(monkeypatch, x, n, group)
         assert batch.shape == (points, width)
         rows = min(math.isqrt(points - 1) + 1,
                    oracle_module._BLOCK_BYTES // (16 * 2 * n))
@@ -433,7 +434,7 @@ class TestColumnKernel:
         for j in range(width):
             monkeypatch.setattr(oracle_module, "_mode_phases",
                                 lambda *args, j=j: phases(*args)[j:j + 1])
-            alone, _ = self.spied(monkeypatch, x, n, positive, weights)
+            alone, _ = self.spied(monkeypatch, x, n, group)
             assert alone.shape == (points, 1)
             assert np.array_equal(batch[:, j], alone[:, 0])
         if columns == "shifted":
@@ -518,7 +519,8 @@ class TestShiftedColumns:
         apertures = two_slit_apertures(REF_GEOM, phase_b_rad=0.5 * math.pi)
         identity = np.eye(shifts.size)
         [batch] = fraunhofer_amplitude(beam, apertures, REF_GEOM, x,
-                                       groups=[(positive, identity, 0.0)])
+                                       groups=[ColumnGroup(positive,
+                                                           identity)])
         expected = per_shift_columns(beam, apertures, x, shifts) \
             @ shift_weights(identity)
         assert batch.shape == (x.size, shifts.size)
@@ -529,7 +531,8 @@ class TestShiftedColumns:
         with pytest.raises(ConvergenceError) as excinfo:
             fraunhofer_amplitude(PlaneWave(), two_slit_apertures(REF_GEOM),
                                  REF_GEOM, np.array([0.0, 1e-3]),
-                                 groups=[([2e-3, 100.0], np.eye(5), 0.0)])
+                                 groups=[ColumnGroup([2e-3, 100.0],
+                                                     np.eye(5))])
         err = excinfo.value
         assert err.shift_m == -100.0
         assert err.worst_x_m in (0.0, 1e-3)
@@ -543,9 +546,8 @@ class TestShiftedColumns:
         estimates = []
         fixed = oracle_module._amplitude_fixed
 
-        def spy(beam, apertures, geom, x, n, *columns):
-            estimates.append((n, fixed(beam, apertures, geom, x, n,
-                                       *columns)))
+        def spy(beam, apertures, geom, x, n, groups):
+            estimates.append((n, fixed(beam, apertures, geom, x, n, groups)))
             return estimates[-1][1]
 
         monkeypatch.setattr(oracle_module, "_amplitude_fixed", spy)
@@ -556,12 +558,27 @@ class TestShiftedColumns:
         start = quad.nodes_per_interval
         assert [n for n, _ in estimates] == [start, 2 * start]
 
-    def test_rejects_non_finite_shift(self):
-        with pytest.raises(ValueError, match="positive_m must be finite"):
+    # Unchecked, a floor of inf would skip the convergence check, a str
+    # floor end in a bare TypeError and 2-D shifts in numpy's concatenate.
+    @pytest.mark.parametrize("positive,modes,min_scale,message", [
+        ([1e-3, math.inf], np.ones((5, 1)), 0.0, "positive_m must be finite"),
+        ([1e-3, math.nan], np.ones((5, 1)), 0.0, "positive_m must be finite"),
+        ([[2e-3, 100.0]], np.eye(5), 0.0, "positive_m must be finite and 1-D"),
+        (1e-3, np.eye(3), 0.0, "positive_m must be finite and 1-D"),
+        ([1e-3], np.eye(5), 0.0, "modes must be real"),
+        ([1e-3], np.eye(3, dtype=complex), 0.0, "modes must be real"),
+        ([], np.ones((1, 1)), math.inf, "min_scale must be finite and >= 0"),
+        ([], np.ones((1, 1)), math.nan, "min_scale must be finite and >= 0"),
+        ([], np.ones((1, 1)), -1e-3, "min_scale must be finite and >= 0"),
+        ([], np.ones((1, 1)), "0.0", "min_scale must be finite and >= 0"),
+    ], ids=["inf_shift", "nan_shift", "2d_shifts", "scalar_shift", "rows",
+            "complex_modes", "inf_scale", "nan_scale", "negative_scale",
+            "str_scale"])
+    def test_rejects_bad_group(self, positive, modes, min_scale, message):
+        with pytest.raises(ValueError, match=message):
             fraunhofer_amplitude(PlaneWave(), two_slit_apertures(REF_GEOM),
-                                 REF_GEOM, np.zeros(3), groups=[(
-                                     [1e-3, float("inf")], np.ones((5, 1)),
-                                     0.0)])
+                                 REF_GEOM, np.zeros(3), groups=[ColumnGroup(
+                                     positive, modes, min_scale)])
 
     @settings(max_examples=25, deadline=None)
     @given(st.floats(min_value=-0.4, max_value=0.4))
@@ -763,8 +780,8 @@ def level_widths(monkeypatch):
     levels = []
     fixed = oracle_module._amplitude_fixed
 
-    def spy(beam, apertures, geom, x, n, *groups):
-        amp = fixed(beam, apertures, geom, x, n, *groups)
+    def spy(beam, apertures, geom, x, n, groups):
+        amp = fixed(beam, apertures, geom, x, n, groups)
         levels.append((n, amp.shape[1]))
         return amp
 
@@ -826,7 +843,7 @@ class TestColumnGroups:
         plain = fraunhofer_amplitude(PlaneWave(), self.APERTURES, REF_GEOM, x)
         [grouped] = fraunhofer_amplitude(PlaneWave(), self.APERTURES,
                                          REF_GEOM, x,
-                                         groups=[([], np.ones((1, 1)), 0.0)])
+                                         groups=[ColumnGroup()])
         assert grouped.shape == (x.size, 1)
         assert np.array_equal(grouped[:, 0], plain)
         assert fraunhofer_amplitude(PlaneWave(), self.APERTURES, REF_GEOM, x,
@@ -1012,7 +1029,7 @@ class TestRealModeBasis:
         with pytest.raises(ValueError, match="modes must be real"):
             fraunhofer_amplitude(PlaneWave(), two_slit_apertures(REF_GEOM),
                                  REF_GEOM, np.linspace(-LOBE, LOBE, 11),
-                                 groups=[(positive, modes, 0.0)])
+                                 groups=[ColumnGroup(positive, modes)])
 
     @pytest.mark.parametrize("beam", BEAMS)
     def test_off_centre_slit_matches_per_tilt_reference(self, beam):
@@ -1191,7 +1208,7 @@ def whole_grid_pattern(beam, apertures, x, theta, n_tilts):
             beam, apertures, REF_GEOM, positive,
             QuadratureSpec().nodes_per_interval)
     [amp] = fraunhofer_amplitude(beam, apertures, REF_GEOM, x,
-                                 groups=[(positive, modes, 0.0)])
+                                 groups=[ColumnGroup(positive, modes)])
     unit = math.ldexp(0.5, math.frexp(np.max(np.abs(amp[:, 0])))[1])
     intensity = np.zeros(x.size)
     for c in amp.T:
@@ -1275,9 +1292,9 @@ class TestFoldedScreen:
         seen = []
         fixed = oracle_module._amplitude_fixed
 
-        def spy(beam, apertures, geom, x, n, *groups):
+        def spy(beam, apertures, geom, x, n, groups):
             seen.append(x)
-            return fixed(beam, apertures, geom, x, n, *groups)
+            return fixed(beam, apertures, geom, x, n, groups)
 
         monkeypatch.setattr(oracle_module, "_amplitude_fixed", spy)
         oracle_module.oracle_patterns(BEAMS[1], two_slit_apertures(REF_GEOM),
