@@ -24,9 +24,9 @@ from .geometry import FeasibilityReport, SlitGeometry, check_feasibility
 from .mzi import MziConfig, MziMode, asymmetric_duality, mzi_duality
 from .specs import (MAX_BUDGET_NODES, MAX_NODES_PER_INTERVAL,
                     NORMALIZATIONS, PEAK_SINGLE_SLIT, PREDICTABILITY,
-                    ConvergenceError, GridSpec, ModelKind, PatternDivergence,
-                    QuadratureSpec, _within_budget, duality_report,
-                    predictability)
+                    ConvergenceError, DualityReport, GridSpec, ModelKind,
+                    PatternDivergence, QuadratureSpec, _within_budget,
+                    duality_report, predictability)
 
 # The names this module takes from the array modules.  _load_arrays binds
 # them on the first path that checks or samples a grid, so that importing
@@ -528,6 +528,11 @@ class ComparisonReport:
     json_path: Optional[Path]
 
 
+# DualityReport's fields less meta; a pattern entry gives visibility above.
+_DUALITY_KEYS = [f.name for f in fields(DualityReport) if f.name != "meta"]
+_PATTERN_DUALITY_KEYS = [key for key in _DUALITY_KEYS if key != "visibility"]
+
+
 def _pattern_entry(name: str, pattern: IntensityPattern, geom: SlitGeometry,
                    p_value: float) -> dict:
     """A pattern's summary entry; ``p_value`` is the run's predictability."""
@@ -542,10 +547,7 @@ def _pattern_entry(name: str, pattern: IntensityPattern, geom: SlitGeometry,
         "peak_scale_i0_single": float(pattern.meta.get("unit_scale", 1.0)),
         "visibility_global": v_global,
         "visibility_fringe_local": v_fringe,
-        "which_way_kind": report.which_way_kind,
-        "which_way_value": report.which_way_value,
-        "duality_sum": report.duality_sum,
-        "inequality_satisfied": report.inequality_satisfied,
+        **{key: getattr(report, key) for key in _PATTERN_DUALITY_KEYS},
     }
 
 
@@ -847,8 +849,7 @@ SUMMARY_SCHEMA = _object(
         "patterns": {"type": "array", "items": _object(
             ["source", "model", "normalization", "peak_scale_i0_single",
              "visibility_global", "visibility_fringe_local",
-             "which_way_kind", "which_way_value", "duality_sum",
-             "inequality_satisfied"],
+             *_PATTERN_DUALITY_KEYS],
             properties={
                 "source": {"enum": ["model", *_SOURCES]},
                 "visibility_global": _FRACTION,
@@ -928,11 +929,7 @@ def _cmd_mzi(args: argparse.Namespace) -> int:
         "mode": args.mode,
         "amplitude_a": args.a,
         "amplitude_b": args.b,
-        "which_way_kind": report.which_way_kind,
-        "which_way_value": report.which_way_value,
-        "visibility": report.visibility,
-        "duality_sum": report.duality_sum,
-        "inequality_satisfied": report.inequality_satisfied,
+        **{key: getattr(report, key) for key in _DUALITY_KEYS},
         "detected_fraction": report.meta["detected_fraction"],
     }))
     return EXIT_OK

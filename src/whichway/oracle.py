@@ -295,8 +295,8 @@ def _amplitude_fixed(beam: BeamProfile, apertures: ApertureSet,
 
 
 def _coherent_modes(beam: BeamProfile, apertures: ApertureSet,
-                    geom: SlitGeometry, positive: np.ndarray, n: int
-                    ) -> tuple[np.ndarray, float]:
+                    geom: SlitGeometry, positive: np.ndarray,
+                    quad: QuadratureSpec) -> tuple[np.ndarray, float]:
     """Real mode weights Z (2 positive.size + 1 by R) of a washout over the
     shifts s = [-positive[::-1], 0, positive], and its truncation bound.
 
@@ -305,20 +305,20 @@ def _coherent_modes(beam: BeamProfile, apertures: ApertureSet,
     B = U S Z^T gives V's sigma and its modes W = T Z, with V W = B Z = U S.
     The kept modes are those with sigma_r > ``_MODE_CUTOFF`` sigma_1.
     While R fills the proxy (and is short of the shift count), the proxy is
-    too coarse to span the tilt phases, so n doubles.  The bound is
+    too coarse and climbs ``quad.levels``; on the top level a full R spans
+    the tilt phases on the finest nodes the kernel integrates.  The bound is
     sigma_{R+1}^2 sum |f|^2 over the proxy nodes, 0 when no mode is dropped.
     An SVD resolves sigma_{R+1} < 1e-13 sigma_1 only to a few ulps of
     sigma_1, so only the bound's first significant digits are meaningful.
     """
     k_screen = 2.0 * math.pi / (geom.wavelength_m * geom.screen_distance_m)
-    while True:
+    for n in quad.levels:
         xi, weights = _aperture_nodes(apertures, n)
         _, sigma, zt = np.linalg.svd(_basis(k_screen, xi, positive),
                                      full_matrices=False)
         rank = int(np.count_nonzero(sigma > _MODE_CUTOFF * sigma[0]))
         if rank < xi.size or rank == zt.shape[1]:
             break
-        n *= 2
     bound = 0.0
     if rank < sigma.size:
         f = amplitude_at(beam, xi, geom.wavelength_m) * weights
@@ -413,13 +413,10 @@ def fraunhofer_amplitude(beam: BeamProfile, apertures: ApertureSet,
     # Columns are compared one at a time so no temporary grows with their
     # count; besides the converged groups' columns, at most two whole
     # estimates (prev, cur) are alive at once.
-    n = quad.nodes_per_interval
-    cur = level(n)
+    cur = level(quad.levels[0])
     history = [[] for _ in groups]
-    for _ in range(quad.max_refinements):
-        n *= 2
-        prev = cur
-        cur = level(n)
+    for n in quad.levels[1:]:
+        prev, cur = cur, level(n)
         refining = []
         for g, c, p in zip(active, cur, prev):
             rows = groups[g].modes.shape[0]
@@ -541,7 +538,7 @@ def oracle_patterns(beam: BeamProfile, apertures: ApertureSet,
         group, bound = ColumnGroup(), 0.0
         if positive.size:
             modes, bound = _coherent_modes(beam, apertures, geom, positive,
-                                           quad.nodes_per_interval)
+                                           quad)
             group = ColumnGroup(positive, modes)
         columns = group.modes.shape[1]
         blocks = np.array_split(np.arange(columns), -(-columns // width))

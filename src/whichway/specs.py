@@ -100,7 +100,7 @@ class QuadratureSpec:
 
     The rule converges geometrically on a smooth slit field, so on the
     README plate 16 nodes are already a reference the 32-node level is
-    accepted against; a washout's mode proxy takes the same start."""
+    accepted against; a washout's mode proxy climbs the same ``levels``."""
 
     nodes_per_interval: int = 16
     relative_tolerance: float = 1e-12
@@ -117,6 +117,12 @@ class QuadratureSpec:
         if not _within_budget(self.nodes_per_interval, self.max_refinements):
             raise ValueError("nodes_per_interval * 2^max_refinements must be "
                              f"<= {MAX_BUDGET_NODES}")
+
+    @property
+    def levels(self) -> tuple[int, ...]:
+        """The start's nodes per interval doubled 0..max_refinements times."""
+        return tuple(self.nodes_per_interval << k
+                     for k in range(self.max_refinements + 1))
 
 
 def _within_budget(nodes_per_interval: int, max_refinements: int) -> bool:

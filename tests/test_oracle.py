@@ -17,6 +17,7 @@ from whichway import (ApertureSet, BesselBeam, ColumnGroup, ConvergenceError,
 from whichway import oracle as oracle_module
 from whichway.beam import amplitude_at
 from whichway.oracle import _amplitude_fixed
+from whichway.specs import MAX_BUDGET_NODES
 
 REF_GEOM = SlitGeometry(0.63e-6, 2e-6, 12e-6, 0.1)
 LAM_D = REF_GEOM.wavelength_m * REF_GEOM.screen_distance_m
@@ -111,9 +112,14 @@ class TestQuadratureSpec:
                                max_refinements=refinements)
 
     def test_accepts_budgets_up_to_the_bound(self):
+        assert QuadratureSpec().levels == (16, 32, 64, 128, 256, 512, 1024)
+        # the levels of the largest budgets accepted top out at the bound
         for nodes, refinements in ((16, 9), (128, 6), (4096, 1), (8, 10)):
-            QuadratureSpec(nodes_per_interval=nodes,
-                           max_refinements=refinements)
+            levels = QuadratureSpec(nodes_per_interval=nodes,
+                                    max_refinements=refinements).levels
+            assert levels == tuple(nodes * 2 ** k
+                                   for k in range(refinements + 1))
+            assert levels[-1] == MAX_BUDGET_NODES
 
 
 class TestFraunhoferAmplitude:
@@ -338,8 +344,9 @@ class TestFactoredKernel:
                                         np.zeros(1))[:, 0]
         else:
             positive = shifts[shifts.size // 2 + 1:]
-            modes, _ = oracle_module._coherent_modes(beam, apertures,
-                                                     REF_GEOM, positive, 32)
+            modes, _ = oracle_module._coherent_modes(
+                beam, apertures, REF_GEOM, positive,
+                QuadratureSpec(nodes_per_interval=32))
             factored = _amplitude_fixed(beam, apertures, REF_GEOM, x, 64,
                                         [ColumnGroup(positive, modes)])
             expected = direct_amplitude(beam, apertures, REF_GEOM, x, 64,
@@ -416,7 +423,8 @@ class TestColumnKernel:
             # real mode phases B Z.
             positive = self.TILT_POSITIVE
             weights, _ = oracle_module._coherent_modes(
-                self.BEAM, self.APERTURES, REF_GEOM, positive, 32)
+                self.BEAM, self.APERTURES, REF_GEOM, positive,
+                QuadratureSpec(nodes_per_interval=32))
         width = weights.shape[1]
         assert width > 1
         group = ColumnGroup(positive, weights)
@@ -986,8 +994,9 @@ class TestRealModeBasis:
         geom = SlitGeometry(wavelength, slit, ratio * slit, 0.1)
         apertures = two_slit_apertures(geom)
         positive, shifts = tilt_shifts(geom, theta, n_tilts)
-        z, _ = oracle_module._coherent_modes(beam, apertures, geom, positive,
-                                             nodes)
+        z, _ = oracle_module._coherent_modes(
+            beam, apertures, geom, positive,
+            QuadratureSpec(nodes_per_interval=nodes))
         modes = shift_weights(z)
         rank, sigma, v = complex_modes(apertures, geom, shifts, nodes)
         assert modes.shape == (n_tilts, rank)
@@ -1011,8 +1020,9 @@ class TestRealModeBasis:
         geom = SlitGeometry(wavelength, slit, ratio * slit, 0.1)
         apertures = two_slit_apertures(geom)
         positive, shifts = tilt_shifts(geom, theta, n_tilts)
-        z, _ = oracle_module._coherent_modes(beam, apertures, geom, positive,
-                                             nodes)
+        z, _ = oracle_module._coherent_modes(
+            beam, apertures, geom, positive,
+            QuadratureSpec(nodes_per_interval=nodes))
         k_screen = 2 * math.pi / (geom.wavelength_m * geom.screen_distance_m)
         xi, _ = oracle_module._aperture_nodes(apertures, 2 * nodes)
         phases = oracle_module._mode_phases(k_screen, xi, positive, z)
@@ -1063,8 +1073,9 @@ class TestCoherentModes:
         geom = SlitGeometry(wavelength, slit, ratio * slit, 0.1)
         apertures = two_slit_apertures(geom)
         positive, _ = tilt_shifts(geom, theta, n_tilts)
-        z, bound = oracle_module._coherent_modes(beam, apertures, geom,
-                                                 positive, nodes)
+        z, bound = oracle_module._coherent_modes(
+            beam, apertures, geom, positive,
+            QuadratureSpec(nodes_per_interval=nodes))
         k_screen = 2 * math.pi / (geom.wavelength_m * geom.screen_distance_m)
         while True:
             xi, weights = oracle_module._aperture_nodes(apertures, nodes)
@@ -1103,11 +1114,33 @@ class TestCoherentModes:
         positive, _ = tilt_shifts(REF_GEOM, 0.4, 11)
         for apertures in (single_slit_aperture(REF_GEOM, "a"),
                           two_slit_apertures(REF_GEOM)):
-            oracle_module._coherent_modes(PlaneWave(), apertures, REF_GEOM,
-                                          positive, 32)
+            oracle_module._coherent_modes(
+                PlaneWave(), apertures, REF_GEOM, positive,
+                QuadratureSpec(nodes_per_interval=32))
         # the whole basis, 32 nodes per interval by 11 columns, on one slit
         # as on two
         assert shapes == [(32, 11), (64, 11)]
+
+    def test_proxy_stops_at_the_top_level(self, monkeypatch, hene_geom):
+        # 301 tilts at 1.2 rad take 46 modes, more than a proxy of 2 x 16
+        # nodes holds, 16 being this budget's top level: the proxy keeps
+        # that level's 32 modes, and no node count beyond the budget's is
+        # formed; the kernel then fails its 16-node against 8-node check.
+        quad = QuadratureSpec(8, 1e-12, 1)
+        formed = []
+        nodes = oracle_module._aperture_nodes
+
+        def spy(apertures, n):
+            formed.append(n)
+            return nodes(apertures, n)
+
+        monkeypatch.setattr(oracle_module, "_aperture_nodes", spy)
+        with pytest.raises(ConvergenceError):
+            oracle_module.oracle_patterns(
+                PlaneWave(), two_slit_apertures(hene_geom), hene_geom,
+                GridSpec(-0.05, 0.05, 401), quad, (1.2,), 301)
+        assert set(formed) <= {8, 16} == set(quad.levels)
+        assert 16 in formed
 
 
 class TestPlancherel:
@@ -1205,8 +1238,7 @@ def whole_grid_pattern(beam, apertures, x, theta, n_tilts):
     modes = np.ones((1, 1))
     if positive.size:
         modes, _ = oracle_module._coherent_modes(
-            beam, apertures, REF_GEOM, positive,
-            QuadratureSpec().nodes_per_interval)
+            beam, apertures, REF_GEOM, positive, QuadratureSpec())
     [amp] = fraunhofer_amplitude(beam, apertures, REF_GEOM, x,
                                  groups=[ColumnGroup(positive, modes)])
     unit = math.ldexp(0.5, math.frexp(np.max(np.abs(amp[:, 0])))[1])

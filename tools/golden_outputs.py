@@ -34,8 +34,9 @@ digests of those items would depend on the host's thread count.
 An item's digest covers its exit code, stdout, stderr and the name and bytes
 of every file it wrote. The matrix covers every model, beam, alignment and
 normalization, the model and oracle washouts (one whose plain and washout
-column groups converge at different levels, and one on a symmetric grid with
-no point at x = 0, whose oracle mirrors x > 0), an off-centre grid longer
+column groups converge at different levels, one on a symmetric grid with
+no point at x = 0, whose oracle mirrors x > 0, and one whose mode proxy
+fills the top level of a small refinement budget), an off-centre grid longer
 than two CSV row blocks, an oracle and an oracle washout on 10,001 points
 (100 kernel row blocks, the last one padded; the plain oracle's blocks in
 several spans), an oracle washout whose modes take three column blocks, a
@@ -191,6 +192,14 @@ SIMULATE = {
     # modes at 64: the two column groups of the shared pass part ways.
     "oracle_washout_levels": "oracle = true\noracle_nodes = 16\n"
                              "washout_theta = 1.2\n",
+    # 301 tilts at 1.2 rad take 46 modes, more than the mode proxy holds
+    # at 16 nodes per interval, the top level of this budget: it keeps that
+    # level's 32 modes, and the kernel's 16-node level disagrees with its
+    # 8-node one, so the run exits 2.
+    "oracle_washout_small_budget": "oracle = true\noracle_nodes = 8\n"
+                                   "oracle_refinements = 1\n"
+                                   "washout_theta = 1.2\nwashout_tilts = 301\n"
+                                   "grid_points = 401\n",
     "custom_grid": "grid_min = -2mm\ngrid_max = 3mm\ngrid_points = 1201\n"
                    "csv_prefix = run\nfocusing_angle = 4mrad\n"
                    "spot_width = 20um\nmodels = standard_two_slit, pure_fringe\n",
