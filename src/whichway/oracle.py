@@ -12,7 +12,7 @@ every tilt is the phase V(xi, s) = exp(i k xi s) on the same aperture
 samples.  The washout sums |A_s(x)|^2 over the tilts, and with the SVD
 V = U S W^H that sum is sum_r |C_r(x)|^2 over the coherent modes C = A W
 (Wolf's coherent-mode representation of partially coherent light).  V has
-low numerical rank (about 10 at the paper's angles, out of 101 tilts), so a
+low numerical rank (5 to 8 at the paper's angles, out of 101 tilts), so a
 washout integrates a few mode columns instead of one column per tilt.  The
 tilts are symmetric by construction, theta (j / h) for j = -h..h, and so are
 the shifts, so V = B T^H for the real basis
@@ -79,8 +79,9 @@ _COMPLEX_BYTES = 16
 # Screen points may deviate from x_0 + j dx by this many ulps of the grid's
 # largest magnitude: a linspace is exact to about one, a shifted one to two.
 _EVEN_SPACING_ULPS = 8
-# A washout keeps the coherent modes with sigma_r > _MODE_CUTOFF * sigma_1.
-_MODE_CUTOFF = 1e-13
+# A washout keeps the coherent modes with sigma_r > _MODE_CUTOFF * sigma_1,
+# sigma_r^2 > eps sigma_1^2 for eps = 2^-52 (:func:`_coherent_modes`).
+_MODE_CUTOFF = 2.0 ** -26
 
 
 class DarkPatternError(ValueError):
@@ -303,13 +304,16 @@ def _coherent_modes(beam: BeamProfile, apertures: ApertureSet,
     On a proxy of n nodes per interval, V = exp(i k xi s) is B T^H for the
     real basis B of :func:`_basis` and a unitary T, so one real SVD
     B = U S Z^T gives V's sigma and its modes W = T Z, with V W = B Z = U S.
-    The kept modes are those with sigma_r > ``_MODE_CUTOFF`` sigma_1.
+    The kept modes are those with sigma_r > ``_MODE_CUTOFF`` sigma_1, that
+    is sigma_r^2 > eps sigma_1^2: the washout weighs mode r by sigma_r^2, so
+    a dropped mode carries less power than one rounding unit of the first.
     While R fills the proxy (and is short of the shift count), the proxy is
     too coarse and climbs ``quad.levels``; on the top level a full R spans
     the tilt phases on the finest nodes the kernel integrates.  The bound is
     sigma_{R+1}^2 sum |f|^2 over the proxy nodes, 0 when no mode is dropped.
-    An SVD resolves sigma_{R+1} < 1e-13 sigma_1 only to a few ulps of
-    sigma_1, so only the bound's first significant digits are meaningful.
+    An SVD gives sigma_{R+1} only to about eps sigma_1, a relative error of
+    at least eps / _MODE_CUTOFF = 1.5e-8 below the cutoff, so only the
+    bound's leading digits are meaningful.
     """
     k_screen = 2.0 * math.pi / (geom.wavelength_m * geom.screen_distance_m)
     for n in quad.levels:
@@ -495,8 +499,8 @@ def oracle_patterns(beam: BeamProfile, apertures: ApertureSet,
     over the tilts' coherent modes (:func:`_coherent_modes`), in column
     blocks sized from ``_BLOCK_BYTES``; ``meta`` records their count as
     ``washout_modes`` and the truncation bound on the summed intensity as
-    ``washout_truncation_bound``, of which only the first significant
-    digits are meaningful (:func:`_coherent_modes`).  The absolute peak
+    ``washout_truncation_bound``, of which only the leading digits are
+    meaningful (:func:`_coherent_modes`).  The absolute peak
     intensity is recorded in ``meta['peak_abs']``; it underflows to 0 for a
     field below about 1e-162, the pattern does not.
 

@@ -35,26 +35,28 @@ An item's digest covers its exit code, stdout, stderr and the name and bytes
 of every file it wrote. The matrix covers every model, beam, alignment and
 normalization, the model and oracle washouts (one whose plain and washout
 column groups converge at different levels, one on a symmetric grid with
-no point at x = 0, whose oracle mirrors x > 0, and one whose mode proxy
-fills the top level of a small refinement budget), an off-centre grid longer
-than two CSV row blocks, an oracle and an oracle washout on 10,001 points
-(100 kernel row blocks, the last one padded; the plain oracle's blocks in
-several spans), an oracle washout whose modes take three column blocks, a
-model listed twice with the oracle on, every sweep parameter, a swept slit
-width that breaks its key's rule or s < d, a swept screen distance that
-breaks D > d and a swept theta of 2 rad, beyond the tilt bound, ``check``
-with each plate error, an oracle node count, a reversed and a lone window
-bound, a CSV prefix that leaves the output directory and one too long for
-the longest file name, ``check`` on a config saved with a byte order mark
-and CRLF line ends, ``check`` and ``simulate`` on a grid too coarse for the
-fringes and on a far plate whose far-field threshold overflows to inf,
-``check`` on a washout spread of 90 degrees, a focusing angle of 2 rad and
-grid and tilt counts above their bounds, ``check`` on a plate whose derived
-screen window is not finite, ``check`` and ``simulate`` on three plates
-whose model phases overflow on the grid, on two whose model washout shifts
-the grid to a window that is not valid, and on two windows too narrow for
-their points, a focused Gaussian too narrow to light any quadrature node,
-and each ``mzi`` mode with balanced, unbalanced and non-finite amplitudes.
+no point at x = 0, whose oracle mirrors x > 0, one at 0.8 rad whose 31
+modes just fit the 32-row mode proxy of the 16-node start, and one whose
+mode proxy fills the top level of a small refinement budget), an off-centre
+grid longer than two CSV row blocks, an oracle and an oracle washout on
+10,001 points (100 kernel row blocks, the last one padded; the plain
+oracle's blocks in several spans), an oracle washout whose modes take two
+column blocks, a model listed twice with the oracle on, every sweep
+parameter, a swept slit width that breaks its key's rule or s < d, a swept
+screen distance that breaks D > d and a swept theta of 2 rad, beyond the
+tilt bound, ``check`` with each plate error, an oracle node count, a
+reversed and a lone window bound, a CSV prefix that leaves the output
+directory and one too long for the longest file name, ``check`` on a config
+saved with a byte order mark and CRLF line ends, ``check`` and ``simulate``
+on a grid too coarse for the fringes and on a far plate whose far-field
+threshold overflows to inf, ``check`` on a washout spread of 90 degrees, a
+focusing angle of 2 rad and grid and tilt counts above their bounds,
+``check`` on a plate whose derived screen window is not finite, ``check``
+and ``simulate`` on three plates whose model phases overflow on the grid, on
+two whose model washout shifts the grid to a window that is not valid, and
+on two windows too narrow for their points, a focused Gaussian too narrow to
+light any quadrature node, and each ``mzi`` mode with balanced, unbalanced
+and non-finite amplitudes.
 """
 
 from __future__ import annotations
@@ -176,7 +178,7 @@ SIMULATE = {
     "model_washout_unit_integral": "normalization = unit_integral\n"
                                    "washout_theta = 2mrad\nwashout_tilts = 11\n",
     "oracle_washout": "oracle = true\nwashout_theta = 5mrad\n",
-    # 301 tilts over +-0.4 rad leave 32 coherent modes, the high-rank case.
+    # 301 tilts over +-0.4 rad leave 24 coherent modes, the high-rank case.
     "oracle_washout_wide": "oracle = true\nwashout_theta = 0.4\n"
                            "washout_tilts = 301\n",
     "oracle_washout_focus_a": "beam = gaussian\nwaist = 3um\n"
@@ -188,11 +190,16 @@ SIMULATE = {
     "oracle_washout_even": "beam = gaussian\nwaist = 3um\n"
                            "alignment = focus_a\noracle = true\n"
                            "washout_theta = 5mrad\ngrid_points = 4000\n",
-    # From 16 nodes the plain oracle converges at 32 and the washout's 46
+    # From 16 nodes the plain oracle converges at 32 and the washout's 34
     # modes at 64: the two column groups of the shared pass part ways.
     "oracle_washout_levels": "oracle = true\noracle_nodes = 16\n"
                              "washout_theta = 1.2\n",
-    # 301 tilts at 1.2 rad take 46 modes, more than the mode proxy holds
+    # 0.8 rad leaves 31 modes, one short of filling the 32-row proxy of the
+    # 16-node start; the mode rule keeping more, or the proxy shrinking,
+    # moves this item.
+    "oracle_washout_0p8rad": "oracle = true\nwashout_theta = 0.8rad\n"
+                             "grid_points = 801\n",
+    # 301 tilts at 1.2 rad take 34 modes, more than the mode proxy holds
     # at 16 nodes per interval, the top level of this budget: it keeps that
     # level's 32 modes, and the kernel's 16-node level disagrees with its
     # 8-node one, so the run exits 2.
@@ -216,9 +223,9 @@ SIMULATE = {
                     "grid_points = 10001\n",
     "oracle_washout_10001": "oracle = true\nwashout_theta = 5mrad\n"
                             "grid_points = 10001\n",
-    # 20,001 points leave room for 13 mode columns per block, so the 32
-    # modes at 0.4 rad take 3 blocks (11, 11 and 10 columns): the later two
-    # converge against the peak of the blocks before them, one call each.
+    # 20,001 points leave room for 13 mode columns per block, so the 24
+    # modes at 0.4 rad take 2 blocks of 12 columns: the later one converges
+    # against the peak of the first, in a call of its own.
     "oracle_washout_blocks": "oracle = true\nwashout_theta = 0.4\n"
                              "grid_points = 20001\n",
     # A waist far below the node spacing lights no node: the oracle pattern
