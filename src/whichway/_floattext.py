@@ -2,7 +2,8 @@
 
 :func:`format_g17` gives one NUL-padded ASCII row per value; with the NULs
 dropped, a row is exactly the bytes of ``format(v, ".17g")``.
-:func:`csv_rows` joins such columns into CSV lines.
+:func:`cells` turns such rows into a column's CSV cells, and :func:`csv_rows`
+joins columns of cells into CSV lines.
 
 Digits come from certify-or-fall-back generation, as in Grisu (Loitsch,
 "Printing floating-point numbers quickly and accurately with integers",
@@ -28,6 +29,7 @@ temporaries do not grow with the column.  Tables are built on first use.
 from __future__ import annotations
 
 import functools
+from typing import Iterator
 
 import numpy as np
 
@@ -198,15 +200,26 @@ def _format_block(values: np.ndarray, out: np.ndarray) -> None:
                           .reshape(bad.size, WIDTH))
 
 
+def cells(rows: np.ndarray, end: str) -> np.ndarray:
+    """A column's CSV cells from its :func:`format_g17` rows, which this
+    fills in place: each row's little-endian uint64 words with ``end`` (","
+    before another column, "\\n" after the last) in the separator slot.
+    Words 1 and 2 hold digits before the point after the first, which no
+    value below 10 has; a column without any drops them, and its rows then
+    need less NUL stripping."""
+    rows[:, _SEPARATOR] = ord(end)
+    words = _words(rows)
+    return words if words[:, 1:3].any() else words[:, [0, 3, 4, 5]]
+
+
+def column_cells(values: np.ndarray, end: str) -> Iterator[np.ndarray]:
+    """The :func:`cells` of ``values`` (1-D), one array per block of
+    ``BLOCK_ROWS`` rows, each block dropping its unused words by itself."""
+    for start in range(0, values.size, BLOCK_ROWS):
+        yield cells(format_g17(values[start:start + BLOCK_ROWS]), end)
+
+
 def csv_rows(*columns: np.ndarray) -> bytes:
-    """CSV lines from :func:`format_g17` columns of equal length: the
-    columns of a row joined by commas, each row ended by a newline."""
-    line = np.stack(columns, axis=1)
-    line[:, :-1, _SEPARATOR] = ord(",")
-    line[:, -1, _SEPARATOR] = ord("\n")
-    words = line.view("<u8")
-    # Words 1 and 2 hold digits before the point after the first, which no
-    # value below 10 has; a block without any needs less NUL stripping.
-    if not words[:, :, 1:3].any():
-        words = words[:, :, [0, 3, 4, 5]]
-    return words.tobytes().translate(None, b"\0")
+    """CSV lines from columns of :func:`cells` of equal length: each row's
+    cells side by side, without their NULs."""
+    return np.concatenate(columns, axis=1).tobytes().translate(None, b"\0")

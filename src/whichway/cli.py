@@ -17,7 +17,7 @@ import shutil
 import sys
 from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
-from typing import Any, Callable, NamedTuple, Optional, Sequence
+from typing import Any, Callable, Iterator, NamedTuple, Optional, Sequence
 
 from . import __version__
 from .geometry import FeasibilityReport, SlitGeometry, check_feasibility
@@ -182,8 +182,10 @@ _NON_NEGATIVE = (lambda v: 0.0 <= v < math.inf, "finite and >= 0")
 # An angular spread theta means tilts over [-theta, theta], each within the
 # bound of ``tilt``; sin t then rises over them.
 _SPREAD = (lambda v: 0.0 <= v < 0.5 * math.pi, "in [0, pi/2)")
-# The shared x column of a run's CSVs takes 48 B a point as text: 192 MiB;
-# a mirrored intensity column's formatted half takes 96 MiB more.
+# The shared x column of a run's CSVs takes 32 B a point as CSV cells when
+# no x needs digits before the point after the first (48 B otherwise):
+# 128 MiB; a mirrored intensity column's half, formatted at 48 B a point,
+# takes 96 MiB more.
 _MAX_GRID_POINTS = 2 ** 22
 # A washout takes one pattern or kernel column per tilt; odd, as counts are.
 _MAX_WASHOUT_TILTS = 2 ** 16 + 1
@@ -561,38 +563,49 @@ def _shape_normalized(pattern: IntensityPattern) -> IntensityPattern:
                    meta={**pattern.meta, "unit_scale": 1.0})
 
 
-def _compare(cfg: ScenarioConfig, oracle_theta_rad: float
+def _models(cfg: ScenarioConfig, grid: GridSpec
+            ) -> dict[str, IntensityPattern]:
+    """The configured models on ``grid``, by name; they share each envelope
+    and the fringe factor."""
+    terms = PlateTerms(cfg.geometry, grid)
+    return {kind.value: sample_pattern(kind, cfg.geometry, grid,
+                                       cfg.normalization, cfg.alpha, cfg.beta,
+                                       terms=terms)
+            for kind in cfg.models}
+
+
+def _oracles(cfg: ScenarioConfig, grid: GridSpec, thetas: Sequence[float]
+             ) -> list[IntensityPattern]:
+    """The oracle's patterns on ``grid``, one per angular spread of
+    ``thetas``, from one :func:`oracle_patterns` call: they share one kernel
+    pass per level, and each keeps the bits of its own call."""
+    try:
+        return oracle_patterns(build_beam(cfg), build_apertures(cfg),
+                               cfg.geometry, grid, cfg.quadrature, thetas,
+                               cfg.washout_tilts)
+    except DarkPatternError as exc:
+        # The spot is too small to light any node: name its scale.
+        raise ConfigError(str(exc), key=_BEAM_SCALE_KEYS.get(
+            cfg.beam_kind)) from None
+
+
+def _compare(cfg: ScenarioConfig, oracle_theta_rad: float = 0.0
              ) -> tuple[dict, dict[str, IntensityPattern]]:
-    """The comparison ``simulate`` and ``sweep`` share: the configured models
-    and oracle on one grid, the configured washout, their duality metrics
-    and the model-vs-oracle divergences, as the JSON summary plus the
-    patterns.
+    """The comparison ``simulate`` runs: the configured models and oracle on
+    one grid, the configured washout, their duality metrics and the
+    model-vs-oracle divergences, as the JSON summary plus the patterns.
 
     The oracle is washed out over ``oracle_theta_rad`` (0 gives the plain
-    oracle)."""
+    oracle), as a ``theta`` sweep row's is."""
     geom = cfg.geometry
     grid, _, feas = _preflight(cfg)
-
-    # The models share each envelope and the fringe factor.
-    terms = PlateTerms(geom, grid)
-    patterns: dict[str, IntensityPattern] = {}
-    for kind in cfg.models:
-        patterns[kind.value] = sample_pattern(
-            kind, geom, grid, cfg.normalization, cfg.alpha, cfg.beta,
-            terms=terms)
+    patterns = _models(cfg, grid)
     if cfg.oracle_enabled:
         # The oracle and its washout share one kernel pass per level.
         thetas = [oracle_theta_rad]
         if cfg.washout_theta_rad is not None:
             thetas.append(cfg.washout_theta_rad)
-        try:
-            oracles = oracle_patterns(build_beam(cfg), build_apertures(cfg),
-                                      geom, grid, cfg.quadrature, thetas,
-                                      cfg.washout_tilts)
-        except DarkPatternError as exc:
-            # The spot is too small to light any node: name its scale.
-            raise ConfigError(str(exc), key=_BEAM_SCALE_KEYS.get(
-                cfg.beam_kind)) from None
+        oracles = _oracles(cfg, grid, thetas)
         patterns["oracle"] = oracles[0]
     if cfg.washout_theta_rad is not None:
         if cfg.oracle_enabled:
@@ -652,12 +665,12 @@ def run_scenario(cfg: ScenarioConfig,
     The summary is encoded once, as strict JSON: ``summary.json`` holds
     that text and ``simulate`` prints it.  Partial outputs are removed if
     anything fails mid-run.  Every pattern is sampled on the pre-flight
-    grid, so the x column is formatted once, and so is each distinct
-    intensity column: a pattern whose intensity has the bits of one
-    written before (``single_slit_a`` and ``standard_focused_a`` are one
-    formula) gets a copy of that file.
+    grid, so the x column is formatted once, as CSV cells every file
+    shares, and so is each distinct intensity column: a pattern whose
+    intensity has the bits of one written before (``single_slit_a`` and
+    ``standard_focused_a`` are one formula) gets a copy of that file.
     """
-    summary, patterns = _compare(cfg, 0.0)
+    summary, patterns = _compare(cfg)
     if out_dir is not None:
         for entry in summary["patterns"]:
             entry["csv"] = f"{cfg.csv_prefix}_{entry['model']}.csv"
@@ -668,8 +681,9 @@ def run_scenario(cfg: ScenarioConfig,
         out_dir = Path(out_dir)
         try:
             out_dir.mkdir(parents=True, exist_ok=True)
-            from ._floattext import format_g17
-            x_text = format_g17(next(iter(patterns.values())).x_m)
+            from ._floattext import column_cells
+            x_cells = list(column_cells(next(iter(patterns.values())).x_m,
+                                        ","))
             # Each distinct intensity column and the file it was written to.
             formatted: list[tuple[np.ndarray, Path]] = []
             for entry in summary["patterns"]:
@@ -685,7 +699,7 @@ def run_scenario(cfg: ScenarioConfig,
                         earlier.view(np.uint64), column.view(np.uint64))),
                     None)
                 if source is None:
-                    write_pattern_csv(pattern, path, x_text=x_text)
+                    write_pattern_csv(pattern, path, x_cells=x_cells)
                     formatted.append((column, path))
                 elif source != path:  # a model listed twice has one file
                     shutil.copyfile(source, path)
@@ -705,44 +719,47 @@ def run_scenario(cfg: ScenarioConfig,
 
 
 def write_pattern_csv(pattern: IntensityPattern, path: Path, *,
-                      x_text: Optional[np.ndarray] = None) -> None:
+                      x_cells: Optional[Sequence[np.ndarray]] = None
+                      ) -> None:
     """Two-column CSV ``x_m,intensity``; each float is the bytes of Python's
     ``format(v, ".17g")`` (lossless float round-trip).  Rows are formatted
-    and written in blocks.  ``x_text`` is ``format_g17(pattern.x_m)``, when
-    the caller has it already.
+    and written in blocks of ``BLOCK_ROWS``.  ``x_cells`` is
+    ``list(column_cells(pattern.x_m, ","))``, when the caller has it
+    already.
 
     ``.17g`` text depends only on a value's bits, so an intensity column
     that equals its own reverse bit for bit (a folded oracle or washout
     pattern) is formatted from its upper half: row i < n // 2 takes the
-    text of row n - 1 - i.  That half's text, 48 B a value, is held for
+    cell of row n - 1 - i.  That half's cells, 32 B a value (48 B when a
+    value needs digits before the point after the first), are held for
     the whole write."""
     # Imported here, so that only runs that write CSV compile the module.
-    from ._floattext import BLOCK_ROWS, csv_rows, format_g17
+    from ._floattext import BLOCK_ROWS, cells, column_cells, csv_rows, \
+        format_g17
     _load_arrays()
     x, intensity = pattern.x_m, pattern.intensity
-    if x_text is not None and len(x_text) != x.size:
-        raise ValueError("x_text needs one row per x value")
+    starts = range(0, x.size, BLOCK_ROWS)
+    if x_cells is None:
+        x_cells = column_cells(x, ",")
+    elif [len(block) for block in x_cells] \
+            != [min(BLOCK_ROWS, x.size - start) for start in starts]:
+        raise ValueError("x_cells needs one block of cells per block of "
+                         "x values")
     half = x.size // 2
     bits = intensity.view(np.uint64)
     if bits[0] == bits[-1] and np.array_equal(bits[:half],
                                               bits[x.size - half:][::-1]):
-        upper = format_g17(intensity[half:])
+        upper = cells(format_g17(intensity[half:]), "\n")
         lower = upper[::-1][:half]  # views: row i < half is lower[i]
+        i_cells = (np.concatenate((
+            lower[start:start + BLOCK_ROWS],
+            upper[max(start - half, 0):max(start + BLOCK_ROWS - half, 0)]))
+            for start in starts)
     else:
-        upper = lower = None
+        i_cells = column_cells(intensity, "\n")
     with open(path, "wb") as out:
         out.write(b"x_m,intensity\n")
-        for start in range(0, x.size, BLOCK_ROWS):
-            stop = start + BLOCK_ROWS
-            block = slice(start, stop)
-            x_block = format_g17(x[block]) if x_text is None \
-                else x_text[block]
-            if upper is None:
-                i_block = format_g17(intensity[block])
-            else:
-                i_block = np.concatenate((
-                    lower[block],
-                    upper[max(start - half, 0):max(stop - half, 0)]))
+        for x_block, i_block in zip(x_cells, i_cells):
             out.write(csv_rows(x_block, i_block))
 
 
@@ -764,6 +781,26 @@ _SWEEP_COLUMNS = ("parameter", "value", "half_fringe_angle_rad",
                   "divergence_sup_relative")
 
 
+def _spread_batches(thetas: Sequence[float], n_tilts: int
+                    ) -> Iterator[list[float]]:
+    """``thetas`` in order, in batches for one :func:`oracle_patterns` call
+    each.  A washout takes at most one mode column per tilt and the plain
+    pattern one column, and a batch takes spreads while their columns stay
+    within two washouts and the plain pattern, so a sweep's oracle memory
+    does not grow with its count of values."""
+    batch: list[float] = []
+    columns = 0
+    for theta in thetas:
+        width = n_tilts if theta > 0.0 else 1
+        if batch and columns + width > 2 * n_tilts + 1:
+            yield batch
+            batch, columns = [], 0
+        batch.append(theta)
+        columns += width
+    if batch:
+        yield batch
+
+
 def sweep_scenario(cfg: ScenarioConfig, parameter: str,
                    values: Sequence[float]) -> list[dict]:
     """One row per swept value, read off the ``simulate`` comparison of the
@@ -772,6 +809,14 @@ def sweep_scenario(cfg: ScenarioConfig, parameter: str,
 
     Sweeping ``theta`` treats the value as the illumination angular spread:
     it enters the collimation check and washes out the oracle pattern.
+
+    Every value is checked before any sampling.  A ``theta`` or
+    ``spot_width`` value reaches only the feasibility report and, for
+    ``theta``, the oracle's spread, so such a sweep runs one pre-flight and
+    one model sample, and its distinct spreads share :func:`oracle_patterns`
+    calls (:func:`_spread_batches`); each row is the one a comparison of
+    its value alone would give.  A plate length gives each value its own
+    comparison.
     """
     if parameter not in _SWEEP_KEYS:
         valid = ", ".join(SWEEP_PARAMETERS)
@@ -781,25 +826,55 @@ def sweep_scenario(cfg: ScenarioConfig, parameter: str,
     spec = _KEYS[_SWEEP_KEYS[parameter]]
     base = replace(cfg, models=cfg.models[:1], normalization=PEAK_SINGLE_SLIT,
                    washout_theta_rad=None)
-    rows = []
+    subs = []
     for value in values:
         changed = {spec.field: value}
         if spec.owner == "geometry":  # the plate's rules, as parse_config's
             spec.check(parameter, value)
             changed = {"geometry": _plate(
                 {**asdict(base.geometry), **changed}, parameter)}
-        sub = replace(base, **changed)
-        summary, _ = _compare(sub, value if parameter == "theta" else 0.0)
-        visibility = {entry["source"]: entry["visibility_fringe_local"]
-                      for entry in summary["patterns"]}
-        divergences = summary["divergences"]
-        cells = {"parameter": parameter, "value": value,
-                 **summary["feasibility"],  # read by their column names
-                 "visibility_model": visibility.get("model"),
-                 "visibility_oracle": visibility.get("oracle"),
-                 "divergence_sup_relative": (divergences[0]["sup_relative"]
-                                             if divergences else None)}
-        rows.append({col: cells[col] for col in _SWEEP_COLUMNS})
+        subs.append(replace(base, **changed))
+    # (value, config, oracle spread) per row.  A plate length changes every
+    # pattern, so each of its values has a comparison of its own; theta and
+    # spot_width values share one.
+    swept = [(value, sub, value if parameter == "theta" else 0.0)
+             for value, sub in zip(values, subs)]
+    if spec.owner == "geometry":
+        groups = [[row] for row in swept]
+    else:
+        groups = [swept] if swept else []
+    rows = []
+    for group in groups:
+        first = group[0][1]
+        geom = first.geometry
+        grid, _, _ = _preflight(first)
+        model = next(iter(_models(first, grid).values()), None)
+        shape = visibility_model = None
+        if model is not None:
+            shape = _shape_normalized(model)
+            visibility_model = visibility_fringe_local(model, geom)
+        # The oracle's visibility and divergence per distinct spread; each
+        # batch's patterns are dropped once read.
+        oracle_cells: dict[float, tuple] = {}
+        if first.oracle_enabled:
+            spreads = list(dict.fromkeys(theta for _, _, theta in group))
+            for batch in _spread_batches(spreads, first.washout_tilts):
+                for theta, oracle in zip(batch, _oracles(first, grid, batch)):
+                    oracle_cells[theta] = (
+                        visibility_fringe_local(oracle, geom),
+                        None if shape is None
+                        else pattern_divergence(shape, oracle).sup_relative)
+        for value, sub, theta in group:
+            feas = check_feasibility(geom, sub.focusing_angle_rad,
+                                     derived_spot_width(sub))
+            visibility_oracle, divergence = oracle_cells.get(theta,
+                                                             (None, None))
+            cells = {"parameter": parameter, "value": value,
+                     **asdict(feas),  # read by their column names
+                     "visibility_model": visibility_model,
+                     "visibility_oracle": visibility_oracle,
+                     "divergence_sup_relative": divergence}
+            rows.append({col: cells[col] for col in _SWEEP_COLUMNS})
     return rows
 
 

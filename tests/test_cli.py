@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from whichway import _floattext, cli, oracle
-from whichway._floattext import BLOCK_ROWS, format_g17
+from whichway._floattext import BLOCK_ROWS, column_cells
 from whichway.analytic import (PEAK_SINGLE_SLIT, UNIT_INTEGRAL, GridSpec,
                                IntensityPattern, ModelKind, sample_pattern)
 from whichway.beam import BesselBeam, GaussianBeam, PlaneWave
@@ -486,7 +486,7 @@ class TestRunScenario:
         pattern = IntensityPattern(x, np.cos(3e3 * x) ** 2, PEAK_SINGLE_SLIT)
         write_pattern_csv(pattern, tmp_path / "own.csv")
         write_pattern_csv(pattern, tmp_path / "shared.csv",
-                          x_text=format_g17(x))
+                          x_cells=list(column_cells(x, ",")))
         own = (tmp_path / "own.csv").read_bytes()
         assert (tmp_path / "shared.csv").read_bytes() == own
         reference = "".join(f"{a:.17g},{b:.17g}\n" for a, b in zip(
@@ -494,15 +494,15 @@ class TestRunScenario:
         assert own == ("x_m,intensity\n" + reference).encode("ascii")
         with pytest.raises(ValueError):
             write_pattern_csv(pattern, tmp_path / "short.csv",
-                              x_text=format_g17(x[:-1]))
+                              x_cells=list(column_cells(x[:-1], ",")))
 
     def test_x_column_formatted_once_per_run(self, tmp_path, monkeypatch):
         texts = []
         real = cli.write_pattern_csv
 
-        def spy(pattern, path, *, x_text=None):
-            texts.append(x_text)
-            real(pattern, path, x_text=x_text)
+        def spy(pattern, path, *, x_cells=None):
+            texts.append(x_cells)
+            real(pattern, path, x_cells=x_cells)
 
         monkeypatch.setattr(cli, "write_pattern_csv", spy)
         cfg = make_config("oracle = true\nwashout_theta = 2mrad\n"
@@ -511,7 +511,10 @@ class TestRunScenario:
         run_scenario(cfg, out_dir=tmp_path)
         assert len(texts) == 4
         assert all(text is texts[0] for text in texts)
-        assert np.array_equal(texts[0], format_g17(shared_grid(cfg).x()))
+        expected = list(column_cells(shared_grid(cfg).x(), ","))
+        assert len(texts[0]) == len(expected)
+        assert all(np.array_equal(block, want)
+                   for block, want in zip(texts[0], expected))
 
     def test_every_pattern_is_on_the_preflight_grid(self):
         # The CSVs share one formatted x column, so every pattern of a run
@@ -646,9 +649,9 @@ def spy_on_csv_writes(monkeypatch) -> list[str]:
     names = []
     real = cli.write_pattern_csv
 
-    def spy(pattern, path, *, x_text=None):
+    def spy(pattern, path, *, x_cells=None):
         names.append(path.name)
-        real(pattern, path, x_text=x_text)
+        real(pattern, path, x_cells=x_cells)
 
     monkeypatch.setattr(cli, "write_pattern_csv", spy)
     return names
@@ -764,14 +767,14 @@ class TestMirroredCsv:
 
     @staticmethod
     def formatted(tmp_path, monkeypatch, intensity) -> int:
-        """Write ``intensity`` with a shared x text, check the file against
+        """Write ``intensity`` with shared x cells, check the file against
         Python's per-value ``.17g`` rows, and return the count of
         intensity values formatted."""
         x = np.linspace(-1e-3, 1e-3, intensity.size)
-        x_text = format_g17(x)
+        x_cells = list(column_cells(x, ","))
         sizes = spy_on_formatting(monkeypatch)
         write_pattern_csv(IntensityPattern(x, intensity, PEAK_SINGLE_SLIT),
-                          tmp_path / "p.csv", x_text=x_text)
+                          tmp_path / "p.csv", x_cells=x_cells)
         reference = "".join(f"{a:.17g},{b:.17g}\n" for a, b in zip(
             x.tolist(), intensity.tolist()))
         assert (tmp_path / "p.csv").read_bytes() \
@@ -812,9 +815,9 @@ class TestMirroredCsv:
         sizes = spy_on_formatting(monkeypatch)
         real = cli.write_pattern_csv
 
-        def spy(pattern, path, *, x_text=None):
+        def spy(pattern, path, *, x_cells=None):
             sizes.clear()
-            real(pattern, path, x_text=x_text)
+            real(pattern, path, x_cells=x_cells)
             counts[path.stem.removeprefix("pattern_")] = sum(sizes)
 
         monkeypatch.setattr(cli, "write_pattern_csv", spy)
@@ -978,6 +981,131 @@ class TestSweepScenario:
 
     def test_empty_values_give_header_only(self):
         assert sweep_scenario(make_config(), "theta", []) == []
+
+
+class TestSharedSweep:
+    """A theta or spot_width sweep checks every value, then runs one
+    pre-flight, one model sample and one oracle_patterns call over its
+    distinct spreads; each row is the one the comparison of its value
+    alone gives."""
+
+    # Two models, unit_integral and a washout: a row must drop all three.
+    CONFIG = ("oracle = true\nmodels = empty_wave_sum, standard_two_slit\n"
+              "normalization = unit_integral\nwashout_theta = 2mrad\n"
+              "washout_tilts = 21\ngrid_points = 801\n")
+    FIELDS = {"theta": "focusing_angle_rad", "spot_width": "spot_width_m"}
+
+    @classmethod
+    def comparison_row(cls, cfg, parameter, value) -> dict:
+        """The row of ``value`` from the comparison of that value alone,
+        its oracle washed out over ``value`` when sweeping theta."""
+        one = replace(cfg, models=cfg.models[:1],
+                      normalization=PEAK_SINGLE_SLIT, washout_theta_rad=None,
+                      **{cls.FIELDS[parameter]: value})
+        summary, _ = cli._compare(one, value if parameter == "theta" else 0.0)
+        feas = summary["feasibility"]
+        model, oracle = summary["patterns"]
+        assert (model["source"], oracle["source"]) == ("model", "oracle")
+        return {
+            "parameter": parameter,
+            "value": value,
+            "half_fringe_angle_rad": feas["half_fringe_angle_rad"],
+            "collimation_ok": feas["collimation_ok"],
+            "spot_fits_slit": feas["spot_fits_slit"],
+            "fraunhofer_ok": feas["fraunhofer_ok"],
+            "visibility_model": model["visibility_fringe_local"],
+            "visibility_oracle": oracle["visibility_fringe_local"],
+            "divergence_sup_relative":
+                summary["divergences"][0]["sup_relative"],
+        }
+
+    @pytest.mark.parametrize("setup,parameter,values", [
+        ("", "theta", [0.0, 2e-3, 2e-3, 10e-3, 0.0]),
+        ("beam = gaussian\nwaist = 3um\nalignment = focus_a\n", "theta",
+         [1e-3, 0.0, 3e-3]),
+        ("", "spot_width", [5e-6, 12.6e-6, 30e-6]),
+    ], ids=["theta_repeated", "theta_focus_a", "spot_width"])
+    def test_rows_are_the_per_value_comparison(self, setup, parameter,
+                                               values):
+        cfg = make_config(setup + self.CONFIG)
+        assert sweep_scenario(cfg, parameter, values) == [
+            self.comparison_row(cfg, parameter, value) for value in values]
+
+    @pytest.mark.parametrize("parameter,values,spreads", [
+        ("theta", [0.0, 2e-3, 2e-3, 10e-3], [0.0, 2e-3, 10e-3]),
+        ("spot_width", [5e-6, 12.6e-6, 30e-6], [0.0]),
+    ])
+    def test_one_pass_per_sweep(self, monkeypatch, parameter, values,
+                                spreads):
+        calls = {"_preflight": [], "sample_pattern": [],
+                 "oracle_patterns": []}
+        for name, seen in calls.items():
+            def spy(*args, real=getattr(cli, name), seen=seen, **kwargs):
+                seen.append(args)
+                return real(*args, **kwargs)
+
+            monkeypatch.setattr(cli, name, spy)
+        sweep_scenario(make_config(self.CONFIG), parameter, values)
+        assert len(calls["_preflight"]) == 1
+        assert len(calls["sample_pattern"]) == 1
+        [args] = calls["oracle_patterns"]
+        assert list(args[5]) == spreads
+
+    def test_batches_hold_two_washouts_and_the_plain_pattern(self):
+        thetas = [0.0, 1e-3, 2e-3, 3e-3, 4e-3, 5e-3]
+        assert list(cli._spread_batches(thetas, 101)) == [
+            [0.0, 1e-3, 2e-3], [3e-3, 4e-3], [5e-3]]
+        assert list(cli._spread_batches([0.0, 1e-3], 101)) == [[0.0, 1e-3]]
+        assert list(cli._spread_batches([0.0, 1e-3, 2e-3, 3e-3], 1)) == [
+            [0.0, 1e-3, 2e-3], [3e-3]]
+
+    def test_oracle_memory_does_not_grow_with_the_value_count(self):
+        cfg = make_config("oracle = true\n")
+        phi = half_fringe_angle(cfg.geometry)
+
+        def peak(count: int) -> int:
+            values = np.linspace(0.0, 2.0 * phi, count).tolist()
+            tracemalloc.start()
+            try:
+                sweep_scenario(cfg, "theta", values)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(2)  # tables built on first use are not the sweep's
+        assert peak(33) <= 1.25 * peak(3)
+
+    def test_later_value_out_of_range_exits_before_oracle_work(
+            self, tmp_path, capsys, monkeypatch):
+        calls = []
+        for module, name in ((cli, "sample_pattern"),
+                             (oracle, "fraunhofer_amplitude")):
+            def spy(*args, real=getattr(module, name), **kwargs):
+                calls.append(args)
+                return real(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, spy)
+        path = TestMain.write_config(tmp_path, "oracle = true\n")
+        assert main(["sweep", "--config", str(path), "--param", "theta",
+                     "--values", "0,2mrad,2"]) == EXIT_CONFIG
+        assert "(key 'focusing_angle')" in capsys.readouterr().err
+        with pytest.raises(ConfigError) as info:
+            sweep_scenario(make_config("oracle = true\n"), "d",
+                           [12.6e-6, 1e-6])
+        assert info.value.key == "d"
+        assert calls == []
+
+    @pytest.mark.parametrize("parameter,values", [
+        ("theta", "0,2mrad"), ("spot_width", "5um,10um")])
+    def test_dark_spot_names_the_beam_scale(self, tmp_path, capsys,
+                                            parameter, values):
+        path = TestMain.write_config(
+            tmp_path, "beam = gaussian\nalignment = focus_a\n"
+                      "waist = 1e-300m\noracle = true\n")
+        assert main(["sweep", "--config", str(path), "--param", parameter,
+                     "--values", values]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "identically zero" in err and "(key 'waist')" in err
 
 
 class TestFormatSweepCsv:

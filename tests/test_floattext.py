@@ -1,6 +1,7 @@
 """Tests for the vectorized ``.17g`` column formatter behind the CSV writer:
-its bytes equal Python's ``format(v, ".17g")`` for every float, and every
-value it cannot certify takes the scalar path."""
+its bytes equal Python's ``format(v, ".17g")`` for every float, every value
+it cannot certify takes the scalar path, and columns of CSV cells, each
+dropping its unused words by itself, join into Python's rows."""
 
 import math
 
@@ -9,11 +10,13 @@ import pytest
 from hypothesis import given, strategies as st
 
 from whichway import _floattext
-from whichway._floattext import BLOCK_ROWS, csv_rows, format_g17
+from whichway._floattext import (BLOCK_ROWS, cells, column_cells, csv_rows,
+                                 format_g17)
 
 
 def text(values) -> bytes:
-    return csv_rows(format_g17(np.asarray(values, dtype=float)))
+    return b"".join(csv_rows(block) for block in column_cells(
+        np.asarray(values, dtype=float), "\n"))
 
 
 def reference(values) -> bytes:
@@ -67,9 +70,40 @@ def test_column_longer_than_a_block():
 
 
 def test_csv_rows_joins_columns():
-    x = format_g17(np.array([-1.5e-3, 2.0]))
-    y = format_g17(np.array([0.25, 1e-300]))
+    x = cells(format_g17(np.array([-1.5e-3, 2.0])), ",")
+    y = cells(format_g17(np.array([0.25, 1e-300])), "\n")
     assert csv_rows(x, y) == b"-0.0015,0.25\n2,1e-300\n"
+
+
+# Values on both sides of 10 (words 1 and 2 hold digits before the point
+# after the first), signed zeros, subnormals and values the scalar path
+# formats, besides any float.
+CELL_VALUES = st.one_of(st.floats(), st.sampled_from([
+    0.0, -0.0, 5e-324, -2.2250738585072014e-308, 9.999999999999998, 10.0,
+    -10.000000000000002, 123456789.125, 1e16, -1e17, 1e300, math.inf,
+    -math.inf, math.nan, 9 * 2.0 ** -23]))
+
+
+@given(st.lists(st.tuples(CELL_VALUES, CELL_VALUES), min_size=1,
+                max_size=40),
+       st.integers(min_value=1, max_value=8))
+def test_independent_cell_columns_give_python_rows(pairs, block):
+    # Each block of each column drops its unused words by itself, so one
+    # column may keep six words where the other keeps four.
+    x, y = (np.array(column, dtype=float) for column in zip(*pairs))
+    rows = b"".join(
+        csv_rows(cells(format_g17(x[start:start + block]), ","),
+                 cells(format_g17(y[start:start + block]), "\n"))
+        for start in range(0, x.size, block))
+    assert rows == "".join(f"{a:.17g},{b:.17g}\n"
+                           for a, b in pairs).encode("ascii")
+
+
+def test_column_cells_drop_unused_words_per_block():
+    values = np.concatenate((np.full(BLOCK_ROWS, 0.5), [12.5]))
+    first, second = column_cells(values, ",")
+    assert first.shape == (BLOCK_ROWS, 4) and second.shape == (1, 6)
+    assert csv_rows(second) == b"12.5,"
 
 
 def misestimated_exponents() -> list[float]:

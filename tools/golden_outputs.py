@@ -41,8 +41,9 @@ mode proxy fills the top level of a small refinement budget), an off-centre
 grid longer than two CSV row blocks, an oracle and an oracle washout on
 10,001 points (100 kernel row blocks, the last one padded; the plain
 oracle's blocks in several spans), an oracle washout whose modes take two
-column blocks, a model listed twice with the oracle on, every sweep
-parameter, a swept slit width that breaks its key's rule or s < d, a swept
+column blocks and one whose modes take three, a model listed twice with the
+oracle on, every sweep parameter, a theta sweep with a repeated value and a
+spot width sweep with the oracle on, a swept slit width that breaks its key's rule or s < d, a swept
 screen distance that breaks D > d and a swept theta of 2 rad, beyond the
 tilt bound, ``check`` with each plate error, an oracle node count, a
 reversed and a lone window bound, a CSV prefix that leaves the output
@@ -228,6 +229,10 @@ SIMULATE = {
     # against the peak of the first, in a call of its own.
     "oracle_washout_blocks": "oracle = true\nwashout_theta = 0.4\n"
                              "grid_points = 20001\n",
+    # The 31 modes at 0.8 rad on 20,001 points take three blocks, of 11, 10
+    # and 10 columns; the first shares the plain oracle's call.
+    "oracle_washout_three_blocks": "oracle = true\nwashout_theta = 0.8rad\n"
+                                   "grid_points = 20001\n",
     # A waist far below the node spacing lights no node: the oracle pattern
     # is identically zero, and the run exits 1 naming waist.
     "gaussian_dark_nodes": "beam = gaussian\nalignment = focus_a\n"
@@ -248,10 +253,14 @@ SIMULATE = {
 SWEEP = {
     "theta_oracle": ("oracle = true\nwashout_tilts = 21\n", "theta",
                      "0,2mrad,10mrad"),
+    # A repeated value gives the row of its first occurrence.
+    "theta_oracle_repeated": ("oracle = true\nwashout_tilts = 21\n", "theta",
+                              "0,2mrad,2mrad,10mrad"),
     "theta_focus_a": ("beam = gaussian\nwaist = 3um\nalignment = focus_a\n"
                       "oracle = true\nwashout_tilts = 11\n" + FOCUS_MODELS,
                       "theta", "0,1mrad"),
     "spot_width": ("", "spot_width", "5um,12.6um,30um"),
+    "spot_width_oracle": ("oracle = true\n", "spot_width", "5um,12.6um,30um"),
     "d_oracle": ("oracle = true\ngrid_points = 801\n", "d", "8um,12.6um,20um"),
     # A row takes the first model, peak-normalized and unwashed.
     "d_unit_integral_washout": ("oracle = true\ngrid_points = 801\n"
