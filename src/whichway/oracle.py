@@ -20,7 +20,9 @@ B = [1, sqrt2 cos(k xi s_j), sqrt2 sin(k xi s_j)] (j > 0) and a unitary T.
 One real SVD B = U S Z^T on a fixed proxy set of nodes gives the mode
 weights Z (:func:`_coherent_modes`), and each level takes its mode phases
 V W = B Z on its own nodes, so the mode columns are the same functions at
-every refinement level and refine like amplitudes.  The plain amplitude is
+every refinement level and refine like amplitudes.  A group's power, in
+units of a power of two so that it does not underflow (:func:`_add_power`),
+gives its convergence scale and the washout's sum.  The plain amplitude is
 the washout of one tilt, no shifts and Z = [[1]].  The :class:`ColumnGroup`
 records of one call share each level's beam samples and kernel tables but
 converge each on its own, so each keeps the bits of its own call.  The
@@ -349,6 +351,13 @@ def _worst_shift(delta: np.ndarray, modes: np.ndarray
     return worst, shift_weights[worst]
 
 
+def _add_power(power: np.ndarray, cols: np.ndarray, unit: float) -> np.ndarray:
+    """Adds sum_r (|C_r| / unit)^2 over the columns C_r to ``power``."""
+    for c in cols.T:
+        power += (np.abs(c) / unit) ** 2
+    return power
+
+
 def fraunhofer_amplitude(beam: BeamProfile, apertures: ApertureSet,
                          geom: SlitGeometry, x_m,
                          quad: QuadratureSpec | None = None, groups=None):
@@ -356,14 +365,15 @@ def fraunhofer_amplitude(beam: BeamProfile, apertures: ApertureSet,
     at a moved point x - s is this function at ``x_m - s``.
 
     ``groups`` is a sequence of :class:`ColumnGroup` records, and the
-    result a list of one (x, R) array of columns per group.  Without
-    ``groups`` the call takes the plain group ``ColumnGroup()`` alone and
-    returns a complex scalar for a scalar ``x_m`` and a 1-D array otherwise.
+    result a list of one (columns, power, u) per group: the (x, R) columns
+    C_r, their power sum_r (|C_r| / u)^2 and the power of two u with
+    max |C_0| / u in [0.5, 1), or 1 if none.  Without ``groups`` the plain
+    group alone gives a complex scalar for a scalar ``x_m``, else a 1-D array.
 
     The groups share one pass per level: one set of beam samples and
     kernel tables serves all their columns.  A group's node count doubles
     until every column agrees with its previous estimate to
-    ``quad.relative_tolerance`` of one scale, sqrt(max_x sum_r |C_r|^2 /
+    ``quad.relative_tolerance`` of one scale, u sqrt(max_x power /
     n_shifts) raised to at least min_scale: the largest amplitude of the
     plain group, and the root of a washout's peak when W has orthonormal
     columns spanning the tilts (min_scale lets a group that holds only some
@@ -392,18 +402,18 @@ def fraunhofer_amplitude(beam: BeamProfile, apertures: ApertureSet,
     plain = groups is None
     groups = [ColumnGroup()] if plain else list(groups)
 
-    def result(columns: list[np.ndarray]):
+    def result(done: list[tuple[np.ndarray, np.ndarray, float]]):
         if not plain:
-            return columns
-        if np.ndim(x_m) == 0:
-            return complex(columns[0][0, 0])
-        return columns[0][:, 0]
+            return done
+        amp = done[0][0][:, 0]
+        return complex(amp[0]) if np.ndim(x_m) == 0 else amp
 
     # Empty groups are done at once; the others refine.
     done = [None if x.size and group.modes.shape[1]
-            else np.zeros((x.size, group.modes.shape[1]), dtype=complex)
+            else (np.zeros((x.size, group.modes.shape[1]), dtype=complex),
+                  np.zeros(x.size), 1.0)
             for group in groups]
-    active = [g for g, columns in enumerate(done) if columns is None]
+    active = [g for g, entry in enumerate(done) if entry is None]
     if not active:
         return result(done)
 
@@ -425,15 +435,12 @@ def fraunhofer_amplitude(beam: BeamProfile, apertures: ApertureSet,
         for g, c, p in zip(active, cur, prev):
             rows = groups[g].modes.shape[0]
             diff = np.max([np.max(np.abs(a - b)) for a, b in zip(c.T, p.T)])
-            energy = np.zeros(x.size)
-            for a in c.T:
-                energy += a.real ** 2 + a.imag ** 2
-            # |C|^2 underflows to 0 where |C| < 1e-162; max |C| does not.
-            scale = math.sqrt(np.max(energy) / rows) \
-                or np.max(np.abs(c)) / math.sqrt(rows)
-            scale = max(scale, groups[g].min_scale) or 1.0
+            unit = math.ldexp(0.5, math.frexp(np.max(np.abs(c[:, 0])))[1])
+            power = _add_power(np.zeros(x.size), c, unit)
+            scale = max(unit * math.sqrt(np.max(power) / rows),
+                        groups[g].min_scale) or 1.0
             if diff <= quad.relative_tolerance * scale:
-                done[g] = c
+                done[g] = c, power, unit
             else:
                 history[g].append((n, float(diff / scale)))
                 refining.append((g, c, p))
@@ -508,8 +515,9 @@ def oracle_patterns(beam: BeamProfile, apertures: ApertureSet,
     group of a single :func:`fraunhofer_amplitude` call, which builds each
     level's beam samples and kernel tables once for all of them; a spread's
     later blocks converge against the peak of the blocks before them, one
-    call each.  So each pattern has the bits of its own call, and a joint
-    failure is the first spread's whose first block does not converge.
+    call each, and add their power to the first block's, in its unit.  So
+    each pattern has the bits of its own call, and a joint failure is the
+    first spread's whose first block does not converge.
 
     When every aperture phase is 0, the beam is real (a Gaussian, a Bessel
     beam or an untilted plane wave) and the grid has x[0] == -x[-1], the
@@ -526,8 +534,7 @@ def oracle_patterns(beam: BeamProfile, apertures: ApertureSet,
         quad = QuadratureSpec()
     x = grid.x()
     width = max(1, _BLOCK_BYTES // (_COMPLEX_BYTES * x.size))
-    # A real field's far field is Hermitian, C(-x) = conj C(x), and so is
-    # each mode column's, whose phases B Z are real: fold the screen.
+    # A real field's far field and its mode columns are Hermitian: fold.
     real = not any(apertures.phases_rad) and (
         isinstance(beam, (GaussianBeam, BesselBeam))
         or isinstance(beam, PlaneWave) and not beam.tilt_rad)
@@ -553,22 +560,15 @@ def oracle_patterns(beam: BeamProfile, apertures: ApertureSet,
                 for _, _, group, _, blocks in spreads])
 
     patterns = []
-    for (theta_rad, count, group, bound, blocks), amp in zip(spreads, firsts):
-        # |C|^2 in units of a power of two from the first column's peak, so
-        # that a faint field does not underflow; other patterns keep their
-        # bits.
-        unit = math.ldexp(0.5, math.frexp(np.max(np.abs(amp[:, 0])))[1])
-        intensity = np.zeros(integrated.size)
-        for block in blocks:
-            if block[0]:
-                floor = unit * math.sqrt(np.max(intensity) / count)
-                [amp] = fraunhofer_amplitude(
-                    beam, apertures, geom, integrated, quad, groups=[replace(
-                        group, modes=group.modes[:, block], min_scale=floor)])
-            for c in amp.T:
-                intensity += (np.abs(c) / unit) ** 2
-        intensity = np.concatenate((intensity[::-1][:cut], intensity))
-        intensity /= count
+    for (theta_rad, count, group, bound, blocks), (_, intensity, unit) \
+            in zip(spreads, firsts):
+        for block in blocks[1:]:
+            floor = unit * math.sqrt(np.max(intensity) / count)
+            [(amp, _, _)] = fraunhofer_amplitude(
+                beam, apertures, geom, integrated, quad, groups=[replace(
+                    group, modes=group.modes[:, block], min_scale=floor)])
+            _add_power(intensity, amp, unit)
+        intensity = np.concatenate((intensity[::-1][:cut], intensity)) / count
         peak = float(np.max(intensity))
         if peak <= 0.0:
             raise DarkPatternError("oracle pattern is identically zero")

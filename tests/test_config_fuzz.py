@@ -10,11 +10,20 @@ duplicate lines and lines that are not ``key = value``.  A sweep draws its
 ``--param`` and one value, good or edge, of that parameter's key.  The
 oracle stays off, ``grid_points`` <= 801 and ``washout_tilts`` <= 11, so
 that no run allocates much.
+
+A second profile turns the oracle on, with valid keys: beams, alignments,
+``ring_phase_flips``, washout spreads in [0, pi/2), off-axis windows and
+small quadrature budgets (``oracle_nodes`` 8-64, ``oracle_refinements``
+1-3), with ``washout_tilts`` <= 11 and ``grid_points`` <= 401.  A run may
+also exit 2 with its refinement history, and a spot that lights no node
+exits 1 naming the beam's scale key; ``check``, which runs no oracle, exits
+0 on both.
 """
 
 import contextlib
 import io
 import json
+import math
 import re
 import tempfile
 from pathlib import Path
@@ -152,6 +161,81 @@ def test_config_runs_or_names_its_error(text):
             codes.append(code)
         # check runs simulate's pre-flight, and the oracle is off
         assert codes[0] == codes[1], text
+
+
+@st.composite
+def oracle_texts(draw) -> str:
+    """A valid plate with the oracle on; the beam, its alignment, the
+    washout, the window and the quadrature budget vary."""
+    keys = {key: draw(st.sampled_from(GOOD[key])) for key in PLATE}
+    beam = keys["beam"] = draw(st.sampled_from(GOOD["beam"]))
+    if beam != "plane" or draw(st.integers(0, 3)) == 3:
+        keys["alignment"] = draw(st.sampled_from(GOOD["alignment"]))
+    if beam == "gaussian":
+        keys["waist"] = draw(st.sampled_from(["1um", "3um", "20um",
+                                              "1e-30m"]))
+    elif beam == "bessel":
+        keys["radial_wavenumber"] = draw(st.sampled_from(["5e5", "1.2e6",
+                                                          "3e6"]))
+        keys["ring_phase_flips"] = draw(st.sampled_from(["true", "false"]))
+    theta = draw(st.none() | st.floats(0.0, 0.5 * math.pi, exclude_max=True))
+    if theta is not None:
+        keys["washout_theta"] = repr(theta)
+    keys["washout_tilts"] = str(draw(st.integers(0, 5)) * 2 + 1)
+    keys["grid_points"] = str(draw(st.sampled_from([2, 401])
+                                   | st.integers(101, 401)))
+    if draw(st.booleans()):  # off axis; the derived window otherwise
+        centre = draw(st.sampled_from([0.0, 5e-3, 0.04, 1.0, 100.0]))
+        half = draw(st.sampled_from([5e-4, 5e-3, 0.04]))
+        keys["grid_min"] = f"{centre - half!r}m"
+        keys["grid_max"] = f"{centre + half!r}m"
+    keys["oracle"] = "true"
+    keys["oracle_nodes"] = str(draw(st.integers(8, 64)))
+    keys["oracle_refinements"] = str(draw(st.integers(1, 3)))
+    keys["oracle_rtol"] = draw(st.sampled_from(GOOD["oracle_rtol"]))
+    return "".join(f"{key} = {value}\n" for key, value in keys.items())
+
+
+README_PLATE = ("wavelength = 632.8nm\nslit_width = 2um\n"
+                "slit_separation = 12.6um\nscreen_distance = 0.1m\n")
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(oracle_texts())
+@example(README_PLATE + "beam = gaussian\nalignment = focus_a\nwaist = 3um\n"
+         "washout_theta = 5mrad\nwashout_tilts = 11\ngrid_points = 401\n"
+         "oracle = true\n")
+@example(README_PLATE + "beam = gaussian\nalignment = focus_a\n"
+         "waist = 1e-30m\nwashout_tilts = 1\ngrid_points = 401\n"
+         "oracle = true\n")
+@example(README_PLATE + "grid_min = 99.9995m\ngrid_max = 100m\n"
+         "washout_tilts = 1\ngrid_points = 2\noracle = true\n"
+         "oracle_refinements = 3\n")
+def test_oracle_config_runs_or_names_its_error(text):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "fuzz.cfg"
+        path.write_text(text, encoding="utf-8")
+        runs = [run([command, "--config", str(path)])
+                for command in ("check", "simulate")]
+    for code, out, err in runs:
+        if code == cli.EXIT_OK:
+            json.loads(out, parse_constant=reject_constant)
+        elif code == cli.EXIT_CONFIG:
+            assert err.startswith("error: "), err
+            assert "(key '" in err, err
+        else:
+            assert code == cli.EXIT_NO_CONVERGENCE, err
+            lines = err.splitlines()
+            assert lines[0].startswith("error: quadrature did not converge")
+            assert lines[1].startswith("refinement history"), err
+            assert len(lines) == 2 + int(cli.parse_config(
+                text).quadrature.max_refinements), err
+    (check, _, _), (simulate, _, err) = runs
+    if simulate == cli.EXIT_NO_CONVERGENCE or "identically zero" in err:
+        # the oracle's own outcomes, which check does not run
+        assert check == cli.EXIT_OK, text
+    else:
+        assert check == simulate, text
 
 
 @st.composite

@@ -271,11 +271,9 @@ class TestFraunhoferAmplitude:
                                    REF_GEOM, np.array([]))
         assert amp.shape == (0,)
         assert amp.dtype == np.complex128
-        [batch] = fraunhofer_amplitude(PlaneWave(),
-                                       two_slit_apertures(REF_GEOM), REF_GEOM,
-                                       np.array([]),
-                                       groups=[ColumnGroup([1e-3],
-                                                           np.eye(3)[:, :2])])
+        [(batch, _, _)] = fraunhofer_amplitude(
+            PlaneWave(), two_slit_apertures(REF_GEOM), REF_GEOM, np.array([]),
+            groups=[ColumnGroup([1e-3], np.eye(3)[:, :2])])
         assert batch.shape == (0, 2)
 
     def test_deterministic(self):
@@ -526,9 +524,9 @@ class TestShiftedColumns:
         positive, shifts = tilt_shifts(REF_GEOM, 0.025, 7)
         apertures = two_slit_apertures(REF_GEOM, phase_b_rad=0.5 * math.pi)
         identity = np.eye(shifts.size)
-        [batch] = fraunhofer_amplitude(beam, apertures, REF_GEOM, x,
-                                       groups=[ColumnGroup(positive,
-                                                           identity)])
+        [(batch, _, _)] = fraunhofer_amplitude(
+            beam, apertures, REF_GEOM, x,
+            groups=[ColumnGroup(positive, identity)])
         expected = per_shift_columns(beam, apertures, x, shifts) \
             @ shift_weights(identity)
         assert batch.shape == (x.size, shifts.size)
@@ -854,9 +852,8 @@ class TestColumnGroups:
         # one tilt: no positive shifts and Z = [[1]]; no groups, no columns
         x = self.GRID.x()
         plain = fraunhofer_amplitude(PlaneWave(), self.APERTURES, REF_GEOM, x)
-        [grouped] = fraunhofer_amplitude(PlaneWave(), self.APERTURES,
-                                         REF_GEOM, x,
-                                         groups=[ColumnGroup()])
+        [(grouped, _, _)] = fraunhofer_amplitude(
+            PlaneWave(), self.APERTURES, REF_GEOM, x, groups=[ColumnGroup()])
         assert grouped.shape == (x.size, 1)
         assert np.array_equal(grouped[:, 0], plain)
         assert fraunhofer_amplitude(PlaneWave(), self.APERTURES, REF_GEOM, x,
@@ -1246,8 +1243,8 @@ def whole_grid_pattern(beam, apertures, x, theta, n_tilts):
     if positive.size:
         modes, _ = oracle_module._coherent_modes(
             beam, apertures, REF_GEOM, positive, QuadratureSpec())
-    [amp] = fraunhofer_amplitude(beam, apertures, REF_GEOM, x,
-                                 groups=[ColumnGroup(positive, modes)])
+    [(amp, _, _)] = fraunhofer_amplitude(
+        beam, apertures, REF_GEOM, x, groups=[ColumnGroup(positive, modes)])
     unit = math.ldexp(0.5, math.frexp(np.max(np.abs(amp[:, 0])))[1])
     intensity = np.zeros(x.size)
     for c in amp.T:
@@ -1513,6 +1510,44 @@ class TestOraclePattern:
         reference = np.sum(np.abs(amp / np.max(np.abs(amp))) ** 2, axis=1)
         assert np.max(np.abs(pattern.intensity - reference / reference.max())) \
             <= 1e-13
+
+    HENE = SlitGeometry(632.8e-9, 2e-6, 12.6e-6, 0.1)
+
+    @pytest.mark.parametrize("start", [8, 16])
+    @pytest.mark.parametrize("exponent", [-560, -600])
+    @pytest.mark.parametrize("beam", [
+        PlaneWave(), GaussianBeam(waist_m=3e-6, center_m=HENE.slit_a_center_m)],
+        ids=["plane", "gaussian_focus_a"])
+    def test_scale_invariant_through_underflow(self, monkeypatch, beam,
+                                               exponent, start):
+        # A field times 2^exponent has every |C_r|^2 below the smallest
+        # float, yet the same power in units of a power of two: each
+        # normalized pattern and every level must stay as they are.  From 8
+        # nodes every group fails its first comparison (8, 16, 32), so a
+        # scale that collapsed would stop a level early.
+        geom = self.HENE
+        half = 0.5 * geom.slit_separation_m + 1.2 * geom.wavelength_m \
+            * geom.screen_distance_m / geom.slit_width_m  # cli.shared_grid
+        grid = GridSpec(-half, half, 801)
+        thetas = (0.0, 0.5 * half_fringe_angle(geom), 0.4)
+
+        def patterns():
+            levels = level_widths(monkeypatch)
+            result = oracle_module.oracle_patterns(
+                beam, two_slit_apertures(geom), geom, grid,
+                QuadratureSpec(nodes_per_interval=start), thetas)
+            monkeypatch.undo()
+            return result, levels
+
+        reference, reference_levels = patterns()
+        sample = oracle_module.amplitude_at
+        monkeypatch.setattr(oracle_module, "amplitude_at",
+                            lambda *args: sample(*args) * 2.0 ** exponent)
+        scaled, scaled_levels = patterns()
+        assert scaled_levels == reference_levels
+        for before, after in zip(reference, scaled):
+            assert after.meta["peak_abs"] == 0.0 < before.meta["peak_abs"]
+            assert np.array_equal(after.intensity, before.intensity)
 
     def test_low_visibility_for_focused_gaussian(self):
         grid = GridSpec(REF_GEOM.slit_a_center_m - 1.2 * LOBE,
