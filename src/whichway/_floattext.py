@@ -2,8 +2,10 @@
 
 :func:`format_g17` gives one NUL-padded ASCII row per value; with the NULs
 dropped, a row is exactly the bytes of ``format(v, ".17g")``.
-:func:`cells` turns such rows into a column's CSV cells, and :func:`csv_rows`
-joins columns of cells into CSV lines.
+:func:`cells` turns such rows into a column's CSV cells, :func:`column_cells`
+gives a whole column's cells, those of a column that mirrors itself bit for
+bit from its upper half, and :func:`csv_rows` joins columns of cells into
+CSV lines.
 
 Digits come from certify-or-fall-back generation, as in Grisu (Loitsch,
 "Printing floating-point numbers quickly and accurately with integers",
@@ -36,8 +38,9 @@ import numpy as np
 # Byte slots of a formatted value, which is six little-endian uint64 words.
 WIDTH = 48
 _WORDS = WIDTH // 8
-# Byte 0 holds the sign.
+# Byte 0 holds the sign, "-" or NUL.
 _PREFIX, _LEAD, _POINT, _FRAC, _SUFFIX, _SEPARATOR = 1, 7, 24, 25, 41, 46
+_MINUS = ord("-")
 _DIGITS = 17
 
 # Working memory of a block, and an upper estimate of it per row.
@@ -195,9 +198,15 @@ def _format_block(values: np.ndarray, out: np.ndarray) -> None:
 
     bad = np.flatnonzero(~ok)
     if bad.size:
-        scalar = [_fallback(v) for v in values[bad].tolist()]
-        out[bad] = _words(np.array(scalar, dtype=f"S{WIDTH}").view(np.uint8)
-                          .reshape(bad.size, WIDTH))
+        out[bad] = _words(_python_rows(values[bad]))
+
+
+def _python_rows(values: np.ndarray) -> np.ndarray:
+    """``(n, WIDTH)`` uint8 rows of Python's ``.17g`` text of ``values``,
+    which starts at byte 0 (there is no free sign slot) and is NUL-padded."""
+    scalar = [_fallback(v) for v in values.tolist()]
+    return np.array(scalar, dtype=f"S{WIDTH}").view(np.uint8) \
+        .reshape(values.size, WIDTH)
 
 
 def cells(rows: np.ndarray, end: str) -> np.ndarray:
@@ -212,11 +221,65 @@ def cells(rows: np.ndarray, end: str) -> np.ndarray:
     return words if words[:, 1:3].any() else words[:, [0, 3, 4, 5]]
 
 
+def _mirror_flip(bits: np.ndarray) -> int | None:
+    """0 when the float64 bits ``bits`` (two or more) mirror themselves,
+    bits[i] == bits[n-1-i] for every i < n // 2, 2^63 when they do with the
+    sign bit flipped (v[i] == -v[n-1-i]), else None."""
+    flip = int(bits[0] ^ bits[-1])
+    if flip not in (0, 1 << 63):
+        return None
+    half = bits.size // 2
+    mirror = bits[::-1][:half]
+    if flip:
+        mirror = mirror ^ np.uint64(flip)
+    return flip if np.array_equal(bits[:half], mirror) else None
+
+
 def column_cells(values: np.ndarray, end: str) -> Iterator[np.ndarray]:
     """The :func:`cells` of ``values`` (1-D), one array per block of
-    ``BLOCK_ROWS`` rows, each block dropping its unused words by itself."""
-    for start in range(0, values.size, BLOCK_ROWS):
-        yield cells(format_g17(values[start:start + BLOCK_ROWS]), end)
+    ``BLOCK_ROWS`` rows.
+
+    ``.17g`` text depends only on a value's bits, so a column that mirrors
+    itself bit for bit, v[i] = v[n-1-i] (even) or v[i] = -v[n-1-i] with
+    the sign bit flipped (odd) for every i < n // 2, is formatted from its
+    upper half v[n // 2:]: row i < n // 2 reuses the cell of row n - 1 - i,
+    its sign slot, byte 0, switched between NUL and "-" in an odd column.
+    A row that Python formatted starts its text at byte 0: where that
+    text starts with "-", clearing it leaves the text of the negation, but
+    the others have no free sign slot, so in an odd column their mirrors
+    are formatted again, by Python, from their own values.  The
+    upper half's cells, 32 B a value (48 B when one of its values or of
+    those formatted again needs words 1 and 2), are held while the
+    column's blocks are built.  Any other column is formatted block by
+    block, each block dropping its unused words by itself."""
+    values = np.asarray(values, dtype=np.float64)
+    n, half = values.size, values.size // 2
+    flip = _mirror_flip(values.view(np.uint64)) if half else None
+    if flip is None:
+        for start in range(0, n, BLOCK_ROWS):
+            yield cells(format_g17(values[start:start + BLOCK_ROWS]), end)
+        return
+
+    rows = format_g17(values[half:])
+    again = np.empty(0, np.int64)
+    if flip:
+        lead = rows[::-1][:half, 0]  # byte 0 of row n - 1 - i, i < half
+        again = np.flatnonzero((lead != 0) & (lead != _MINUS))
+        if again.size:
+            rows = np.concatenate((rows, _python_rows(values[again])))
+    rows = cells(rows, end)
+    upper, redone = rows[:n - half], rows[n - half:]
+    lower = upper[::-1][:half]  # a view: row i < half is lower[i]
+    for start in range(0, n, BLOCK_ROWS):
+        stop = min(start + BLOCK_ROWS, n)
+        mirrored = lower[start:stop]
+        block = np.concatenate((mirrored, upper[max(start - half, 0):
+                                                max(stop - half, 0)]))
+        if flip:
+            block[:len(mirrored), 0] ^= _MINUS
+            first, last = np.searchsorted(again, (start, stop))
+            block[again[first:last] - start] = redone[first:last]
+        yield block
 
 
 def csv_rows(*columns: np.ndarray) -> bytes:

@@ -37,12 +37,12 @@ from .specs import (MAX_BUDGET_NODES, MAX_NODES_PER_INTERVAL,
 _ARRAY_NAMES = {
     ".analytic": ("IntensityPattern", "PlateTerms", "sample_pattern"),
     ".beam": ("BeamProfile", "BesselBeam", "GaussianBeam", "PlaneWave",
-              "bessel_core_radius"),
+              "amplitude_at", "bessel_core_radius"),
     ".metrics": ("ResolutionError", "check_resolution", "pattern_divergence",
                  "visibility_fringe_local", "visibility_global"),
-    ".oracle": ("ApertureSet", "DarkPatternError", "fraunhofer_amplitude",
-                "oracle_pattern", "oracle_patterns", "tilt_angles",
-                "two_slit_apertures", "washout_pattern"),
+    ".oracle": ("ApertureSet", "DarkPatternError", "_aperture_nodes",
+                "fraunhofer_amplitude", "oracle_pattern", "oracle_patterns",
+                "tilt_angles", "two_slit_apertures", "washout_pattern"),
 }
 
 
@@ -184,8 +184,9 @@ _NON_NEGATIVE = (lambda v: 0.0 <= v < math.inf, "finite and >= 0")
 _SPREAD = (lambda v: 0.0 <= v < 0.5 * math.pi, "in [0, pi/2)")
 # The shared x column of a run's CSVs takes 32 B a point as CSV cells when
 # no x needs digits before the point after the first (48 B otherwise):
-# 128 MiB; a mirrored intensity column's half, formatted at 48 B a point,
-# takes 96 MiB more.
+# 128 MiB, and while it is built on a symmetric window the cells of its
+# upper half, 64 MiB more; a mirrored intensity column's half, formatted at
+# 48 B a point, takes 96 MiB more.
 _MAX_GRID_POINTS = 2 ** 22
 # A washout takes one pattern or kernel column per tilt; odd, as counts are.
 _MAX_WASHOUT_TILTS = 2 ** 16 + 1
@@ -481,7 +482,9 @@ def _preflight(cfg: ScenarioConfig
     """What a run checks before it samples, and all that ``check`` runs:
     the run's grid, whose points must be distinct and resolve the fringe
     period, then the spot width, the models on the grid, the windows a
-    model washout shifts the grid to, and the feasibility report."""
+    model washout shifts the grid to, the oracle's nodes, which the beam
+    must light so that the oracle does not converge on zeros
+    (:func:`_oracle_is_dark`), and the feasibility report."""
     _load_arrays()
     try:
         grid = shared_grid(cfg)
@@ -510,8 +513,40 @@ def _preflight(cfg: ScenarioConfig
                           "window", key="slit_separation")
     if cfg.washout_theta_rad is not None and not cfg.oracle_enabled:
         _check_washout_windows(cfg, grid)
+    if cfg.oracle_enabled and _oracle_is_dark(cfg):
+        raise _dark_spot(cfg)
     return grid, spot_width, check_feasibility(
         cfg.geometry, cfg.focusing_angle_rad, spot_width)
+
+
+def _oracle_is_dark(cfg: ScenarioConfig) -> bool:
+    """Whether the oracle's estimates converge on zeros, read from the
+    levels of its nodes that the beam lights in the open slits.
+
+    A level that lights no node gives a zero estimate, and two zero
+    estimates in a row agree, so the oracle converges on them; an estimate
+    after a zero one differs from it by its own peak, so it does not.  The
+    levels are walked until two in a row are unlit (dark) or lit (the
+    oracle may converge on a pattern there).  A spot far narrower than
+    the node spacing lights no level, or, centred on a slit at an odd
+    ``oracle_nodes``, the first level's middle node alone."""
+    beam, apertures = build_beam(cfg), build_apertures(cfg)
+    previous = None
+    for n in cfg.quadrature.levels:
+        xi, weights = _aperture_nodes(apertures, n)
+        lit = bool(np.any(amplitude_at(beam, xi, cfg.geometry.wavelength_m)
+                          * weights))
+        if lit == previous:
+            return not lit
+        previous = lit
+    return False
+
+
+def _dark_spot(cfg: ScenarioConfig) -> ConfigError:
+    """The error of an oracle run whose pattern is dark: the spot is too
+    small to light any node, so it names the beam's scale."""
+    return ConfigError("oracle pattern is identically zero",
+                       key=_BEAM_SCALE_KEYS.get(cfg.beam_kind))
 
 
 def path_probabilities(cfg: ScenarioConfig) -> tuple[float, float]:
@@ -583,10 +618,11 @@ def _oracles(cfg: ScenarioConfig, grid: GridSpec, thetas: Sequence[float]
         return oracle_patterns(build_beam(cfg), build_apertures(cfg),
                                cfg.geometry, grid, cfg.quadrature, thetas,
                                cfg.washout_tilts)
-    except DarkPatternError as exc:
-        # The spot is too small to light any node: name its scale.
-        raise ConfigError(str(exc), key=_BEAM_SCALE_KEYS.get(
-            cfg.beam_kind)) from None
+    except DarkPatternError:
+        # The pre-flight lets through a spot that lights a level's nodes so
+        # faintly that the oracle's estimate converges on the next level's
+        # zeros.
+        raise _dark_spot(cfg) from None
 
 
 def _compare(cfg: ScenarioConfig, oracle_theta_rad: float = 0.0
@@ -727,39 +763,25 @@ def write_pattern_csv(pattern: IntensityPattern, path: Path, *,
     ``list(column_cells(pattern.x_m, ","))``, when the caller has it
     already.
 
-    ``.17g`` text depends only on a value's bits, so an intensity column
-    that equals its own reverse bit for bit (a folded oracle or washout
-    pattern) is formatted from its upper half: row i < n // 2 takes the
-    cell of row n - 1 - i.  That half's cells, 32 B a value (48 B when a
-    value needs digits before the point after the first), are held for
-    the whole write."""
+    Each column is formatted by :func:`~whichway._floattext.column_cells`,
+    so one that mirrors itself bit for bit (the x of a symmetric window, an
+    even model on it, a folded oracle or washout pattern) is formatted
+    from its upper half, whose cells are held for the whole write."""
     # Imported here, so that only runs that write CSV compile the module.
-    from ._floattext import BLOCK_ROWS, cells, column_cells, csv_rows, \
-        format_g17
+    from ._floattext import BLOCK_ROWS, column_cells, csv_rows
     _load_arrays()
-    x, intensity = pattern.x_m, pattern.intensity
-    starts = range(0, x.size, BLOCK_ROWS)
+    x = pattern.x_m
     if x_cells is None:
         x_cells = column_cells(x, ",")
     elif [len(block) for block in x_cells] \
-            != [min(BLOCK_ROWS, x.size - start) for start in starts]:
+            != [min(BLOCK_ROWS, x.size - start)
+                for start in range(0, x.size, BLOCK_ROWS)]:
         raise ValueError("x_cells needs one block of cells per block of "
                          "x values")
-    half = x.size // 2
-    bits = intensity.view(np.uint64)
-    if bits[0] == bits[-1] and np.array_equal(bits[:half],
-                                              bits[x.size - half:][::-1]):
-        upper = cells(format_g17(intensity[half:]), "\n")
-        lower = upper[::-1][:half]  # views: row i < half is lower[i]
-        i_cells = (np.concatenate((
-            lower[start:start + BLOCK_ROWS],
-            upper[max(start - half, 0):max(start + BLOCK_ROWS - half, 0)]))
-            for start in starts)
-    else:
-        i_cells = column_cells(intensity, "\n")
     with open(path, "wb") as out:
         out.write(b"x_m,intensity\n")
-        for x_block, i_block in zip(x_cells, i_cells):
+        for x_block, i_block in zip(x_cells,
+                                    column_cells(pattern.intensity, "\n")):
             out.write(csv_rows(x_block, i_block))
 
 

@@ -79,7 +79,8 @@ _BLOCK_BYTES = 4 << 20
 _GROUP_BYTES = 256 << 10
 _COMPLEX_BYTES = 16
 # Screen points may deviate from x_0 + j dx by this many ulps of the grid's
-# largest magnitude: a linspace is exact to about one, a shifted one to two.
+# largest magnitude: a linspace is exact to about one, a mirrored
+# (:meth:`GridSpec.x`) or shifted one to two.
 _EVEN_SPACING_ULPS = 8
 # A washout keeps the coherent modes with sigma_r > _MODE_CUTOFF * sigma_1,
 # sigma_r^2 > eps sigma_1^2 for eps = 2^-52 (:func:`_coherent_modes`).
@@ -521,11 +522,11 @@ def oracle_patterns(beam: BeamProfile, apertures: ApertureSet,
 
     When every aperture phase is 0, the beam is real (a Gaussian, a Bessel
     beam or an untilted plane wave) and the grid has x[0] == -x[-1], the
-    calls integrate only the points x[x.size // 2:], which are x >= 0 (an
-    odd grid's middle point is 0 to within an ulp of its ends), and the
-    even intensity is mirrored onto the others: their values are taken at
-    -x of the integrated points, within a few ulps of the grid's own.  A
-    failure of such a call then names one of the integrated points, and
+    calls integrate only the points x[x.size // 2:], which are x >= 0, and
+    the even intensity is mirrored onto the others: :meth:`GridSpec.x`
+    mirrors such a grid bit for bit, so they are exactly -x of the
+    integrated points (and an odd grid's middle point is 0).  A failure of
+    such a call then names one of the integrated points, and
     its estimates cover those x.size - x.size // 2 points.  The mode column
     blocks are still sized from the whole grid, so a washout sums the same
     blocks folded or not.

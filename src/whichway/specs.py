@@ -59,8 +59,23 @@ class GridSpec:
             raise ValueError("grid requires at least 2 points")
 
     def x(self) -> np.ndarray:
+        """The ``points`` evenly spaced x from x_min to x_max, a linspace.
+
+        A window symmetric about 0 (x_min == -x_max) gives an odd column
+        bit for bit: the upper half x[n - n // 2:] is the linspace's, each
+        lower point x[i], i < n // 2, is -x[n-1-i], and an odd count's
+        middle point x[n // 2] is 0.0.  So the even models and the folded
+        oracle are exact mirror images on it, and its CSV cells are
+        formatted from the upper half
+        (:func:`~whichway._floattext.column_cells`)."""
         import numpy as np
-        return np.linspace(self.x_min_m, self.x_max_m, self.points)
+        x = np.linspace(self.x_min_m, self.x_max_m, self.points)
+        if self.x_min_m == -self.x_max_m:
+            half = self.points // 2
+            x[:half] = -x[::-1][:half]
+            if self.points % 2:
+                x[half] = 0.0
+        return x
 
     def check_points(self) -> None:
         """Raise ValueError unless :meth:`x` is strictly increasing and evenly

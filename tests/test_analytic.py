@@ -259,6 +259,29 @@ class TestGridSpec:
         grid = GridSpec(-1.0, 1.0, 5)
         assert np.array_equal(grid.x(), np.linspace(-1.0, 1.0, 5))
 
+    @settings(deadline=None)
+    @given(st.floats(1e-300, 1e300),
+           st.sampled_from([2, 3]) | st.integers(2, 5001))
+    def test_symmetric_window_is_odd_bit_for_bit(self, x_max, points):
+        x = GridSpec(-x_max, x_max, points).x()
+        linspace = np.linspace(-x_max, x_max, points)
+        middle = points // 2
+        assert np.array_equal(x[:middle].view(np.uint64),
+                              (-x[::-1][:middle]).view(np.uint64))
+        if points % 2:
+            assert x[middle] == 0.0 and not np.signbit(x[middle])
+            middle += 1
+        assert np.array_equal(x[middle:].view(np.uint64),
+                              linspace[middle:].view(np.uint64))
+        # The linspace's own halves are negatives of each other to within
+        # its rounding, below 3 eps max|x| (the step, each product with it
+        # and each sum round once); 2 eps is the most seen.
+        assert np.max(np.abs(x - linspace)) \
+            <= 3.0 * np.finfo(float).eps * x_max
+        GridSpec(-x_max, x_max, points).check_points()
+        assert np.array_equal(GridSpec(-x_max, 2.0 * x_max, points).x(),
+                              np.linspace(-x_max, 2.0 * x_max, points))
+
     @pytest.mark.parametrize("x_max,points,message", [
         (1.0000000000000004, 5, "strictly increasing"),
         (1.0000001, 11, "uniformly spaced"),

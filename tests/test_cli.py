@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from whichway import _floattext, cli, oracle
+from whichway import cli, oracle
 from whichway._floattext import BLOCK_ROWS, column_cells
 from whichway.analytic import (PEAK_SINGLE_SLIT, UNIT_INTEGRAL, GridSpec,
                                IntensityPattern, ModelKind, sample_pattern)
@@ -737,20 +737,6 @@ class TestCsvMemory:
         assert peak < self.LIMIT_BYTES
 
 
-def spy_on_formatting(monkeypatch) -> list[int]:
-    """The sizes of the arrays ``_floattext.format_g17`` formats from here
-    on, one entry per call."""
-    sizes = []
-    real = _floattext.format_g17
-
-    def spy(values):
-        sizes.append(np.size(values))
-        return real(values)
-
-    monkeypatch.setattr(_floattext, "format_g17", spy)
-    return sizes
-
-
 def palindrome(n: int) -> np.ndarray:
     """A column of n values, equal to its own reverse bit for bit, whose
     upper half spans many decades and holds exact zeros."""
@@ -766,13 +752,13 @@ class TestMirroredCsv:
     column, however near, is formatted whole."""
 
     @staticmethod
-    def formatted(tmp_path, monkeypatch, intensity) -> int:
+    def formatted(tmp_path, spy_on_formatting, intensity) -> int:
         """Write ``intensity`` with shared x cells, check the file against
         Python's per-value ``.17g`` rows, and return the count of
         intensity values formatted."""
         x = np.linspace(-1e-3, 1e-3, intensity.size)
         x_cells = list(column_cells(x, ","))
-        sizes = spy_on_formatting(monkeypatch)
+        sizes = spy_on_formatting()
         write_pattern_csv(IntensityPattern(x, intensity, PEAK_SINGLE_SLIT),
                           tmp_path / "p.csv", x_cells=x_cells)
         reference = "".join(f"{a:.17g},{b:.17g}\n" for a, b in zip(
@@ -783,36 +769,38 @@ class TestMirroredCsv:
 
     @pytest.mark.parametrize("n", [2, 3, 2 * BLOCK_ROWS, 2 * BLOCK_ROWS + 1,
                                    4001, 3 * BLOCK_ROWS + 6])
-    def test_palindrome_formats_its_upper_half(self, tmp_path, monkeypatch,
-                                               n):
-        assert self.formatted(tmp_path, monkeypatch, palindrome(n)) \
+    def test_palindrome_formats_its_upper_half(self, tmp_path,
+                                               spy_on_formatting, n):
+        assert self.formatted(tmp_path, spy_on_formatting, palindrome(n)) \
             == n - n // 2
 
-    def test_constant_column(self, tmp_path, monkeypatch):
-        assert self.formatted(tmp_path, monkeypatch,
+    def test_constant_column(self, tmp_path, spy_on_formatting):
+        assert self.formatted(tmp_path, spy_on_formatting,
                               np.full(4001, 0.25)) == 2001
 
     @pytest.mark.parametrize("n", [4000, 4001])
     @pytest.mark.parametrize("row", [0, 5])
-    def test_one_ulp_off_is_formatted_whole(self, tmp_path, monkeypatch, n,
-                                            row):
+    def test_one_ulp_off_is_formatted_whole(self, tmp_path,
+                                            spy_on_formatting, n, row):
         intensity = palindrome(n)
         intensity[row] = np.nextafter(intensity[row], np.inf)
-        assert self.formatted(tmp_path, monkeypatch, intensity) == n
+        assert self.formatted(tmp_path, spy_on_formatting, intensity) == n
 
-    def test_signed_zeros_are_formatted_whole(self, tmp_path, monkeypatch):
+    def test_signed_zeros_are_formatted_whole(self, tmp_path,
+                                              spy_on_formatting):
         # +0.0 and -0.0 compare equal, and -0.0 passes IntensityPattern's
         # i < 0 check, but their bits and their text ("0", "-0") differ.
         intensity = palindrome(4001)
         intensity[3], intensity[-4] = 0.0, -0.0
-        assert self.formatted(tmp_path, monkeypatch, intensity) == 4001
+        assert self.formatted(tmp_path, spy_on_formatting, intensity) == 4001
 
     @staticmethod
-    def formatted_per_file(monkeypatch) -> dict[str, int]:
+    def formatted_per_file(monkeypatch, spy_on_formatting
+                           ) -> dict[str, int]:
         """The count of intensity values formatted for each CSV
         ``write_pattern_csv`` writes from here on, by pattern name."""
         counts = {}
-        sizes = spy_on_formatting(monkeypatch)
+        sizes = spy_on_formatting()
         real = cli.write_pattern_csv
 
         def spy(pattern, path, *, x_cells=None):
@@ -824,31 +812,39 @@ class TestMirroredCsv:
         return counts
 
     def test_folded_oracle_and_washout_format_half(self, tmp_path,
-                                                   monkeypatch):
+                                                   monkeypatch,
+                                                   spy_on_formatting):
         cfg = make_config("beam = plane\nalignment = cover_both\n"
                           "oracle = true\nwashout_theta = 2mrad\n")
-        counts = self.formatted_per_file(monkeypatch)
+        counts = self.formatted_per_file(monkeypatch, spy_on_formatting)
         report = run_scenario(cfg, out_dir=tmp_path)
         n = cfg.grid_points
-        assert counts == {"standard_two_slit": n, "oracle": n - n // 2,
-                          "washout": n - n // 2}
+        # standard_two_slit is even, so it mirrors itself on the symmetric
+        # window too.
+        assert counts == {"standard_two_slit": n - n // 2,
+                          "oracle": n - n // 2, "washout": n - n // 2}
         for name in ("oracle", "washout"):
             data = np.loadtxt(tmp_path / f"pattern_{name}.csv",
                               delimiter=",", skiprows=1)
             assert np.array_equal(data[:, 1],
                                   report.patterns[name].intensity)
 
-    @pytest.mark.parametrize("setup", [
-        "beam = bessel\nradial_wavenumber = 2.4e6\nalignment = focus_a\n",
-        "grid_min = -1mm\ngrid_max = 3mm\n",
+    @pytest.mark.parametrize("setup,symmetric", [
+        ("beam = bessel\nradial_wavenumber = 2.4e6\nalignment = focus_a\n",
+         True),
+        ("grid_min = -1mm\ngrid_max = 3mm\n", False),
     ], ids=["signed_ring_bessel", "off_centre_window"])
     def test_unfolded_run_formats_every_value(self, tmp_path, monkeypatch,
-                                              setup):
+                                              spy_on_formatting, setup,
+                                              symmetric):
+        # The oracle and its washout are formatted whole; standard_two_slit
+        # is even, and mirrors itself on a symmetric window.
         cfg = make_config(setup + "oracle = true\nwashout_theta = 2mrad\n")
-        counts = self.formatted_per_file(monkeypatch)
+        counts = self.formatted_per_file(monkeypatch, spy_on_formatting)
         run_scenario(cfg, out_dir=tmp_path)
         n = cfg.grid_points
-        assert counts == {"standard_two_slit": n, "oracle": n, "washout": n}
+        assert counts == {"standard_two_slit": n - n // 2 if symmetric else n,
+                          "oracle": n, "washout": n}
 
 
 class TestOracleStart:
@@ -1441,6 +1437,13 @@ class TestMain:
           for refinements in (10, 10 ** 12)
           for argv in (["check"], ["simulate", "--out-dir", "{out}"],
                        ["sweep", "--param", "d", "--values", "12.6um"])),
+        # check samples the beam on the oracle's node levels, so it rejects
+        # the spot that simulate rejects; at 9 nodes the spot lights the
+        # first level's middle node alone, and the next two levels none.
+        *((["check"], "beam = gaussian\nalignment = focus_a\n"
+                      "waist = 1e-30m\noracle = true\ngrid_points = 401\n"
+                      f"washout_tilts = 11\n{nodes}", "waist")
+          for nodes in ("", "oracle_nodes = 9\n")),
     ])
     def test_error_names_its_own_key(self, tmp_path, capsys, argv, extra,
                                      key):
@@ -1463,9 +1466,26 @@ class TestMain:
         assert [p.name for p in tmp_path.rglob("*") if p.is_file()] \
             == (["scenario.cfg"] if extra is not None else [])
 
+    @pytest.mark.parametrize("refinements,code", [
+        (1, EXIT_NO_CONVERGENCE), (2, EXIT_CONFIG)])
+    def test_check_walks_the_node_levels(self, tmp_path, capsys, refinements,
+                                         code):
+        # At 9 nodes a 1e-30 m spot lights the first level's middle node
+        # alone.  With one refinement the oracle compares that estimate with
+        # the second level's zeros and does not converge, which check cannot
+        # tell; with two it converges on the zeros of the second and third
+        # levels, which check rejects as simulate does.
+        path = self.write_config(
+            tmp_path, "beam = gaussian\nalignment = focus_a\n"
+                      "waist = 1e-30m\noracle = true\noracle_nodes = 9\n"
+                      f"oracle_refinements = {refinements}\n")
+        assert main(["simulate", "--config", str(path)]) == code
+        assert main(["check", "--config", str(path)]) \
+            == (EXIT_OK if code == EXIT_NO_CONVERGENCE else code)
+
     def test_check_accepts_the_largest_budget(self, tmp_path, capsys):
-        # 16 nodes doubled 9 times reach the bound, 8,192; check runs no
-        # quadrature.
+        # 16 nodes doubled 9 times reach the bound, 8,192; check samples
+        # the beam until two levels in a row light a node, the first two.
         path = self.write_config(tmp_path, "oracle = true\n"
                                  "oracle_nodes = 16\noracle_refinements = 9\n")
         assert main(["check", "--config", str(path)]) == EXIT_OK

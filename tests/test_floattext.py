@@ -106,6 +106,60 @@ def test_column_cells_drop_unused_words_per_block():
     assert csv_rows(second) == b"12.5,"
 
 
+def mirrored(upper, n: int, odd: bool) -> np.ndarray:
+    """A column of n values whose rows i >= n // 2 are ``upper`` and whose
+    rows i < n // 2 are their mirror, negated with the sign bit flipped
+    when ``odd``."""
+    upper = np.asarray(upper, dtype=float)
+    lower = upper[::-1][:n // 2]
+    return np.concatenate((-lower if odd else lower, upper))
+
+
+# Rows Python formats (signed zeros, subnormals, |v| above the tables, inf
+# and nan), values of 10 and more (6-word cells) and certified ones below.
+MIRROR_VALUES = [0.0, -0.0, 5e-324, -5e-324, 1e300, -1e300, 1.1e272,
+                 -math.inf, math.nan, 12.5, -123456.75, 0.3, -2.5e-7, 0.25]
+
+
+class TestMirroredColumn:
+    """A column that mirrors itself bit for bit, evenly or oddly, is
+    formatted from its upper half, with the bytes of formatting each
+    value; any other column is formatted whole."""
+
+    @pytest.mark.parametrize("n", [2, 3, 8, 9, 2 * BLOCK_ROWS,
+                                   2 * BLOCK_ROWS + 1, 3 * BLOCK_ROWS + 6])
+    @pytest.mark.parametrize("kind", ["even", "odd", "unmirrored"])
+    def test_formats_the_upper_half(self, spy_on_formatting, n, kind):
+        rng = np.random.default_rng(n)
+        upper = rng.choice(MIRROR_VALUES, n - n // 2)
+        upper[n % 2] = 0.3
+        values = mirrored(upper, n, kind != "even")
+        if kind == "unmirrored":
+            # one ulp off in the lower row next to the upper half
+            values[n // 2 - 1] = np.nextafter(values[n // 2 - 1], math.inf)
+        sizes = spy_on_formatting()
+        assert text(values) == reference(values.tolist())
+        assert sum(sizes) == (n if kind == "unmirrored" else n - n // 2)
+
+    @pytest.mark.parametrize("values", [
+        # "1.1e+272" fits word 0, "-1.1e+272" also takes word 1.
+        [-1.1e272, 0.25, 1.1e272], [-1e300, 0.25, 1e300],
+        [0.0, -0.0], [-0.0, 0.0], [math.inf, -math.inf], [-5e-324, 5e-324],
+        [math.nan, -math.nan], [-12.5, 12.5], [-0.5, 0.0, 0.5],
+    ])
+    def test_odd_python_rows(self, values):
+        column = np.array(values)
+        assert column.view(np.uint64)[0] ^ column.view(np.uint64)[-1] \
+            == 1 << 63
+        assert text(column) == reference(values)
+
+    @given(st.lists(CELL_VALUES, min_size=1, max_size=40),
+           st.booleans(), st.booleans())
+    def test_any_mirrored_column_gives_python_rows(self, upper, odd, even_n):
+        values = mirrored(upper, 2 * len(upper) - (not even_n), odd)
+        assert text(values) == reference(values.tolist())
+
+
 def misestimated_exponents() -> list[float]:
     """Values just below 10^k whose rounded log10 is k."""
     below = [math.nextafter(10.0 ** k, 0.0) for k in range(1, 23)]

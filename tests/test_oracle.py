@@ -16,7 +16,7 @@ from whichway import (ApertureSet, BesselBeam, ColumnGroup, ConvergenceError,
                       visibility_fringe_local, ModelKind)
 from whichway import oracle as oracle_module
 from whichway.beam import amplitude_at
-from whichway.oracle import _amplitude_fixed
+from whichway.oracle import DarkPatternError, _amplitude_fixed
 from whichway.specs import MAX_BUDGET_NODES
 
 REF_GEOM = SlitGeometry(0.63e-6, 2e-6, 12e-6, 0.1)
@@ -1490,6 +1490,16 @@ class TestOraclePattern:
         assert pattern.meta["unit_scale"] == 1.0
         assert pattern.meta["peak_abs"] > 0.0
         assert pattern.meta["model"] == "oracle"
+
+    @pytest.mark.parametrize("nodes", [16, 9])
+    def test_unlit_nodes_give_a_dark_pattern(self, nodes):
+        # A spot far narrower than the node spacing lights no node, or at an
+        # odd count the first level's middle node alone: two zero estimates
+        # in a row converge, and the pattern has no peak.
+        beam = GaussianBeam(waist_m=1e-30, center_m=REF_GEOM.slit_a_center_m)
+        with pytest.raises(DarkPatternError):
+            oracle_pattern(beam, two_slit_apertures(REF_GEOM), REF_GEOM,
+                           GridSpec(-LOBE, LOBE, 401), QuadratureSpec(nodes))
 
     @pytest.mark.parametrize("theta", [0.0, PHI / 10, PHI])
     def test_faint_field_is_not_zero(self, theta):
