@@ -24,8 +24,10 @@ sign, the "0.000" prefix of fixed notation below 1, the digits before the
 decimal point, the point, the digits after it, the "e-123" suffix of
 scientific notation and the CSV separator.  The 17 digits are written to
 both digit slots and a mask table keeps the right ones, so no byte moves
-within a row.  Values are formatted in blocks of ``BLOCK_ROWS`` rows, so
-temporaries do not grow with the column.  Tables are built on first use.
+within a row.  Python's text keeps the sign slot, "-" or NUL, and its
+unsigned text follows.  Values are formatted in blocks of ``BLOCK_ROWS``
+rows, so temporaries do not grow with the column.  Tables are built on
+first use.
 """
 
 from __future__ import annotations
@@ -203,8 +205,10 @@ def _format_block(values: np.ndarray, out: np.ndarray) -> None:
 
 def _python_rows(values: np.ndarray) -> np.ndarray:
     """``(n, WIDTH)`` uint8 rows of Python's ``.17g`` text of ``values``,
-    which starts at byte 0 (there is no free sign slot) and is NUL-padded."""
-    scalar = [_fallback(v) for v in values.tolist()]
+    laid out as a certified row is: byte 0 is the sign slot, "-" or NUL,
+    and the unsigned text follows it, NUL-padded."""
+    scalar = [text if text[:1] == b"-" else b"\0" + text
+              for text in map(_fallback, values.tolist())]
     return np.array(scalar, dtype=f"S{WIDTH}").view(np.uint8) \
         .reshape(values.size, WIDTH)
 
@@ -221,10 +225,12 @@ def cells(rows: np.ndarray, end: str) -> np.ndarray:
     return words if words[:, 1:3].any() else words[:, [0, 3, 4, 5]]
 
 
-def _mirror_flip(bits: np.ndarray) -> int | None:
-    """0 when the float64 bits ``bits`` (two or more) mirror themselves,
-    bits[i] == bits[n-1-i] for every i < n // 2, 2^63 when they do with the
-    sign bit flipped (v[i] == -v[n-1-i]), else None."""
+def _mirror_flip(values: np.ndarray) -> int | None:
+    """0 when ``values`` (two or more) mirror themselves bit for bit,
+    v[i] == v[n-1-i] for every i < n // 2, 2^63 when they do with the sign
+    bit flipped (v[i] == -v[n-1-i]) and no such v[i] is NaN, whose text,
+    "nan" whatever its sign, has no sign to flip; else None."""
+    bits = values.view(np.uint64)
     flip = int(bits[0] ^ bits[-1])
     if flip not in (0, 1 << 63):
         return None
@@ -232,7 +238,9 @@ def _mirror_flip(bits: np.ndarray) -> int | None:
     mirror = bits[::-1][:half]
     if flip:
         mirror = mirror ^ np.uint64(flip)
-    return flip if np.array_equal(bits[:half], mirror) else None
+    if not np.array_equal(bits[:half], mirror):
+        return None
+    return None if flip and np.isnan(values[:half]).any() else flip
 
 
 def column_cells(values: np.ndarray, end: str) -> Iterator[np.ndarray]:
@@ -244,31 +252,20 @@ def column_cells(values: np.ndarray, end: str) -> Iterator[np.ndarray]:
     the sign bit flipped (odd) for every i < n // 2, is formatted from its
     upper half v[n // 2:]: row i < n // 2 reuses the cell of row n - 1 - i,
     its sign slot, byte 0, switched between NUL and "-" in an odd column.
-    A row that Python formatted starts its text at byte 0: where that
-    text starts with "-", clearing it leaves the text of the negation, but
-    the others have no free sign slot, so in an odd column their mirrors
-    are formatted again, by Python, from their own values.  The
-    upper half's cells, 32 B a value (48 B when one of its values or of
-    those formatted again needs words 1 and 2), are held while the
+    Every row, Python's included, has that slot, and an odd column holds
+    no NaN (see :func:`_mirror_flip`).  The upper half's cells, 32 B a
+    value (48 B when one of them needs words 1 and 2), are held while the
     column's blocks are built.  Any other column is formatted block by
     block, each block dropping its unused words by itself."""
     values = np.asarray(values, dtype=np.float64)
     n, half = values.size, values.size // 2
-    flip = _mirror_flip(values.view(np.uint64)) if half else None
+    flip = _mirror_flip(values) if half else None
     if flip is None:
         for start in range(0, n, BLOCK_ROWS):
             yield cells(format_g17(values[start:start + BLOCK_ROWS]), end)
         return
 
-    rows = format_g17(values[half:])
-    again = np.empty(0, np.int64)
-    if flip:
-        lead = rows[::-1][:half, 0]  # byte 0 of row n - 1 - i, i < half
-        again = np.flatnonzero((lead != 0) & (lead != _MINUS))
-        if again.size:
-            rows = np.concatenate((rows, _python_rows(values[again])))
-    rows = cells(rows, end)
-    upper, redone = rows[:n - half], rows[n - half:]
+    upper = cells(format_g17(values[half:]), end)
     lower = upper[::-1][:half]  # a view: row i < half is lower[i]
     for start in range(0, n, BLOCK_ROWS):
         stop = min(start + BLOCK_ROWS, n)
@@ -277,8 +274,6 @@ def column_cells(values: np.ndarray, end: str) -> Iterator[np.ndarray]:
                                                 max(stop - half, 0)]))
         if flip:
             block[:len(mirrored), 0] ^= _MINUS
-            first, last = np.searchsorted(again, (start, stop))
-            block[again[first:last] - start] = redone[first:last]
         yield block
 
 

@@ -525,20 +525,27 @@ def _oracle_is_dark(cfg: ScenarioConfig) -> bool:
 
     A level that lights no node gives a zero estimate, and two zero
     estimates in a row agree, so the oracle converges on them; an estimate
-    after a zero one differs from it by its own peak, so it does not.  The
-    levels are walked until two in a row are unlit (dark) or lit (the
-    oracle may converge on a pattern there).  A spot far narrower than
-    the node spacing lights no level, or, centred on a slit at an odd
-    ``oracle_nodes``, the first level's middle node alone."""
+    after a zero one differs from it by its own peak, so it does not.  Zeros
+    after a lit level agree with its estimate when the level's sum of
+    |field * weight| is at most ``oracle_rtol / sqrt(washout_tilts)``: the
+    zeros' power is 0, so every column group's scale is 1, and no column
+    of a group over S <= ``washout_tilts`` shifts exceeds sqrt(S) times
+    that sum (its mode phases B Z have unit columns Z and rows of B of
+    norm sqrt(S)).  The levels are walked until two in a row are unlit
+    (dark), a faint lit level is followed by an unlit one (dark) or two in
+    a row are lit (the oracle may converge on a pattern there).  A spot far
+    narrower than the node spacing lights no level, or, centred on a slit
+    at an odd ``oracle_nodes``, the first level's middle node alone."""
     beam, apertures = build_beam(cfg), build_apertures(cfg)
-    previous = None
+    faint = cfg.quadrature.relative_tolerance / math.sqrt(cfg.washout_tilts)
+    previous = glow = None  # the previous level: lit, sum |field * weight|
     for n in cfg.quadrature.levels:
         xi, weights = _aperture_nodes(apertures, n)
-        lit = bool(np.any(amplitude_at(beam, xi, cfg.geometry.wavelength_m)
-                          * weights))
-        if lit == previous:
+        field = amplitude_at(beam, xi, cfg.geometry.wavelength_m) * weights
+        lit = bool(np.any(field))
+        if lit == previous or previous and glow <= faint:
             return not lit
-        previous = lit
+        previous, glow = lit, float(np.sum(np.abs(field)))
     return False
 
 
@@ -621,7 +628,7 @@ def _oracles(cfg: ScenarioConfig, grid: GridSpec, thetas: Sequence[float]
     except DarkPatternError:
         # The pre-flight lets through a spot that lights a level's nodes so
         # faintly that the oracle's estimate converges on the next level's
-        # zeros.
+        # zeros, yet above the bound of :func:`_oracle_is_dark`.
         raise _dark_spot(cfg) from None
 
 

@@ -54,10 +54,11 @@ def visibility_fringe_local(pattern: IntensityPattern,
     """Fringe contrast near the pattern peak.
 
     Locates the interior local minimum nearest the global maximum within
-    +-1.5 fringe periods and returns the contrast of the parabolically
-    interpolated extremum pair.  A pattern with no interior minimum there is
-    fringe-free; its residual contrast is measured across the max-to-min
-    half-span of a would-be fringe (a quarter period each side of the peak).
+    +-1.5 fringe periods, the lowest sample among those equally near, and
+    returns the contrast of the parabolically interpolated extremum pair.
+    A pattern with no interior minimum there is fringe-free; its residual
+    contrast is measured across the max-to-min half-span of a would-be
+    fringe (a quarter period each side of the peak).
     """
     x = pattern.x_m
     values = pattern.intensity
@@ -80,7 +81,7 @@ def visibility_fringe_local(pattern: IntensityPattern,
             return 0.0
         return (hi - lo) / (hi + lo)
 
-    i_min = int(minima[np.argmin(distance[minima])])
+    i_min = int(minima[np.lexsort((values[minima], distance[minima]))[0]])
     v_max = _interp_extremum(values, i_peak)
     v_min = max(_interp_extremum(values, i_min), 0.0)
     return min(max((v_max - v_min) / (v_max + v_min), 0.0), 1.0)

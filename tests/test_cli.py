@@ -1444,6 +1444,14 @@ class TestMain:
                       "waist = 1e-30m\noracle = true\ngrid_points = 401\n"
                       f"washout_tilts = 11\n{nodes}", "waist")
           for nodes in ("", "oracle_nodes = 9\n")),
+        # With one refinement, the middle node lights the first level so
+        # faintly (its |field * weight|, 3.3e-7, is at most oracle_rtol /
+        # sqrt(washout_tilts)) that the oracle's estimate agrees with the
+        # next level's zeros; check rejects that spot as simulate does.
+        *((argv, "beam = gaussian\nalignment = focus_a\nwaist = 1e-30m\n"
+                 "oracle = true\noracle_nodes = 9\noracle_refinements = 1\n"
+                 "oracle_rtol = 1e-3\ngrid_points = 401\n", "waist")
+          for argv in (["check"], ["simulate", "--out-dir", "{out}"])),
     ])
     def test_error_names_its_own_key(self, tmp_path, capsys, argv, extra,
                                      key):

@@ -106,6 +106,19 @@ def test_column_cells_drop_unused_words_per_block():
     assert csv_rows(second) == b"12.5,"
 
 
+@pytest.fixture
+def scalar_calls(monkeypatch):
+    """The values ``_floattext`` formats with Python, in call order."""
+    calls = []
+
+    def spy(value):
+        calls.append(value)
+        return format(value, ".17g").encode("ascii")
+
+    monkeypatch.setattr(_floattext, "_fallback", spy)
+    return calls
+
+
 def mirrored(upper, n: int, odd: bool) -> np.ndarray:
     """A column of n values whose rows i >= n // 2 are ``upper`` and whose
     rows i < n // 2 are their mirror, negated with the sign bit flipped
@@ -131,7 +144,11 @@ class TestMirroredColumn:
     @pytest.mark.parametrize("kind", ["even", "odd", "unmirrored"])
     def test_formats_the_upper_half(self, spy_on_formatting, n, kind):
         rng = np.random.default_rng(n)
-        upper = rng.choice(MIRROR_VALUES, n - n // 2)
+        # NaN has no signed text, so an odd column with one is formatted
+        # whole (test_odd_column_with_nan_is_formatted_whole).
+        drawn = [v for v in MIRROR_VALUES
+                 if kind != "odd" or not math.isnan(v)]
+        upper = rng.choice(drawn, n - n // 2)
         upper[n % 2] = 0.3
         values = mirrored(upper, n, kind != "even")
         if kind == "unmirrored":
@@ -153,6 +170,24 @@ class TestMirroredColumn:
             == 1 << 63
         assert text(column) == reference(values)
 
+    def test_odd_python_rows_take_one_python_pass(self, scalar_calls):
+        upper = [0.25, 0.0, -0.0, math.inf, -5e-324, 1e300, -1e300, 12.5]
+        values = mirrored(upper, 2 * len(upper), odd=True)
+        assert text(values) == reference(values.tolist())
+        # Python formats the upper half's six, signs kept, and no mirror.
+        assert list(map(repr, scalar_calls)) == list(map(repr, upper[1:7]))
+
+    @pytest.mark.parametrize("n", [2, 9, 2 * BLOCK_ROWS + 1])
+    def test_odd_column_with_nan_is_formatted_whole(self, spy_on_formatting,
+                                                     n):
+        upper = np.resize([math.nan, 0.3, -math.inf, 12.5], n - n // 2)
+        values = mirrored(upper, n, odd=True)
+        assert values.view(np.uint64)[0] ^ values.view(np.uint64)[-1] \
+            == 1 << 63
+        sizes = spy_on_formatting()
+        assert text(values) == reference(values.tolist())
+        assert sum(sizes) == n
+
     @given(st.lists(CELL_VALUES, min_size=1, max_size=40),
            st.booleans(), st.booleans())
     def test_any_mirrored_column_gives_python_rows(self, upper, odd, even_n):
@@ -169,17 +204,6 @@ def misestimated_exponents() -> list[float]:
 
 class TestFallback:
     """Each value the fast path cannot certify goes to ``format``."""
-
-    @pytest.fixture
-    def scalar_calls(self, monkeypatch):
-        calls = []
-
-        def spy(value):
-            calls.append(value)
-            return format(value, ".17g").encode("ascii")
-
-        monkeypatch.setattr(_floattext, "_fallback", spy)
-        return calls
 
     @pytest.mark.parametrize("value", [
         0.0, -0.0, 5e-324, 2.2250738585072014e-308, 1e-300, 1e300,

@@ -115,6 +115,25 @@ class TestVisibilityFringeLocal:
         assert visibility_fringe_local(p, REF_GEOM) == pytest.approx(
             expected, abs=1e-6)
 
+    @settings(max_examples=50, deadline=None)
+    @given(tilt=st.floats(min_value=-0.05, max_value=0.05),
+           floor=st.floats(min_value=0.01, max_value=0.5),
+           points=st.sampled_from([65, 97, 129]))
+    def test_mirror_image_has_the_same_visibility(self, tilt, floor,
+                                                  points):
+        # On a grid that mirrors itself bit for bit, a tilted fringe peaks
+        # on the middle point alone, and its two nearest minima, equally
+        # far from it, hold different samples: the lower one is read,
+        # whichever side it is on.
+        x = GridSpec(-2.0 * T_REF, 2.0 * T_REF, points).x()
+        values = (floor + np.cos(np.pi * x / T_REF) ** 2) \
+            * np.exp(-(x / (1.5 * T_REF)) ** 2) * (1.0 + tilt * x / T_REF)
+        assert np.argmax(values) == points // 2
+        v, mirrored = (visibility_fringe_local(
+            IntensityPattern(x, shape, PEAK_SINGLE_SLIT), REF_GEOM)
+            for shape in (values, values[::-1]))
+        assert v == pytest.approx(mirrored, rel=1e-12)
+
     def test_coarse_grid_rejected(self, ref_geom):
         grid = default_grid(ModelKind.STANDARD_TWO_SLIT, ref_geom, points=51)
         p = sample_pattern(ModelKind.STANDARD_TWO_SLIT, ref_geom, grid=grid)
