@@ -41,8 +41,9 @@ _ARRAY_NAMES = {
     ".metrics": ("ResolutionError", "check_resolution", "pattern_divergence",
                  "visibility_fringe_local", "visibility_global"),
     ".oracle": ("ApertureSet", "DarkPatternError", "_aperture_nodes",
-                "fraunhofer_amplitude", "oracle_pattern", "oracle_patterns",
-                "tilt_angles", "two_slit_apertures", "washout_pattern"),
+                "_faint_level", "fraunhofer_amplitude", "oracle_pattern",
+                "oracle_patterns", "tilt_angles", "two_slit_apertures",
+                "washout_pattern"),
 }
 
 
@@ -526,24 +527,21 @@ def _oracle_is_dark(cfg: ScenarioConfig) -> bool:
     A level that lights no node gives a zero estimate, and two zero
     estimates in a row agree, so the oracle converges on them; an estimate
     after a zero one differs from it by its own peak, so it does not.  Zeros
-    after a lit level agree with its estimate when the level's sum of
-    |field * weight| is at most ``oracle_rtol / sqrt(washout_tilts)``: the
-    zeros' power is 0, so every column group's scale is 1, and no column
-    of a group over S <= ``washout_tilts`` shifts exceeds sqrt(S) times
-    that sum (its mode phases B Z have unit columns Z and rows of B of
-    norm sqrt(S)).  The levels are walked until two in a row are unlit
-    (dark), a faint lit level is followed by an unlit one (dark) or two in
-    a row are lit (the oracle may converge on a pattern there).  A spot far
-    narrower than the node spacing lights no level, or, centred on a slit
-    at an odd ``oracle_nodes``, the first level's middle node alone."""
+    after a lit level agree with its estimate when the level is faint
+    (:func:`~whichway.oracle._faint_level`, over ``washout_tilts`` shifts).
+    The levels are walked until two in a row are unlit (dark), a faint lit
+    level is followed by an unlit one (dark) or two in a row are lit (the
+    oracle may converge on a pattern there).  A spot far narrower than the
+    node spacing lights no level, or, centred on a slit at an odd
+    ``oracle_nodes``, the first level's middle node alone."""
     beam, apertures = build_beam(cfg), build_apertures(cfg)
-    faint = cfg.quadrature.relative_tolerance / math.sqrt(cfg.washout_tilts)
     previous = glow = None  # the previous level: lit, sum |field * weight|
     for n in cfg.quadrature.levels:
         xi, weights = _aperture_nodes(apertures, n)
         field = amplitude_at(beam, xi, cfg.geometry.wavelength_m) * weights
         lit = bool(np.any(field))
-        if lit == previous or previous and glow <= faint:
+        if lit == previous or previous and _faint_level(
+                glow, cfg.quadrature, cfg.washout_tilts):
             return not lit
         previous, glow = lit, float(np.sum(np.abs(field)))
     return False
@@ -626,9 +624,9 @@ def _oracles(cfg: ScenarioConfig, grid: GridSpec, thetas: Sequence[float]
                                cfg.geometry, grid, cfg.quadrature, thetas,
                                cfg.washout_tilts)
     except DarkPatternError:
-        # The pre-flight lets through a spot that lights a level's nodes so
-        # faintly that the oracle's estimate converges on the next level's
-        # zeros, yet above the bound of :func:`_oracle_is_dark`.
+        # The pre-flight lets through a spot that passes its walk (two lit
+        # levels in a row, or a lit level above the faint bound before an
+        # unlit one) whose estimates still converge on zeros.
         raise _dark_spot(cfg) from None
 
 

@@ -359,6 +359,21 @@ def _add_power(power: np.ndarray, cols: np.ndarray, unit: float) -> np.ndarray:
     return power
 
 
+def _faint_level(field_sum: float, quad: QuadratureSpec,
+                 n_shifts: int) -> bool:
+    """Whether :func:`fraunhofer_amplitude` accepts a level that lights no
+    node after a level whose sum of |beam amplitude * node weight| is
+    ``field_sum``, in every group over at most ``n_shifts`` shifts whose
+    min_scale is 0 (a washout's later blocks have 0 too once its first
+    block is zero).  The unlit level's power is 0, so its scale is 1; a
+    column of the lit level sums each node's field times a unit-modulus
+    kernel and its mode phase (B Z), whose rows of B have norm sqrt(S) and
+    columns Z unit norm, so it is at most sqrt(S) ``field_sum``.  The
+    test ignores the kernel's phases, so the oracle may accept zeros after
+    a level it calls not faint."""
+    return field_sum <= quad.relative_tolerance / math.sqrt(n_shifts)
+
+
 def fraunhofer_amplitude(beam: BeamProfile, apertures: ApertureSet,
                          geom: SlitGeometry, x_m,
                          quad: QuadratureSpec | None = None, groups=None):

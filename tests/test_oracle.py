@@ -16,7 +16,8 @@ from whichway import (ApertureSet, BesselBeam, ColumnGroup, ConvergenceError,
                       visibility_fringe_local, ModelKind)
 from whichway import oracle as oracle_module
 from whichway.beam import amplitude_at
-from whichway.oracle import DarkPatternError, _amplitude_fixed
+from whichway.oracle import (DarkPatternError, _amplitude_fixed,
+                             _aperture_nodes, _faint_level)
 from whichway.specs import MAX_BUDGET_NODES
 
 REF_GEOM = SlitGeometry(0.63e-6, 2e-6, 12e-6, 0.1)
@@ -1500,6 +1501,37 @@ class TestOraclePattern:
         with pytest.raises(DarkPatternError):
             oracle_pattern(beam, two_slit_apertures(REF_GEOM), REF_GEOM,
                            GridSpec(-LOBE, LOBE, 401), QuadratureSpec(nodes))
+
+    def test_faint_level_converges_on_the_next_levels_zeros(self):
+        # At 9 nodes the spot lights the first level's middle node alone, at
+        # 18 none.  That one node's column reaches the level's sum of
+        # |field * weight|, so the plain call accepts the zeros exactly when
+        # _faint_level says so; a washout over 11 shifts accepts them, and
+        # is dark, whenever _faint_level does over 11.
+        beam = GaussianBeam(waist_m=1e-30, center_m=REF_GEOM.slit_a_center_m)
+        apertures = two_slit_apertures(REF_GEOM)
+        xi, weights = _aperture_nodes(apertures, 9)
+        field = amplitude_at(beam, xi, REF_GEOM.wavelength_m) * weights
+        assert np.count_nonzero(field) == 1
+        glow = float(np.sum(np.abs(field)))
+        grid = GridSpec(-LOBE, LOBE, 401)
+        for rtol, faint in ((glow * (1 + 1e-9), True),
+                            (glow * (1 - 1e-9), False)):
+            quad = QuadratureSpec(9, rtol, 1)
+            assert _faint_level(glow, quad, 1) is faint
+            if faint:
+                amp = fraunhofer_amplitude(beam, apertures, REF_GEOM,
+                                           grid.x(), quad)
+                assert not np.any(amp)
+            else:
+                with pytest.raises(ConvergenceError):
+                    fraunhofer_amplitude(beam, apertures, REF_GEOM, grid.x(),
+                                         quad)
+        quad = QuadratureSpec(9, math.sqrt(11) * glow * (1 + 1e-9), 1)
+        assert _faint_level(glow, quad, 11)
+        with pytest.raises(DarkPatternError):
+            oracle_module.oracle_patterns(beam, apertures, REF_GEOM, grid,
+                                          quad, (PHI,), 11)
 
     @pytest.mark.parametrize("theta", [0.0, PHI / 10, PHI])
     def test_faint_field_is_not_zero(self, theta):
