@@ -37,13 +37,12 @@ from .specs import (MAX_BUDGET_NODES, MAX_NODES_PER_INTERVAL,
 _ARRAY_NAMES = {
     ".analytic": ("IntensityPattern", "PlateTerms", "sample_pattern"),
     ".beam": ("BeamProfile", "BesselBeam", "GaussianBeam", "PlaneWave",
-              "amplitude_at", "bessel_core_radius"),
+              "bessel_core_radius"),
     ".metrics": ("ResolutionError", "check_resolution", "pattern_divergence",
                  "visibility_fringe_local", "visibility_global"),
-    ".oracle": ("ApertureSet", "DarkPatternError", "_aperture_nodes",
-                "_faint_level", "fraunhofer_amplitude", "oracle_pattern",
-                "oracle_patterns", "tilt_angles", "two_slit_apertures",
-                "washout_pattern"),
+    ".oracle": ("ApertureSet", "DarkPatternError", "_converges_on_zeros",
+                "fraunhofer_amplitude", "oracle_pattern", "oracle_patterns",
+                "tilt_angles", "two_slit_apertures", "washout_pattern"),
 }
 
 
@@ -485,7 +484,8 @@ def _preflight(cfg: ScenarioConfig
     period, then the spot width, the models on the grid, the windows a
     model washout shifts the grid to, the oracle's nodes, which the beam
     must light so that the oracle does not converge on zeros
-    (:func:`_oracle_is_dark`), and the feasibility report."""
+    (:func:`~whichway.oracle._converges_on_zeros`, over ``washout_tilts``
+    shifts), and the feasibility report."""
     _load_arrays()
     try:
         grid = shared_grid(cfg)
@@ -514,37 +514,12 @@ def _preflight(cfg: ScenarioConfig
                           "window", key="slit_separation")
     if cfg.washout_theta_rad is not None and not cfg.oracle_enabled:
         _check_washout_windows(cfg, grid)
-    if cfg.oracle_enabled and _oracle_is_dark(cfg):
+    if cfg.oracle_enabled and _converges_on_zeros(
+            build_beam(cfg), build_apertures(cfg), cfg.geometry.wavelength_m,
+            cfg.quadrature, cfg.washout_tilts):
         raise _dark_spot(cfg)
     return grid, spot_width, check_feasibility(
         cfg.geometry, cfg.focusing_angle_rad, spot_width)
-
-
-def _oracle_is_dark(cfg: ScenarioConfig) -> bool:
-    """Whether the oracle's estimates converge on zeros, read from the
-    levels of its nodes that the beam lights in the open slits.
-
-    A level that lights no node gives a zero estimate, and two zero
-    estimates in a row agree, so the oracle converges on them; an estimate
-    after a zero one differs from it by its own peak, so it does not.  Zeros
-    after a lit level agree with its estimate when the level is faint
-    (:func:`~whichway.oracle._faint_level`, over ``washout_tilts`` shifts).
-    The levels are walked until two in a row are unlit (dark), a faint lit
-    level is followed by an unlit one (dark) or two in a row are lit (the
-    oracle may converge on a pattern there).  A spot far narrower than the
-    node spacing lights no level, or, centred on a slit at an odd
-    ``oracle_nodes``, the first level's middle node alone."""
-    beam, apertures = build_beam(cfg), build_apertures(cfg)
-    previous = glow = None  # the previous level: lit, sum |field * weight|
-    for n in cfg.quadrature.levels:
-        xi, weights = _aperture_nodes(apertures, n)
-        field = amplitude_at(beam, xi, cfg.geometry.wavelength_m) * weights
-        lit = bool(np.any(field))
-        if lit == previous or previous and _faint_level(
-                glow, cfg.quadrature, cfg.washout_tilts):
-            return not lit
-        previous, glow = lit, float(np.sum(np.abs(field)))
-    return False
 
 
 def _dark_spot(cfg: ScenarioConfig) -> ConfigError:
@@ -624,9 +599,8 @@ def _oracles(cfg: ScenarioConfig, grid: GridSpec, thetas: Sequence[float]
                                cfg.geometry, grid, cfg.quadrature, thetas,
                                cfg.washout_tilts)
     except DarkPatternError:
-        # The pre-flight lets through a spot that passes its walk (two lit
-        # levels in a row, or a lit level above the faint bound before an
-        # unlit one) whose estimates still converge on zeros.
+        # The pre-flight's walk, oracle._converges_on_zeros, ignores the
+        # kernel's phases, so it may pass a spot that still goes dark here.
         raise _dark_spot(cfg) from None
 
 

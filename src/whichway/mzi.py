@@ -79,7 +79,8 @@ def mzi_duality(cfg: MziConfig) -> DualityReport:
     open is :func:`asymmetric_duality`'s report.  In the other modes every
     detected particle has a known path: the which-way value is 1, of kind D
     for marker.  Visibility is the contrast of :func:`output_intensity` over
-    the scanned phase, 2ab / (a^2 + b^2) for knockout and 0 otherwise.
+    the scanned phase: knockout keeps the open configuration's cross term,
+    so its visibility is :func:`asymmetric_duality`'s, and 0 otherwise.
     ``meta["detected_fraction"]`` is the share of launched particles that
     reach the detectors: a^2 / (a^2 + b^2) for blocked and knockout, else 1.
     """
@@ -93,7 +94,8 @@ def mzi_duality(cfg: MziConfig) -> DualityReport:
     else:
         # blocked / knockout: every detected particle came via arm A.
         kind, detected = PREDICTABILITY, a * a / (a * a + b * b)
-    visibility = _contrast(a, b) if cfg.mode is MziMode.KNOCKOUT_B else 0.0
+    visibility = asymmetric_duality(a, b).visibility \
+        if cfg.mode is MziMode.KNOCKOUT_B else 0.0
     return duality_report(kind, 1.0, visibility, meta={
         "mode": cfg.mode.value, "detected_fraction": detected,
         "assumption": _COHERENCE_NOTE})
@@ -103,12 +105,13 @@ def asymmetric_duality(amplitude_a: float, amplitude_b: float) -> DualityReport:
     """Duality report for an open, unbalanced two-path configuration.
 
     P = |a^2 - b^2| / (a^2 + b^2) and V = 2ab / (a^2 + b^2) saturate
-    P^2 + V^2 = 1 identically.
+    P^2 + V^2 = 1 identically; V is capped at 1 against rounding.
     """
     a, b = amplitude_a, amplitude_b
     _check_amplitudes(a, b)
     p = abs(a * a - b * b) / (a * a + b * b)
-    return duality_report(PREDICTABILITY, p, _contrast(a, b), meta={
+    v = min(2.0 * a * b / (a * a + b * b), 1.0)
+    return duality_report(PREDICTABILITY, p, v, meta={
         "mode": "open", "detected_fraction": 1.0,
         "assumption": _COHERENCE_NOTE})
 
@@ -120,8 +123,3 @@ def _check_amplitudes(a: float, b: float) -> None:
     if a * a + b * b == 0.0:
         raise ValueError("amplitudes must satisfy a^2 + b^2 > 0")
 
-
-def _contrast(a: float, b: float) -> float:
-    """Fringe visibility 2ab / (a^2 + b^2) of two coherent paths, capped at 1
-    against rounding."""
-    return min(2.0 * a * b / (a * a + b * b), 1.0)

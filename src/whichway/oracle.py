@@ -50,6 +50,10 @@ aperture phase; a Gaussian, a Bessel or an untilted plane-wave beam) has a
 Hermitian far field, C(-x) = conj C(x), and so has every mode column, whose
 phases B Z are real: on a grid with x[0] == -x[-1], :func:`oracle_patterns`
 integrates only x >= 0 and mirrors the even intensity.
+
+A spot narrower than the node spacing may light no node of a level; two
+such zero estimates agree, so the refinement converges on a dark pattern,
+which :func:`_converges_on_zeros` predicts from the beam samples alone.
 """
 
 from __future__ import annotations
@@ -359,19 +363,36 @@ def _add_power(power: np.ndarray, cols: np.ndarray, unit: float) -> np.ndarray:
     return power
 
 
-def _faint_level(field_sum: float, quad: QuadratureSpec,
-                 n_shifts: int) -> bool:
-    """Whether :func:`fraunhofer_amplitude` accepts a level that lights no
-    node after a level whose sum of |beam amplitude * node weight| is
-    ``field_sum``, in every group over at most ``n_shifts`` shifts whose
-    min_scale is 0 (a washout's later blocks have 0 too once its first
-    block is zero).  The unlit level's power is 0, so its scale is 1; a
-    column of the lit level sums each node's field times a unit-modulus
-    kernel and its mode phase (B Z), whose rows of B have norm sqrt(S) and
-    columns Z unit norm, so it is at most sqrt(S) ``field_sum``.  The
-    test ignores the kernel's phases, so the oracle may accept zeros after
-    a level it calls not faint."""
-    return field_sum <= quad.relative_tolerance / math.sqrt(n_shifts)
+def _converges_on_zeros(beam: BeamProfile, apertures: ApertureSet,
+                        wavelength_m: float, quad: QuadratureSpec,
+                        n_shifts: int) -> bool:
+    """Whether :func:`fraunhofer_amplitude` converges on zero estimates in
+    every group over at most ``n_shifts`` shifts whose min_scale is 0 (a
+    washout's later blocks have 0 too once its first block is zero).
+
+    The beam times the node weights is sampled on ``quad.levels`` in order.
+    Two unlit levels in a row give two zero estimates, which agree: True.
+    Zeros after a lit level agree with its estimate when the level is
+    faint.  The unlit level's scale is 1, and a lit column sums each node's
+    field times a unit-modulus kernel and its mode phase (B Z; rows of B
+    have norm sqrt(S), columns Z unit norm), so it is at most sqrt(S) times
+    the level's sum of |field * weight|; a sum of at most
+    ``relative_tolerance`` / sqrt(``n_shifts``) gives True.  Two lit levels
+    in a row, where the estimates may converge on a pattern, or the end of
+    the levels give False.  The walk ignores the kernel's phases, so the
+    oracle may still converge on zeros where it gives False.
+    """
+    faint_sum = quad.relative_tolerance / math.sqrt(n_shifts)
+    previous = faint = None  # the previous level: lit, and lit but faint
+    for n in quad.levels:
+        xi, weights = _aperture_nodes(apertures, n)
+        field = amplitude_at(beam, xi, wavelength_m) * weights
+        lit = bool(np.any(field))
+        if lit == previous or faint:
+            return not lit
+        previous = lit
+        faint = lit and float(np.sum(np.abs(field))) <= faint_sum
+    return False
 
 
 def fraunhofer_amplitude(beam: BeamProfile, apertures: ApertureSet,
@@ -458,7 +479,7 @@ def fraunhofer_amplitude(beam: BeamProfile, apertures: ApertureSet,
             if diff <= quad.relative_tolerance * scale:
                 done[g] = c, power, unit
             else:
-                history[g].append((n, float(diff / scale)))
+                history[g].append((n, float(diff) / float(scale)))
                 refining.append((g, c, p))
         if not refining:
             return result(done)

@@ -1245,6 +1245,27 @@ class TestMain:
         assert "converge" in err
         self.assert_refinement_history(err)
 
+    def test_subnormal_estimate_reports_inf_without_warning(self, tmp_path,
+                                                             capsys):
+        # The 38-node estimate of this tiny spot is subnormal, so its scale
+        # is too: the ratio of the next level's disagreement to it passes
+        # the float range and reads inf, with no overflow warning.
+        path = self.write_config(
+            tmp_path, "beam = gaussian\nwaist = 1.5179305860512644e-09m\n"
+                      "alignment = focus_b\noracle = true\noracle_nodes = 19\n"
+                      "oracle_refinements = 3\n"
+                      "oracle_rtol = 0.007499743596807716\n"
+                      "washout_tilts = 21\ngrid_points = 201\n")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["simulate", "--config", str(path)]) \
+                == EXIT_NO_CONVERGENCE
+        assert caught == []
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert err.splitlines()[1].startswith("refinement history")
+        assert err.splitlines()[2] == "  38: inf"
+
     @staticmethod
     def assert_refinement_history(err):
         # one "nodes: max |diff| / scale" line per level under the error

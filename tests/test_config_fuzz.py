@@ -19,6 +19,12 @@ also exit 2 with its refinement history, on which ``check``, which runs
 no oracle, exits 0; a spot that lights no node exits 1 naming the beam's
 scale key, in ``check``, which samples the beam on the oracle's node
 levels, too.
+
+A third profile draws tiny spots, about the node spacing or narrower, and
+holds the pre-flight's walk (``oracle._converges_on_zeros``) to the oracle:
+where the walk says the estimates converge on zeros, the oracle's patterns
+over the run's spreads are dark, so ``check`` rejects no config that
+``simulate`` runs.
 """
 
 import contextlib
@@ -29,10 +35,11 @@ import re
 import tempfile
 from pathlib import Path
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from whichway import cli
+from whichway import cli, oracle
 
 LENGTH_EDGES = ["", "nan", "inf", "-inf", "1e400", "1e400um", "-2um", "0",
                 "1e-300", "1e308", "2", "2deg", "2 parsec", "um"]
@@ -240,6 +247,44 @@ def test_oracle_config_runs_or_names_its_error(text):
         assert check == cli.EXIT_OK, text
     else:
         assert check == simulate, text
+
+
+@st.composite
+def tiny_spot_texts(draw) -> str:
+    """The README plate with the oracle on and a Gaussian waist of
+    1e-10 to 10^-6.3 m or a Bessel radial wavenumber of 10^6.6 to 1e10 per
+    m; the alignment, a small quadrature budget and the washout vary."""
+    if draw(st.booleans()):
+        waist = 10 ** draw(st.floats(-10, -6.3))
+        beam = f"beam = gaussian\nwaist = {waist!r}m\n"
+    else:
+        beam = ("beam = bessel\nradial_wavenumber = "
+                f"{10 ** draw(st.floats(6.6, 10))!r}\nring_phase_flips = "
+                f"{draw(st.sampled_from(['true', 'false']))}\n")
+    theta = draw(st.sampled_from(["", "washout_theta = 1mrad\n",
+                                  "washout_theta = 20mrad\n"]))
+    return (README_PLATE + beam + theta
+            + f"alignment = {draw(st.sampled_from(cli.ALIGNMENTS))}\n"
+            f"oracle = true\noracle_nodes = {draw(st.integers(8, 24))}\n"
+            f"oracle_refinements = {draw(st.integers(1, 2))}\n"
+            f"oracle_rtol = {10 ** draw(st.floats(-12, -1))!r}\n"
+            f"washout_tilts = {draw(st.integers(0, 10)) * 2 + 1}\n"
+            "grid_points = 201\n")
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(tiny_spot_texts())
+def test_walk_says_dark_only_where_the_oracle_is_dark(text):
+    cfg = cli.parse_config(text)
+    beam, apertures = cli.build_beam(cfg), cli.build_apertures(cfg)
+    if oracle._converges_on_zeros(beam, apertures, cfg.geometry.wavelength_m,
+                                  cfg.quadrature, cfg.washout_tilts):
+        thetas = [0.0] + [theta for theta in [cfg.washout_theta_rad]
+                          if theta is not None]
+        with pytest.raises(oracle.DarkPatternError):
+            oracle.oracle_patterns(beam, apertures, cfg.geometry,
+                                   cli.shared_grid(cfg), cfg.quadrature,
+                                   thetas, cfg.washout_tilts)
 
 
 @st.composite

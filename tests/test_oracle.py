@@ -17,7 +17,7 @@ from whichway import (ApertureSet, BesselBeam, ColumnGroup, ConvergenceError,
 from whichway import oracle as oracle_module
 from whichway.beam import amplitude_at
 from whichway.oracle import (DarkPatternError, _amplitude_fixed,
-                             _aperture_nodes, _faint_level)
+                             _aperture_nodes, _converges_on_zeros)
 from whichway.specs import MAX_BUDGET_NODES
 
 REF_GEOM = SlitGeometry(0.63e-6, 2e-6, 12e-6, 0.1)
@@ -1506,8 +1506,8 @@ class TestOraclePattern:
         # At 9 nodes the spot lights the first level's middle node alone, at
         # 18 none.  That one node's column reaches the level's sum of
         # |field * weight|, so the plain call accepts the zeros exactly when
-        # _faint_level says so; a washout over 11 shifts accepts them, and
-        # is dark, whenever _faint_level does over 11.
+        # _converges_on_zeros says so; a washout over 11 shifts accepts
+        # them, and is dark, whenever _converges_on_zeros does over 11.
         beam = GaussianBeam(waist_m=1e-30, center_m=REF_GEOM.slit_a_center_m)
         apertures = two_slit_apertures(REF_GEOM)
         xi, weights = _aperture_nodes(apertures, 9)
@@ -1518,7 +1518,8 @@ class TestOraclePattern:
         for rtol, faint in ((glow * (1 + 1e-9), True),
                             (glow * (1 - 1e-9), False)):
             quad = QuadratureSpec(9, rtol, 1)
-            assert _faint_level(glow, quad, 1) is faint
+            assert _converges_on_zeros(beam, apertures, REF_GEOM.wavelength_m,
+                                       quad, 1) is faint
             if faint:
                 amp = fraunhofer_amplitude(beam, apertures, REF_GEOM,
                                            grid.x(), quad)
@@ -1528,7 +1529,8 @@ class TestOraclePattern:
                     fraunhofer_amplitude(beam, apertures, REF_GEOM, grid.x(),
                                          quad)
         quad = QuadratureSpec(9, math.sqrt(11) * glow * (1 + 1e-9), 1)
-        assert _faint_level(glow, quad, 11)
+        assert _converges_on_zeros(beam, apertures, REF_GEOM.wavelength_m,
+                                   quad, 11)
         with pytest.raises(DarkPatternError):
             oracle_module.oracle_patterns(beam, apertures, REF_GEOM, grid,
                                           quad, (PHI,), 11)
