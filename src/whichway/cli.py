@@ -477,15 +477,15 @@ def _check_washout_windows(cfg: ScenarioConfig, grid: GridSpec) -> None:
                 key="washout_theta")
 
 
-def _preflight(cfg: ScenarioConfig
+def _preflight(cfg: ScenarioConfig, thetas: Sequence[float]
                ) -> tuple[GridSpec, float, FeasibilityReport]:
     """What a run checks before it samples, and all that ``check`` runs:
     the run's grid, whose points must be distinct and resolve the fringe
     period, then the spot width, the models on the grid, the windows a
     model washout shifts the grid to, the oracle's nodes, which the beam
-    must light so that the oracle does not converge on zeros
-    (:func:`~whichway.oracle._converges_on_zeros`, over ``washout_tilts``
-    shifts), and the feasibility report."""
+    must light so that the oracle does not converge on zeros over the
+    run's spreads ``thetas`` (:func:`~whichway.oracle._converges_on_zeros`),
+    and the feasibility report."""
     _load_arrays()
     try:
         grid = shared_grid(cfg)
@@ -516,7 +516,7 @@ def _preflight(cfg: ScenarioConfig
         _check_washout_windows(cfg, grid)
     if cfg.oracle_enabled and _converges_on_zeros(
             build_beam(cfg), build_apertures(cfg), cfg.geometry.wavelength_m,
-            cfg.quadrature, cfg.washout_tilts):
+            cfg.quadrature, thetas, cfg.washout_tilts):
         raise _dark_spot(cfg)
     return grid, spot_width, check_feasibility(
         cfg.geometry, cfg.focusing_angle_rad, spot_width)
@@ -527,6 +527,13 @@ def _dark_spot(cfg: ScenarioConfig) -> ConfigError:
     small to light any node, so it names the beam's scale."""
     return ConfigError("oracle pattern is identically zero",
                        key=_BEAM_SCALE_KEYS.get(cfg.beam_kind))
+
+
+def _spreads(cfg: ScenarioConfig, oracle_theta_rad: float = 0.0
+             ) -> list[float]:
+    """The spreads a comparison's oracle integrates, the washout's last."""
+    washout = cfg.washout_theta_rad
+    return [oracle_theta_rad] + ([] if washout is None else [washout])
 
 
 def path_probabilities(cfg: ScenarioConfig) -> tuple[float, float]:
@@ -613,13 +620,11 @@ def _compare(cfg: ScenarioConfig, oracle_theta_rad: float = 0.0
     The oracle is washed out over ``oracle_theta_rad`` (0 gives the plain
     oracle), as a ``theta`` sweep row's is."""
     geom = cfg.geometry
-    grid, _, feas = _preflight(cfg)
+    thetas = _spreads(cfg, oracle_theta_rad)
+    grid, _, feas = _preflight(cfg, thetas)
     patterns = _models(cfg, grid)
     if cfg.oracle_enabled:
         # The oracle and its washout share one kernel pass per level.
-        thetas = [oracle_theta_rad]
-        if cfg.washout_theta_rad is not None:
-            thetas.append(cfg.washout_theta_rad)
         oracles = _oracles(cfg, grid, thetas)
         patterns["oracle"] = oracles[0]
     if cfg.washout_theta_rad is not None:
@@ -785,14 +790,14 @@ _SWEEP_COLUMNS = ("parameter", "value", "half_fringe_angle_rad",
 def _spread_batches(thetas: Sequence[float], n_tilts: int
                     ) -> Iterator[list[float]]:
     """``thetas`` in order, in batches for one :func:`oracle_patterns` call
-    each.  A washout takes at most one mode column per tilt and the plain
-    pattern one column, and a batch takes spreads while their columns stay
+    each.  A spread takes at most one mode column per tilt of
+    :func:`tilt_angles`, and a batch takes spreads while their columns stay
     within two washouts and the plain pattern, so a sweep's oracle memory
     does not grow with its count of values."""
     batch: list[float] = []
     columns = 0
     for theta in thetas:
-        width = n_tilts if theta > 0.0 else 1
+        width = tilt_angles(theta, n_tilts).size
         if batch and columns + width > 2 * n_tilts + 1:
             yield batch
             batch, columns = [], 0
@@ -848,7 +853,8 @@ def sweep_scenario(cfg: ScenarioConfig, parameter: str,
     for group in groups:
         first = group[0][1]
         geom = first.geometry
-        grid, _, _ = _preflight(first)
+        spreads = list(dict.fromkeys(theta for _, _, theta in group))
+        grid, _, _ = _preflight(first, spreads)
         model = next(iter(_models(first, grid).values()), None)
         shape = visibility_model = None
         if model is not None:
@@ -858,7 +864,6 @@ def sweep_scenario(cfg: ScenarioConfig, parameter: str,
         # batch's patterns are dropped once read.
         oracle_cells: dict[float, tuple] = {}
         if first.oracle_enabled:
-            spreads = list(dict.fromkeys(theta for _, _, theta in group))
             for batch in _spread_batches(spreads, first.washout_tilts):
                 for theta, oracle in zip(batch, _oracles(first, grid, batch)):
                     oracle_cells[theta] = (
@@ -972,7 +977,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 def _cmd_check(args: argparse.Namespace) -> int:
     cfg = _read_config(args)
-    _, spot_width, feas = _preflight(cfg)
+    _, spot_width, feas = _preflight(cfg, _spreads(cfg))
     print(_json_text({
         "half_fringe_angle_rad": feas.half_fringe_angle_rad,
         "focusing_angle_rad": feas.focusing_angle_rad,

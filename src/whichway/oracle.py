@@ -365,10 +365,10 @@ def _add_power(power: np.ndarray, cols: np.ndarray, unit: float) -> np.ndarray:
 
 def _converges_on_zeros(beam: BeamProfile, apertures: ApertureSet,
                         wavelength_m: float, quad: QuadratureSpec,
-                        n_shifts: int) -> bool:
-    """Whether :func:`fraunhofer_amplitude` converges on zero estimates in
-    every group over at most ``n_shifts`` shifts whose min_scale is 0 (a
-    washout's later blocks have 0 too once its first block is zero).
+                        thetas_rad, n_tilts: int) -> bool:
+    """Whether :func:`oracle_patterns` over ``thetas_rad`` and ``n_tilts``
+    converges on zero estimates in the group of its fewest tilts, S (1 for
+    the plain spread 0), so that it returns no patterns.
 
     The beam times the node weights is sampled on ``quad.levels`` in order.
     Two unlit levels in a row give two zero estimates, which agree: True.
@@ -377,12 +377,13 @@ def _converges_on_zeros(beam: BeamProfile, apertures: ApertureSet,
     field times a unit-modulus kernel and its mode phase (B Z; rows of B
     have norm sqrt(S), columns Z unit norm), so it is at most sqrt(S) times
     the level's sum of |field * weight|; a sum of at most
-    ``relative_tolerance`` / sqrt(``n_shifts``) gives True.  Two lit levels
-    in a row, where the estimates may converge on a pattern, or the end of
-    the levels give False.  The walk ignores the kernel's phases, so the
+    ``relative_tolerance`` / sqrt(S) gives True.  Two lit levels in a row,
+    where the estimates may converge on a pattern, or the end of the
+    levels give False.  The walk ignores the kernel's phases, so the
     oracle may still converge on zeros where it gives False.
     """
-    faint_sum = quad.relative_tolerance / math.sqrt(n_shifts)
+    shifts = min(tilt_angles(theta, n_tilts).size for theta in thetas_rad)
+    faint_sum = quad.relative_tolerance / math.sqrt(shifts)
     previous = faint = None  # the previous level: lit, and lit but faint
     for n in quad.levels:
         xi, weights = _aperture_nodes(apertures, n)

@@ -56,6 +56,16 @@ slit_width = 2um
 slit_separation = 12.6um
 screen_distance = 0.1m
 """
+# On BASE_CONFIG's plate, this spot on slit A lights one node of the
+# 19-node level, with a sum of |field * weight| of 1.6e-7, between
+# oracle_rtol / sqrt(washout_tilts) and oracle_rtol, and no node of the
+# 38-node level: the plain oracle accepts the 38-node zeros, a washout over
+# 11 tilts does not.
+FAINT_SPOT = ("beam = gaussian\nalignment = focus_a\n"
+              "waist = 1.4839524682788808e-09m\noracle = true\n"
+              "oracle_nodes = 19\noracle_refinements = 4\n"
+              "oracle_rtol = 2.649256561766945e-07\nwashout_tilts = 11\n"
+              "grid_points = 201\n")
 
 
 # Plates whose model phases overflow on a +-1 m grid.  (A): lambda D
@@ -1473,6 +1483,14 @@ class TestMain:
                  "oracle = true\noracle_nodes = 9\noracle_refinements = 1\n"
                  "oracle_rtol = 1e-3\ngrid_points = 401\n", "waist")
           for argv in (["check"], ["simulate", "--out-dir", "{out}"])),
+        # The walk reads the spreads the run integrates, the plain one
+        # among them, so it rejects the faint spot with or without a
+        # washout, and in a theta sweep that holds 0.
+        *((argv, FAINT_SPOT + washout, "waist")
+          for washout in ("", "washout_theta = 1mrad\n")
+          for argv in (["check"], ["simulate", "--out-dir", "{out}"])),
+        (["sweep", "--param", "theta", "--values", "0,1mrad"], FAINT_SPOT,
+         "waist"),
     ])
     def test_error_names_its_own_key(self, tmp_path, capsys, argv, extra,
                                      key):
@@ -1511,6 +1529,54 @@ class TestMain:
         assert main(["simulate", "--config", str(path)]) == code
         assert main(["check", "--config", str(path)]) \
             == (EXIT_OK if code == EXIT_NO_CONVERGENCE else code)
+
+    def test_faint_spot_without_the_plain_spread_runs(self, tmp_path,
+                                                      capsys):
+        # Washouts alone bound the faint sum by oracle_rtol / sqrt(11), which
+        # the faint spot's 19-node level passes: the pre-flight lets the
+        # sweep run, and its oracle does not converge.
+        path = self.write_config(tmp_path, FAINT_SPOT)
+        assert main(["sweep", "--config", str(path), "--param", "theta",
+                     "--values", "1mrad,2mrad"]) == EXIT_NO_CONVERGENCE
+        assert capsys.readouterr().err.splitlines()[1:] == [
+            "refinement history (nodes/interval: max |diff| / scale):",
+            "  38: 5.337e-07", "  76: 3.314e+00", "  152: 3.314e+00",
+            "  304: 3.314e+00"]
+
+    @pytest.mark.parametrize("extra", ["", "washout_theta = 2mrad\n"],
+                             ids=["plain", "washout"])
+    @pytest.mark.parametrize("sweep", [
+        None, ("theta", "0,2mrad,2mrad,5mrad,10mrad"), ("theta", "1mrad,2mrad"),
+        ("d", "8um,12.6um")], ids=["simulate", "theta", "theta_washouts", "d"])
+    def test_walk_reads_the_spreads_the_oracle_integrates(
+            self, tmp_path, monkeypatch, extra, sweep):
+        # The spreads of every oracle_patterns call, in order, are those the
+        # walk was given, and check's walk reads those of simulate.
+        path = str(self.write_config(
+            tmp_path, "oracle = true\nwashout_tilts = 21\n" + extra))
+
+        def spreads(argv: list[str]) -> tuple[list, list]:
+            seen = {"_converges_on_zeros": [], "oracle_patterns": []}
+            for (name, calls), index in zip(seen.items(), (4, 5)):
+                def spy(*args, real=getattr(cli, name), calls=calls,
+                        index=index):
+                    calls.extend(args[index])
+                    return real(*args)
+
+                monkeypatch.setattr(cli, name, spy)
+            assert main([*argv, "--config", path]) == EXIT_OK
+            monkeypatch.undo()
+            return seen["_converges_on_zeros"], seen["oracle_patterns"]
+
+        if sweep is None:
+            walk, integrated = spreads(["simulate"])
+            assert integrated == ([0.0, 2e-3] if extra else [0.0])
+            assert spreads(["check"]) == (walk, [])
+        else:
+            param, values = sweep
+            walk, integrated = spreads(["sweep", "--param", param,
+                                        "--values", values])
+        assert walk == integrated
 
     def test_check_accepts_the_largest_budget(self, tmp_path, capsys):
         # 16 nodes doubled 9 times reach the bound, 8,192; check samples
@@ -1670,11 +1736,11 @@ class TestPreflightPhases:
 
         monkeypatch.setattr(cli, "sample_pattern", spy)
         cfg = replace(make_config(), models=tuple(ModelKind))
-        cli._preflight(cfg)
+        cli._preflight(cfg, [0.0])
         assert calls == []
         plate = parse_config(OVERFLOW_PLATES["two_pi_d_x"] + OVERFLOW_WINDOW)
         with pytest.raises(ConfigError):
-            cli._preflight(replace(plate, models=tuple(ModelKind)))
+            cli._preflight(replace(plate, models=tuple(ModelKind)), [0.0])
         assert calls  # near overflow the models are sampled at the ends
 
     @settings(max_examples=300, deadline=None, derandomize=True,
@@ -1700,7 +1766,7 @@ class TestPreflightPhases:
         except ValueError:
             return  # not a plate or not a window
         try:
-            cli._preflight(cfg)
+            cli._preflight(cfg, [0.0])
             rejected = False
         except ConfigError as exc:
             if exc.key != "slit_separation":

@@ -21,9 +21,10 @@ scale key, in ``check``, which samples the beam on the oracle's node
 levels, too.
 
 A third profile draws tiny spots, about the node spacing or narrower, and
-holds the pre-flight's walk (``oracle._converges_on_zeros``) to the oracle:
-where the walk says the estimates converge on zeros, the oracle's patterns
-over the run's spreads are dark, so ``check`` rejects no config that
+holds the pre-flight's walk (``oracle._converges_on_zeros``), over the
+run's spreads, to the oracle: where the walk says the estimates converge on
+zeros, the run's first spread alone gives a dark pattern and the joint call
+over all its spreads returns none, so ``check`` rejects no config that
 ``simulate`` runs.
 """
 
@@ -277,14 +278,18 @@ def tiny_spot_texts(draw) -> str:
 def test_walk_says_dark_only_where_the_oracle_is_dark(text):
     cfg = cli.parse_config(text)
     beam, apertures = cli.build_beam(cfg), cli.build_apertures(cfg)
+    thetas = cli._spreads(cfg)
     if oracle._converges_on_zeros(beam, apertures, cfg.geometry.wavelength_m,
-                                  cfg.quadrature, cfg.washout_tilts):
-        thetas = [0.0] + [theta for theta in [cfg.washout_theta_rad]
-                          if theta is not None]
-        with pytest.raises(oracle.DarkPatternError):
-            oracle.oracle_patterns(beam, apertures, cfg.geometry,
-                                   cli.shared_grid(cfg), cfg.quadrature,
-                                   thetas, cfg.washout_tilts)
+                                  cfg.quadrature, thetas, cfg.washout_tilts):
+        # The run's first spread is dark alone, and the joint call, where
+        # another spread may fail to converge first, returns no patterns.
+        for spreads, errors in (
+                (thetas[:1], oracle.DarkPatternError),
+                (thetas, (oracle.DarkPatternError, oracle.ConvergenceError))):
+            with pytest.raises(errors):
+                oracle.oracle_patterns(beam, apertures, cfg.geometry,
+                                       cli.shared_grid(cfg), cfg.quadrature,
+                                       spreads, cfg.washout_tilts)
 
 
 @st.composite

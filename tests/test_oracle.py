@@ -1506,8 +1506,9 @@ class TestOraclePattern:
         # At 9 nodes the spot lights the first level's middle node alone, at
         # 18 none.  That one node's column reaches the level's sum of
         # |field * weight|, so the plain call accepts the zeros exactly when
-        # _converges_on_zeros says so; a washout over 11 shifts accepts
-        # them, and is dark, whenever _converges_on_zeros does over 11.
+        # _converges_on_zeros says so over spreads that hold the plain one;
+        # a washout over 11 shifts accepts them, and is dark, whenever
+        # _converges_on_zeros does over that washout alone.
         beam = GaussianBeam(waist_m=1e-30, center_m=REF_GEOM.slit_a_center_m)
         apertures = two_slit_apertures(REF_GEOM)
         xi, weights = _aperture_nodes(apertures, 9)
@@ -1519,7 +1520,7 @@ class TestOraclePattern:
                             (glow * (1 - 1e-9), False)):
             quad = QuadratureSpec(9, rtol, 1)
             assert _converges_on_zeros(beam, apertures, REF_GEOM.wavelength_m,
-                                       quad, 1) is faint
+                                       quad, (0.0, PHI), 11) is faint
             if faint:
                 amp = fraunhofer_amplitude(beam, apertures, REF_GEOM,
                                            grid.x(), quad)
@@ -1530,7 +1531,7 @@ class TestOraclePattern:
                                          quad)
         quad = QuadratureSpec(9, math.sqrt(11) * glow * (1 + 1e-9), 1)
         assert _converges_on_zeros(beam, apertures, REF_GEOM.wavelength_m,
-                                   quad, 11)
+                                   quad, (PHI,), 11)
         with pytest.raises(DarkPatternError):
             oracle_module.oracle_patterns(beam, apertures, REF_GEOM, grid,
                                           quad, (PHI,), 11)

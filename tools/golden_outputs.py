@@ -56,8 +56,10 @@ focusing angle of 2 rad and grid and tilt counts above their bounds,
 and ``simulate`` on three plates whose model phases overflow on the grid, on
 two whose model washout shifts the grid to a window that is not valid, and
 on two windows too narrow for their points, a focused Gaussian too narrow to
-light any quadrature node, and each ``mzi`` mode with balanced, unbalanced
-and non-finite amplitudes.
+light any quadrature node, ``check``, ``simulate`` and ``simulate`` with a
+washout on a focused Gaussian that lights one node of the first level so
+faintly that the plain oracle converges on zeros, and each ``mzi`` mode
+with balanced, unbalanced and non-finite amplitudes.
 """
 
 from __future__ import annotations
@@ -137,6 +139,16 @@ NARROW_GRIDS = {
     "uneven_grid": "grid_min = 1m\ngrid_max = 1.0000001m\n"
                    "grid_points = 11\n",
 }
+
+
+# This spot lights one node of the 19-node level, so faintly that the plain
+# oracle accepts the 38-node level's zeros, and a washout over 11 tilts
+# does not: check and simulate exit 1 naming waist, with or without one.
+FAINT_SPOT = ("beam = gaussian\nalignment = focus_a\n"
+              "waist = 1.4839524682788808e-09m\noracle = true\n"
+              "oracle_nodes = 19\noracle_refinements = 4\n"
+              "oracle_rtol = 2.649256561766945e-07\nwashout_tilts = 11\n"
+              "grid_points = 201\n")
 
 
 def with_plate(extra: str) -> str:
@@ -237,6 +249,8 @@ SIMULATE = {
     # is identically zero, and the run exits 1 naming waist.
     "gaussian_dark_nodes": "beam = gaussian\nalignment = focus_a\n"
                            "waist = 1e-300m\noracle = true\n",
+    "gaussian_faint_spot": FAINT_SPOT,
+    "gaussian_faint_spot_washout": FAINT_SPOT + "washout_theta = 1mrad\n",
     # A model listed twice gives two entries, two divergences and two
     # writes of one CSV.
     "model_twice_oracle": "models = pure_fringe, pure_fringe\n"
@@ -320,6 +334,7 @@ CHECK = {
     "grid_points_too_many": PLATE + "grid_points = 1000000000000\n",
     "washout_tilts_too_many": PLATE + "oracle = true\nwashout_theta = 5mrad\n"
                                       "washout_tilts = 1000000000001\n",
+    "gaussian_faint_spot": PLATE + FAINT_SPOT,
 }
 
 MZI_MODES = ("open", "blocked", "marker", "knockout", "asymmetric")
